@@ -1,19 +1,40 @@
 //===- apps/AppCommon.hpp - Shared proxy-application harness ---------------===//
 //
 // Each proxy application (XSBench, RSBench, GridMini, TestSNAP, MiniFMM)
-// follows the same protocol: generate a deterministic workload, upload it
-// through the host runtime, compile its kernel under one of the paper's
-// five build configurations, launch, verify against a host reference, and
-// report the launch metrics plus the static resource stats — everything
-// Figures 10-13 need.
+// generates a deterministic workload, uploads it through the host runtime,
+// and then runs its kernel under any of the paper's five build
+// configurations. AppHarness::run owns the run protocol all five share:
+//
+//   1. compile the app's kernel spec under the build and swap the module
+//      into the runtime, replacing the previous build's module;
+//   2. zero every output buffer and upload it (updateTo);
+//   3. launch through HostRuntime::launch, timed into WallMicros;
+//   4. read every output back (updateFrom) and chain FNV-1a over them, in
+//      the app's output order, into OutputHash;
+//   5. compare every element of every output against the app's host
+//      reference.
+//
+// The result carries the launch metrics plus the static resource stats:
+// everything Figures 10-13 need.
+//
+// Reference cache. An app's reference values are computed once, on its
+// first run, and reused by every later run, build and backend. This relies
+// on one condition: an app's inputs are fixed after construction. Runs
+// reset and read back only the outputs, so nothing a reference reads ever
+// changes. Every run still reads back, hashes and compares every output
+// element, so a wrong output is caught on any run, not only the first.
 //
 //===----------------------------------------------------------------------===//
 #pragma once
 
-#include <chrono>
+#include <cmath>
+#include <functional>
+#include <initializer_list>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "frontend/TargetCompiler.hpp"
@@ -49,9 +70,11 @@ struct AppRunResult {
   vgpu::LaunchProfile Profile;
   /// Per-phase compile timing; populated only when tracing is enabled.
   frontend::CompilePhaseTiming Compile;
-  /// The compiled (and executed) kernel module. Shared with the image
-  /// slot; treat as read-only. Analysis-only consumers — the lint test
-  /// harness runs the static linter over exactly what ran on the device.
+  /// The compiled (and executed) kernel module; treat as read-only. The
+  /// harness keeps only the latest build's module registered, so this
+  /// pointer is what keeps an older run's module alive. Analysis-only
+  /// consumers — the lint test harness runs the static linter over exactly
+  /// what ran on the device.
   std::shared_ptr<ir::Module> Module;
   bool Verified = false;
   /// Application-level throughput in work-items per kilocycle (apps scale
@@ -71,47 +94,62 @@ struct AppRunResult {
   std::uint64_t OutputHash = 0;
 };
 
-/// FNV-1a over a byte range; the apps fold each output buffer through this
-/// to produce AppRunResult::OutputHash.
-inline std::uint64_t fnv1a(std::uint64_t H, const void *Data,
-                           std::size_t Size) {
-  const auto *P = static_cast<const unsigned char *>(Data);
-  for (std::size_t I = 0; I < Size; ++I) {
-    H ^= P[I];
-    H *= 0x100000001B3ULL;
-  }
-  return H;
+/// The one comparison behind AppRunResult::Verified: an output element
+/// passes only when it lies within Tol of its reference value. A NaN on
+/// either side fails, since every ordered comparison with NaN is false.
+inline bool withinTolerance(double Out, double Ref, double Tol) {
+  return std::fabs(Out - Ref) <= Tol;
 }
-constexpr std::uint64_t FnvSeed = 0xCBF29CE484222325ULL;
 
-/// Keeps exactly one compiled app module registered with a HostRuntime.
-/// Apps compile the same kernel name once per build configuration, and the
-/// host runtime rejects duplicate kernel names, so every new compilation
-/// swaps out the previous image. Retired modules stay alive until the slot
-/// is destroyed (results of earlier runs may still reference them).
-class ImageSlot {
+/// One buffer an app's kernel writes.
+struct AppOutput {
+  /// Names the buffer in error messages.
+  std::string_view Name;
+  /// The host copy, mapped in the harness's runtime. Zeroed and uploaded
+  /// before the launch, read back after it.
+  std::vector<double> &Data;
+  /// The value each element of Data must hold, one per element.
+  std::span<const double> Expected;
+  double Tolerance = 1e-9;
+};
+
+/// The run protocol the proxy apps share (see the file comment). Owns the
+/// app's host runtime, the one module it has registered there, and the
+/// app's cached reference values. Not thread-safe, like the apps.
+class AppHarness {
 public:
-  explicit ImageSlot(host::HostRuntime &Host) : Host(Host) {}
+  /// App names the app in error messages. Reference computes the app's
+  /// expected output values from its inputs; it runs at most once.
+  AppHarness(std::string App, vgpu::VirtualGPU &GPU,
+             std::function<std::vector<double>()> Reference);
 
-  /// Register M with the runtime, replacing the previously installed
-  /// module (if any). The compiled kernel's bytecode lowering rides along
-  /// so the device's fast tier never re-lowers at launch.
-  Expected<void>
-  install(std::shared_ptr<ir::Module> M,
-          std::shared_ptr<const vgpu::BytecodeModule> Bytecode = nullptr) {
-    if (Current) {
-      if (auto Out = Host.unregisterImage(*Current); !Out)
-        return Out;
-      Retired.push_back(std::move(Current));
-    }
-    Current = std::move(M);
-    return Host.registerImage(*Current, std::move(Bytecode));
-  }
+  /// The runtime the app maps its buffers in.
+  [[nodiscard]] host::HostRuntime &host() { return Host; }
+
+  /// The app's reference values: computed on the first call, then returned
+  /// unchanged. Valid only while the app's inputs stay as constructed.
+  const std::vector<double> &reference();
+
+  /// Compile Spec under Build, launch it with Args on Teams x Threads, and
+  /// read back, hash and verify Outputs. OnCompiled, when set, sees the
+  /// compiled kernel before the launch, for expected values that depend on
+  /// how the kernel was lowered. A failed transfer is returned as Error,
+  /// naming the app, the buffer and the runtime's message.
+  AppRunResult
+  run(const BuildConfig &Build, const frontend::KernelSpec &Spec,
+      std::span<const host::KernelArg> Args, std::uint32_t Teams,
+      std::uint32_t Threads, std::initializer_list<AppOutput> Outputs,
+      const std::function<void(const ir::Function &)> &OnCompiled = {});
 
 private:
-  host::HostRuntime &Host;
-  std::shared_ptr<ir::Module> Current;
-  std::vector<std::shared_ptr<ir::Module>> Retired;
+  std::string App;
+  vgpu::VirtualGPU &GPU;
+  host::HostRuntime Host;
+  /// The module registered with Host. Builds compile the same kernel name
+  /// and the runtime rejects duplicate names, so each run swaps it out.
+  std::shared_ptr<ir::Module> Installed;
+  std::function<std::vector<double>()> ComputeReference;
+  std::optional<std::vector<double>> Reference;
 };
 
 /// Device-side deterministic hash used by kernels that need per-iteration

@@ -1,7 +1,5 @@
 #include "apps/GridMini.hpp"
 
-#include <cmath>
-
 namespace codesign::apps {
 
 using frontend::BodyArg;
@@ -34,7 +32,7 @@ void su3mul(const double *A, const double *B, double *C) {
 } // namespace
 
 GridMini::GridMini(vgpu::VirtualGPU &GPU, GridMiniConfig Cfg)
-    : GPU(GPU), Host(GPU), Cfg(Cfg) {
+    : Harness("GridMini", GPU, [this] { return reference(); }), Cfg(Cfg) {
   generate();
   upload();
   // Body: (iv, uPtr, vPtr, outPtr): 36 field loads, 198 FLOPs, 18 stores.
@@ -70,6 +68,7 @@ void GridMini::generate() {
 }
 
 void GridMini::upload() {
+  host::HostRuntime &Host = Harness.host();
   auto A = Host.enterData(FieldU.data(), FieldU.size() * 8);
   auto B = Host.enterData(FieldV.data(), FieldV.size() * 8);
   auto C = Host.enterData(FieldOut.data(), FieldOut.size() * 8);
@@ -95,70 +94,31 @@ KernelSpec GridMini::makeSpec(bool ByValue) const {
   return Spec;
 }
 
-void GridMini::referenceSite(std::uint64_t Site, double *Out18) const {
-  su3mul(FieldU.data() + Site * 18, FieldV.data() + Site * 18, Out18);
+std::vector<double> GridMini::reference() const {
+  std::vector<double> Ref(FieldOut.size());
+  for (std::size_t Site = 0; Site < Cfg.Volume; ++Site)
+    su3mul(FieldU.data() + Site * 18, FieldV.data() + Site * 18,
+           Ref.data() + Site * 18);
+  return Ref;
 }
 
 AppRunResult GridMini::run(const BuildConfig &Build) {
-  AppRunResult Result;
-  Result.Build = Build.Name;
   // CUDA always passes the bound by value (the paper matched the OpenMP
   // version to it); OpenMP follows the knob.
   const bool ByValue =
       Build.Options.CG.RT == frontend::RuntimeKind::Native || Cfg.BoundByValue;
-  auto CK = frontend::compileKernel(makeSpec(ByValue), Build.Options,
-                                    GPU.registry());
-  if (!CK) {
-    Result.Error = CK.error().message();
-    return Result;
-  }
-  Result.Stats = CK->Stats;
-  Result.Compile = CK->Timing;
-  Result.Module = CK->M;
-  auto Registered = Images.install(std::move(CK->M), CK->Bytecode);
-  if (!Registered) {
-    Result.Error = Registered.error().message();
-    return Result;
-  }
-
-  std::fill(FieldOut.begin(), FieldOut.end(), 0.0);
-  CODESIGN_ASSERT(Host.updateTo(FieldOut.data()).hasValue(), "reset failed");
   const host::KernelArg Args[] = {
       host::KernelArg::mapped(FieldU.data()),
       host::KernelArg::mapped(FieldV.data()),
       host::KernelArg::mapped(FieldOut.data()),
       host::KernelArg::mapped(BoundBlock.data()),
       host::KernelArg::i64(static_cast<std::int64_t>(Cfg.Volume))};
-  const auto WallStart = std::chrono::steady_clock::now();
-  auto LR = Host.launch(CK->Kernel->name(), Args, Cfg.Teams, Cfg.Threads);
-  Result.WallMicros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - WallStart)
-          .count());
-  Result.Backend = GPU.execBackend();
-  if (!LR || !LR->Ok) {
-    Result.Error = LR ? LR->Error : LR.error().message();
-    return Result;
-  }
-  Result.Ok = true;
-  Result.Metrics = LR->Metrics;
-  Result.Profile = LR->Profile;
-  CODESIGN_ASSERT(Host.updateFrom(FieldOut.data()).hasValue(),
-                  "readback failed");
-  Result.OutputHash = fnv1a(FnvSeed, FieldOut.data(), FieldOut.size() * 8);
-  Result.Verified = true;
-  double Ref[18];
-  for (std::uint64_t S = 0; S < Cfg.Volume && Result.Verified; ++S) {
-    referenceSite(S, Ref);
-    for (int I = 0; I < 18; ++I)
-      if (std::fabs(FieldOut[S * 18 + I] - Ref[I]) > 1e-9) {
-        Result.Verified = false;
-        break;
-      }
-  }
-  Result.AppMetric =
-      static_cast<double>(Cfg.Volume) * FlopsPerSite /
-      static_cast<double>(LR->Metrics.KernelCycles);
+  AppRunResult Result =
+      Harness.run(Build, makeSpec(ByValue), Args, Cfg.Teams, Cfg.Threads,
+                  {{"out", FieldOut, Harness.reference()}});
+  if (Result.Ok)
+    Result.AppMetric = static_cast<double>(Cfg.Volume) * FlopsPerSite /
+                       static_cast<double>(Result.Metrics.KernelCycles);
   return Result;
 }
 

@@ -15,7 +15,6 @@
 #pragma once
 
 #include "apps/AppCommon.hpp"
-#include "host/HostRuntime.hpp"
 
 namespace codesign::apps {
 
@@ -44,16 +43,15 @@ private:
   void generate();
   void upload();
   [[nodiscard]] frontend::KernelSpec makeSpec(bool ByValue) const;
-  void referenceSite(std::uint64_t Site, double *Out18) const;
+  /// The host product at every site, in FieldOut's layout.
+  [[nodiscard]] std::vector<double> reference() const;
 
-  vgpu::VirtualGPU &GPU;
-  host::HostRuntime Host;
+  AppHarness Harness;
   GridMiniConfig Cfg;
   std::int64_t BodyId = 0;
 
   std::vector<double> FieldU, FieldV, FieldOut; ///< [V][3][3][2]
   std::vector<std::int64_t> BoundBlock;         ///< device-resident bound
-  ImageSlot Images{Host};
 };
 
 } // namespace codesign::apps

@@ -1,5 +1,6 @@
 #include "apps/MiniFMM.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace codesign::apps {
@@ -26,7 +27,7 @@ double p2p(const double *P) {
 } // namespace
 
 MiniFMM::MiniFMM(vgpu::VirtualGPU &GPU, MiniFMMConfig Cfg)
-    : GPU(GPU), Host(GPU), Cfg(Cfg) {
+    : Harness("MiniFMM", GPU, [this] { return reference(); }), Cfg(Cfg) {
   generate();
   upload();
 
@@ -85,6 +86,7 @@ void MiniFMM::generate() {
 }
 
 void MiniFMM::upload() {
+  host::HostRuntime &Host = Harness.host();
   auto A = Host.enterData(Particles.data(), Particles.size() * 8);
   auto B = Host.enterData(Out.data(), Out.size() * 8);
   auto C = Host.enterData(TeamMarks.data(), TeamMarks.size() * 8);
@@ -121,88 +123,43 @@ KernelSpec MiniFMM::makeSpec() const {
   return Spec;
 }
 
-double MiniFMM::referencePair(std::uint64_t Pair) const {
-  return p2p(Particles.data() + Pair * 8);
+std::vector<double> MiniFMM::reference() const {
+  std::vector<double> Ref;
+  Ref.reserve(Out.size() + Cfg.Teams);
+  for (std::size_t Pair = 0; Pair < Out.size(); ++Pair)
+    Ref.push_back(p2p(Particles.data() + Pair * 8));
+  for (std::uint32_t T = 0; T < Cfg.Teams; ++T)
+    Ref.push_back(static_cast<double>(T) + 0.5);
+  return Ref;
 }
 
 AppRunResult MiniFMM::run(const BuildConfig &Build) {
-  AppRunResult Result;
-  Result.Build = Build.Name;
-  auto CK =
-      frontend::compileKernel(makeSpec(), Build.Options, GPU.registry());
-  if (!CK) {
-    Result.Error = CK.error().message();
-    return Result;
-  }
-  Result.Stats = CK->Stats;
-  Result.Compile = CK->Timing;
-  const ir::ExecMode Mode = CK->Kernel->execMode();
-  Result.Module = CK->M;
-  auto Registered = Images.install(std::move(CK->M), CK->Bytecode);
-  if (!Registered) {
-    Result.Error = Registered.error().message();
-    return Result;
-  }
-
-  std::fill(Out.begin(), Out.end(), 0.0);
-  std::fill(TeamMarks.begin(), TeamMarks.end(), 0.0);
-  std::fill(TaskCount.begin(), TaskCount.end(), 0.0);
-  CODESIGN_ASSERT(Host.updateTo(Out.data()).hasValue() &&
-                      Host.updateTo(TeamMarks.data()).hasValue() &&
-                      Host.updateTo(TaskCount.data()).hasValue(),
-                  "reset failed");
   const host::KernelArg Args[] = {
       host::KernelArg::mapped(Out.data()),
       host::KernelArg::mapped(Particles.data()),
       host::KernelArg::mapped(TeamMarks.data()),
       host::KernelArg::mapped(TaskCount.data()),
       host::KernelArg::i64(Cfg.PairsPerTeam)};
-  const auto WallStart = std::chrono::steady_clock::now();
-  auto LR = Host.launch(CK->Kernel->name(), Args, Cfg.Teams, Cfg.Threads);
-  Result.WallMicros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - WallStart)
-          .count());
-  Result.Backend = GPU.execBackend();
-  if (!LR || !LR->Ok) {
-    Result.Error = LR ? LR->Error : LR.error().message();
-    return Result;
-  }
-  Result.Ok = true;
-  Result.Metrics = LR->Metrics;
-  Result.Profile = LR->Profile;
-  CODESIGN_ASSERT(Host.updateFrom(Out.data()).hasValue() &&
-                      Host.updateFrom(TeamMarks.data()).hasValue() &&
-                      Host.updateFrom(TaskCount.data()).hasValue(),
-                  "readback failed");
-  Result.OutputHash = fnv1a(FnvSeed, Out.data(), Out.size() * 8);
-  Result.OutputHash =
-      fnv1a(Result.OutputHash, TeamMarks.data(), TeamMarks.size() * 8);
-  Result.OutputHash =
-      fnv1a(Result.OutputHash, TaskCount.data(), TaskCount.size() * 8);
-
-  Result.Verified = true;
-  const std::uint64_t NPairs =
-      static_cast<std::uint64_t>(Cfg.Teams) * Cfg.PairsPerTeam;
-  for (std::uint64_t P = 0; P < NPairs && Result.Verified; ++P)
-    if (std::fabs(Out[P] - referencePair(P)) > 1e-9)
-      Result.Verified = false;
-  for (std::uint32_t T = 0; T < Cfg.Teams && Result.Verified; ++T)
-    if (std::fabs(TeamMarks[T] - (static_cast<double>(T) + 0.5)) > 1e-12)
-      Result.Verified = false;
-  // The nested-task counter depends on how many threads execute the
-  // region: the generic-mode runtime runs it on the workers, the
-  // SPMD/native lowerings on every thread of the team.
-  const double ExpectedTasks =
-      Mode == ir::ExecMode::Generic
-          ? static_cast<double>(Cfg.Threads - 1)
-          : static_cast<double>(Cfg.Threads);
-  for (std::uint32_t T = 0; T < Cfg.Teams && Result.Verified; ++T)
-    if (std::fabs(TaskCount[T] - ExpectedTasks) > 1e-12)
-      Result.Verified = false;
-
-  Result.AppMetric = static_cast<double>(NPairs) /
-                     (static_cast<double>(LR->Metrics.KernelCycles) / 1000.0);
+  const std::span<const double> Ref = Harness.reference();
+  std::vector<double> ExpectedTasks(Cfg.Teams);
+  AppRunResult Result = Harness.run(
+      Build, makeSpec(), Args, Cfg.Teams, Cfg.Threads,
+      {{"out", Out, Ref.first(Out.size())},
+       {"marks", TeamMarks, Ref.subspan(Out.size()), 1e-12},
+       {"tasks", TaskCount, ExpectedTasks, 1e-12}},
+      [&](const ir::Function &Kernel) {
+        // The nested-task counter depends on how many threads execute the
+        // region: the generic-mode runtime runs it on the workers, the
+        // SPMD/native lowerings on every thread of the team.
+        std::fill(ExpectedTasks.begin(), ExpectedTasks.end(),
+                  Kernel.execMode() == ir::ExecMode::Generic
+                      ? static_cast<double>(Cfg.Threads - 1)
+                      : static_cast<double>(Cfg.Threads));
+      });
+  if (Result.Ok)
+    Result.AppMetric =
+        static_cast<double>(Out.size()) /
+        (static_cast<double>(Result.Metrics.KernelCycles) / 1000.0);
   return Result;
 }
 

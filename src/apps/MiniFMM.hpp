@@ -18,7 +18,6 @@
 #pragma once
 
 #include "apps/AppCommon.hpp"
-#include "host/HostRuntime.hpp"
 
 namespace codesign::apps {
 
@@ -45,10 +44,10 @@ private:
   void generate();
   void upload();
   [[nodiscard]] frontend::KernelSpec makeSpec() const;
-  [[nodiscard]] double referencePair(std::uint64_t Pair) const;
+  /// The host P2P result of every pair, then every team's mark.
+  [[nodiscard]] std::vector<double> reference() const;
 
-  vgpu::VirtualGPU &GPU;
-  host::HostRuntime Host;
+  AppHarness Harness;
   MiniFMMConfig Cfg;
   std::int64_t PrepBodyId = 0;
   std::int64_t P2PBodyId = 0;
@@ -58,7 +57,6 @@ private:
   std::vector<double> Out;       ///< [Teams*PairsPerTeam]
   std::vector<double> TeamMarks; ///< [Teams] written by the serial stage
   std::vector<double> TaskCount; ///< [Teams] nested-task execution counter
-  ImageSlot Images{Host};
 };
 
 } // namespace codesign::apps

@@ -39,7 +39,7 @@ double evalPoles(const double *P, std::uint32_t NPoles, double E) {
 } // namespace
 
 RSBench::RSBench(vgpu::VirtualGPU &GPU, RSBenchConfig Cfg)
-    : GPU(GPU), Host(GPU), Cfg(Cfg) {
+    : Harness("RSBench", GPU, [this] { return reference(); }), Cfg(Cfg) {
   generate();
   upload();
   // Body: (iv, outPtr, polesPtr, matPtr). Pole data for one window is
@@ -94,6 +94,7 @@ void RSBench::generate() {
 }
 
 void RSBench::upload() {
+  host::HostRuntime &Host = Harness.host();
   auto A = Host.enterData(Poles.data(), Poles.size() * 8);
   auto B = Host.enterData(MaterialTable.data(), MaterialTable.size() * 8);
   auto C = Host.enterData(Out.data(), Out.size() * 8);
@@ -115,75 +116,43 @@ KernelSpec RSBench::makeSpec() const {
   return Spec;
 }
 
-double RSBench::referenceLookup(std::uint64_t Iv) const {
-  const std::uint64_t H = ivHash(Iv);
-  const double E = hashToUnit(H);
-  const std::uint32_t Mat = static_cast<std::uint32_t>(H % this->Cfg.NMaterials);
-  const std::uint32_t Win =
-      static_cast<std::uint32_t>(E * this->Cfg.NWindows) % this->Cfg.NWindows;
-  double Total = 0.0;
-  for (std::uint32_t K = 0; K < this->Cfg.NNuclidesPerMaterial; ++K) {
-    const std::int64_t Nuc =
-        MaterialTable[static_cast<std::size_t>(Mat) *
-                          Cfg.NNuclidesPerMaterial +
-                      K];
-    const std::size_t Base =
-        (static_cast<std::size_t>(Nuc) * Cfg.NWindows + Win) *
-        Cfg.NPolesPerWindow * 4;
-    Total += evalPoles(Poles.data() + Base, Cfg.NPolesPerWindow, E);
+std::vector<double> RSBench::reference() const {
+  std::vector<double> Ref(Cfg.NLookups);
+  for (std::uint64_t Iv = 0; Iv < Cfg.NLookups; ++Iv) {
+    const std::uint64_t H = ivHash(Iv);
+    const double E = hashToUnit(H);
+    const std::uint32_t Mat = static_cast<std::uint32_t>(H % Cfg.NMaterials);
+    const std::uint32_t Win =
+        static_cast<std::uint32_t>(E * Cfg.NWindows) % Cfg.NWindows;
+    double Total = 0.0;
+    for (std::uint32_t K = 0; K < Cfg.NNuclidesPerMaterial; ++K) {
+      const std::int64_t Nuc =
+          MaterialTable[static_cast<std::size_t>(Mat) *
+                            Cfg.NNuclidesPerMaterial +
+                        K];
+      const std::size_t Base =
+          (static_cast<std::size_t>(Nuc) * Cfg.NWindows + Win) *
+          Cfg.NPolesPerWindow * 4;
+      Total += evalPoles(Poles.data() + Base, Cfg.NPolesPerWindow, E);
+    }
+    Ref[Iv] = Total;
   }
-  return Total;
+  return Ref;
 }
 
 AppRunResult RSBench::run(const BuildConfig &Build) {
-  AppRunResult Result;
-  Result.Build = Build.Name;
-  auto CK =
-      frontend::compileKernel(makeSpec(), Build.Options, GPU.registry());
-  if (!CK) {
-    Result.Error = CK.error().message();
-    return Result;
-  }
-  Result.Stats = CK->Stats;
-  Result.Compile = CK->Timing;
-  Result.Module = CK->M;
-  auto Registered = Images.install(std::move(CK->M), CK->Bytecode);
-  if (!Registered) {
-    Result.Error = Registered.error().message();
-    return Result;
-  }
-
-  std::fill(Out.begin(), Out.end(), 0.0);
-  CODESIGN_ASSERT(Host.updateTo(Out.data()).hasValue(), "reset failed");
   const host::KernelArg Args[] = {
       host::KernelArg::mapped(Out.data()),
       host::KernelArg::mapped(Poles.data()),
       host::KernelArg::mapped(MaterialTable.data()),
       host::KernelArg::i64(static_cast<std::int64_t>(Cfg.NLookups))};
-  const auto WallStart = std::chrono::steady_clock::now();
-  auto LR = Host.launch(CK->Kernel->name(), Args, Cfg.Teams, Cfg.Threads);
-  Result.WallMicros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - WallStart)
-          .count());
-  Result.Backend = GPU.execBackend();
-  if (!LR || !LR->Ok) {
-    Result.Error = LR ? LR->Error : LR.error().message();
-    return Result;
-  }
-  Result.Ok = true;
-  Result.Metrics = LR->Metrics;
-  Result.Profile = LR->Profile;
-  CODESIGN_ASSERT(Host.updateFrom(Out.data()).hasValue(), "readback failed");
-  Result.OutputHash = fnv1a(FnvSeed, Out.data(), Out.size() * 8);
-  Result.Verified = true;
-  for (std::uint64_t I = 0; I < Cfg.NLookups; ++I)
-    if (std::fabs(Out[I] - referenceLookup(I)) > 1e-9) {
-      Result.Verified = false;
-      break;
-    }
-  Result.AppMetric = static_cast<double>(Cfg.NLookups) /
-                     (static_cast<double>(LR->Metrics.KernelCycles) / 1000.0);
+  AppRunResult Result =
+      Harness.run(Build, makeSpec(), Args, Cfg.Teams, Cfg.Threads,
+                  {{"out", Out, Harness.reference()}});
+  if (Result.Ok)
+    Result.AppMetric =
+        static_cast<double>(Cfg.NLookups) /
+        (static_cast<double>(Result.Metrics.KernelCycles) / 1000.0);
   return Result;
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include "apps/AppCommon.hpp"
-#include "host/HostRuntime.hpp"
 
 namespace codesign::apps {
 
@@ -42,17 +41,16 @@ private:
   void generate();
   void upload();
   [[nodiscard]] frontend::KernelSpec makeSpec() const;
-  [[nodiscard]] double referenceLookup(std::uint64_t Iv) const;
+  /// The host result of every lookup.
+  [[nodiscard]] std::vector<double> reference() const;
 
-  vgpu::VirtualGPU &GPU;
-  host::HostRuntime Host;
+  AppHarness Harness;
   RSBenchConfig Cfg;
   std::int64_t BodyId = 0;
 
   std::vector<double> Poles;               ///< [NN][NW][NP][4]
   std::vector<std::int64_t> MaterialTable; ///< [NMat][NNucPerMat]
   std::vector<double> Out;
-  ImageSlot Images{Host};
 };
 
 } // namespace codesign::apps

@@ -1,7 +1,5 @@
 #include "apps/TestSNAP.hpp"
 
-#include <cmath>
-
 namespace codesign::apps {
 
 using frontend::BodyArg;
@@ -37,7 +35,7 @@ double contract(const double *W) {
 } // namespace
 
 TestSNAP::TestSNAP(vgpu::VirtualGPU &GPU, TestSNAPConfig Cfg)
-    : GPU(GPU), Host(GPU), Cfg(Cfg) {
+    : Harness("TestSNAP", GPU, [this] { return reference(); }), Cfg(Cfg) {
   generate();
   upload();
   // Body: (iv, forcesPtr, positionsPtr, scratchPtr, threadNum). The
@@ -77,6 +75,7 @@ void TestSNAP::generate() {
 }
 
 void TestSNAP::upload() {
+  host::HostRuntime &Host = Harness.host();
   auto A = Host.enterData(Positions.data(), Positions.size() * 8);
   auto B = Host.enterData(Forces.data(), Forces.size() * 8);
   CODESIGN_ASSERT(A && B, "testsnap upload failed");
@@ -97,64 +96,29 @@ KernelSpec TestSNAP::makeSpec() const {
   return Spec;
 }
 
-double TestSNAP::referencePair(std::uint64_t Pair) const {
+std::vector<double> TestSNAP::reference() const {
+  std::vector<double> Ref(Forces.size());
   double W[WS];
-  fillWorkspace(Positions[Pair * 3], Positions[Pair * 3 + 1],
-                Positions[Pair * 3 + 2], W);
-  return contract(W);
+  for (std::size_t Pair = 0; Pair < Ref.size(); ++Pair) {
+    fillWorkspace(Positions[Pair * 3], Positions[Pair * 3 + 1],
+                  Positions[Pair * 3 + 2], W);
+    Ref[Pair] = contract(W);
+  }
+  return Ref;
 }
 
 AppRunResult TestSNAP::run(const BuildConfig &Build) {
-  AppRunResult Result;
-  Result.Build = Build.Name;
-  auto CK =
-      frontend::compileKernel(makeSpec(), Build.Options, GPU.registry());
-  if (!CK) {
-    Result.Error = CK.error().message();
-    return Result;
-  }
-  Result.Stats = CK->Stats;
-  Result.Compile = CK->Timing;
-  Result.Module = CK->M;
-  auto Registered = Images.install(std::move(CK->M), CK->Bytecode);
-  if (!Registered) {
-    Result.Error = Registered.error().message();
-    return Result;
-  }
-
-  const std::uint64_t NPairs =
-      static_cast<std::uint64_t>(Cfg.NAtoms) * Cfg.NNeighbors;
-  std::fill(Forces.begin(), Forces.end(), 0.0);
-  CODESIGN_ASSERT(Host.updateTo(Forces.data()).hasValue(), "reset failed");
   const host::KernelArg Args[] = {
       host::KernelArg::mapped(Forces.data()),
       host::KernelArg::mapped(Positions.data()),
-      host::KernelArg::i64(static_cast<std::int64_t>(NPairs))};
-  const auto WallStart = std::chrono::steady_clock::now();
-  auto LR = Host.launch(CK->Kernel->name(), Args, Cfg.Teams, Cfg.Threads);
-  Result.WallMicros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - WallStart)
-          .count());
-  Result.Backend = GPU.execBackend();
-  if (!LR || !LR->Ok) {
-    Result.Error = LR ? LR->Error : LR.error().message();
-    return Result;
-  }
-  Result.Ok = true;
-  Result.Metrics = LR->Metrics;
-  Result.Profile = LR->Profile;
-  CODESIGN_ASSERT(Host.updateFrom(Forces.data()).hasValue(),
-                  "readback failed");
-  Result.OutputHash = fnv1a(FnvSeed, Forces.data(), Forces.size() * 8);
-  Result.Verified = true;
-  for (std::uint64_t P = 0; P < NPairs; ++P)
-    if (std::fabs(Forces[P] - referencePair(P)) > 1e-9) {
-      Result.Verified = false;
-      break;
-    }
-  Result.AppMetric = static_cast<double>(NPairs) /
-                     (static_cast<double>(LR->Metrics.KernelCycles) / 1000.0);
+      host::KernelArg::i64(static_cast<std::int64_t>(Forces.size()))};
+  AppRunResult Result =
+      Harness.run(Build, makeSpec(), Args, Cfg.Teams, Cfg.Threads,
+                  {{"forces", Forces, Harness.reference()}});
+  if (Result.Ok)
+    Result.AppMetric =
+        static_cast<double>(Forces.size()) /
+        (static_cast<double>(Result.Metrics.KernelCycles) / 1000.0);
   return Result;
 }
 

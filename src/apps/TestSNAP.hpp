@@ -17,7 +17,6 @@
 #pragma once
 
 #include "apps/AppCommon.hpp"
-#include "host/HostRuntime.hpp"
 
 namespace codesign::apps {
 
@@ -52,16 +51,15 @@ private:
   void generate();
   void upload();
   [[nodiscard]] frontend::KernelSpec makeSpec() const;
-  [[nodiscard]] double referencePair(std::uint64_t Pair) const;
+  /// The host force of every pair.
+  [[nodiscard]] std::vector<double> reference() const;
 
-  vgpu::VirtualGPU &GPU;
-  host::HostRuntime Host;
+  AppHarness Harness;
   TestSNAPConfig Cfg;
   std::int64_t BodyId = 0;
 
   std::vector<double> Positions; ///< [NAtoms*NNeighbors][3]
   std::vector<double> Forces;    ///< [NAtoms*NNeighbors]
-  ImageSlot Images{Host};
 };
 
 } // namespace codesign::apps

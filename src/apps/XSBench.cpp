@@ -1,7 +1,5 @@
 #include "apps/XSBench.hpp"
 
-#include <cmath>
-
 namespace codesign::apps {
 
 using frontend::BodyArg;
@@ -61,7 +59,7 @@ double deviceLookup(NativeCtx &Ctx, std::uint64_t Iv, DeviceAddr Grid,
 } // namespace
 
 XSBench::XSBench(vgpu::VirtualGPU &GPU, XSBenchConfig Cfg)
-    : GPU(GPU), Host(GPU), Cfg(Cfg) {
+    : Harness("XSBench", GPU, [this] { return reference(); }), Cfg(Cfg) {
   generate();
   upload();
 
@@ -127,6 +125,7 @@ void XSBench::generate() {
 }
 
 void XSBench::upload() {
+  host::HostRuntime &Host = Harness.host();
   auto GridAddr =
       Host.enterData(EnergyGrid.data(), EnergyGrid.size() * 8);
   auto XSAddr = Host.enterData(XSData.data(), XSData.size() * 8);
@@ -173,58 +172,41 @@ KernelSpec XSBench::makeSpec(bool ByReference) const {
   return Spec;
 }
 
-double XSBench::referenceLookup(std::uint64_t Iv) const {
-  const std::uint64_t H = ivHash(Iv);
-  const double E = hashToUnit(H);
-  const std::uint32_t Mat = static_cast<std::uint32_t>(H % Cfg.NMaterials);
-  std::uint64_t Lo = 0, Hi = Cfg.NGridpoints - 1;
-  while (Hi - Lo > 1) {
-    const std::uint64_t Mid = (Lo + Hi) / 2;
-    if (EnergyGrid[Mid] <= E)
-      Lo = Mid;
-    else
-      Hi = Mid;
+std::vector<double> XSBench::reference() const {
+  std::vector<double> Ref(Cfg.NLookups);
+  for (std::uint64_t Iv = 0; Iv < Cfg.NLookups; ++Iv) {
+    const std::uint64_t H = ivHash(Iv);
+    const double E = hashToUnit(H);
+    const std::uint32_t Mat = static_cast<std::uint32_t>(H % Cfg.NMaterials);
+    std::uint64_t Lo = 0, Hi = Cfg.NGridpoints - 1;
+    while (Hi - Lo > 1) {
+      const std::uint64_t Mid = (Lo + Hi) / 2;
+      if (EnergyGrid[Mid] <= E)
+        Lo = Mid;
+      else
+        Hi = Mid;
+    }
+    const double F = (E - EnergyGrid[Lo]) /
+                     (EnergyGrid[Hi] - EnergyGrid[Lo] + 1e-30);
+    double Total = 0.0;
+    for (std::uint32_t K = 0; K < Cfg.NNuclidesPerMaterial; ++K) {
+      const std::int64_t Nuc =
+          MaterialTable[static_cast<std::size_t>(Mat) *
+                            Cfg.NNuclidesPerMaterial +
+                        K];
+      const std::size_t Base =
+          (static_cast<std::size_t>(Nuc) * Cfg.NGridpoints + Lo) * 2;
+      Total += XSData[Base] * (1.0 - F) + XSData[Base + 1] * F;
+    }
+    Ref[Iv] = Total;
   }
-  const double F = (E - EnergyGrid[Lo]) /
-                   (EnergyGrid[Hi] - EnergyGrid[Lo] + 1e-30);
-  double Total = 0.0;
-  for (std::uint32_t K = 0; K < Cfg.NNuclidesPerMaterial; ++K) {
-    const std::int64_t Nuc =
-        MaterialTable[static_cast<std::size_t>(Mat) *
-                          Cfg.NNuclidesPerMaterial +
-                      K];
-    const std::size_t Base =
-        (static_cast<std::size_t>(Nuc) * Cfg.NGridpoints + Lo) * 2;
-    Total += XSData[Base] * (1.0 - F) + XSData[Base + 1] * F;
-  }
-  return Total;
+  return Ref;
 }
 
 AppRunResult XSBench::run(const BuildConfig &Build) {
-  AppRunResult Result;
-  Result.Build = Build.Name;
   // CUDA receives the fields by value; OpenMP follows the config knob.
   const bool ByRef = Build.Options.CG.RT != frontend::RuntimeKind::Native &&
                      Cfg.ConfigStructByReference;
-  auto CK = frontend::compileKernel(makeSpec(ByRef), Build.Options,
-                                    GPU.registry());
-  if (!CK) {
-    Result.Error = CK.error().message();
-    return Result;
-  }
-  Result.Stats = CK->Stats;
-  Result.Compile = CK->Timing;
-  Result.Module = CK->M;
-  auto Registered = Images.install(std::move(CK->M), CK->Bytecode);
-  if (!Registered) {
-    Result.Error = Registered.error().message();
-    return Result;
-  }
-
-  std::fill(Out.begin(), Out.end(), 0.0);
-  auto Updated = Host.updateTo(Out.data());
-  CODESIGN_ASSERT(Updated.hasValue(), "output reset failed");
-
   std::vector<host::KernelArg> Args;
   Args.push_back(host::KernelArg::mapped(Out.data()));
   if (ByRef) {
@@ -236,32 +218,13 @@ AppRunResult XSBench::run(const BuildConfig &Build) {
   }
   Args.push_back(host::KernelArg::i64(static_cast<std::int64_t>(Cfg.NLookups)));
 
-  const auto WallStart = std::chrono::steady_clock::now();
-  auto LR = Host.launch(CK->Kernel->name(), Args, Cfg.Teams, Cfg.Threads);
-  Result.WallMicros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - WallStart)
-          .count());
-  Result.Backend = GPU.execBackend();
-  if (!LR || !LR->Ok) {
-    Result.Error = LR ? LR->Error : LR.error().message();
-    return Result;
-  }
-  Result.Ok = true;
-  Result.Metrics = LR->Metrics;
-  Result.Profile = LR->Profile;
-
-  auto Back = Host.updateFrom(Out.data());
-  CODESIGN_ASSERT(Back.hasValue(), "output readback failed");
-  Result.OutputHash = fnv1a(FnvSeed, Out.data(), Out.size() * 8);
-  Result.Verified = true;
-  for (std::uint64_t I = 0; I < Cfg.NLookups; ++I)
-    if (std::fabs(Out[I] - referenceLookup(I)) > 1e-9) {
-      Result.Verified = false;
-      break;
-    }
-  Result.AppMetric = static_cast<double>(Cfg.NLookups) /
-                     (static_cast<double>(LR->Metrics.KernelCycles) / 1000.0);
+  AppRunResult Result =
+      Harness.run(Build, makeSpec(ByRef), Args, Cfg.Teams, Cfg.Threads,
+                  {{"out", Out, Harness.reference()}});
+  if (Result.Ok)
+    Result.AppMetric =
+        static_cast<double>(Cfg.NLookups) /
+        (static_cast<double>(Result.Metrics.KernelCycles) / 1000.0);
   return Result;
 }
 

@@ -16,7 +16,6 @@
 #pragma once
 
 #include "apps/AppCommon.hpp"
-#include "host/HostRuntime.hpp"
 
 namespace codesign::apps {
 
@@ -53,10 +52,10 @@ private:
   void generate();
   void upload();
   frontend::KernelSpec makeSpec(bool ByReference) const;
-  [[nodiscard]] double referenceLookup(std::uint64_t Iv) const;
+  /// The host result of every lookup, computed like deviceLookup.
+  [[nodiscard]] std::vector<double> reference() const;
 
-  vgpu::VirtualGPU &GPU;
-  host::HostRuntime Host;
+  AppHarness Harness;
   XSBenchConfig Cfg;
   std::int64_t BodyByRefId = 0;
   std::int64_t BodyByValId = 0;
@@ -66,8 +65,6 @@ private:
   std::vector<std::int64_t> MaterialTable; ///< [NMat][NNucPerMat]
   std::vector<std::uint64_t> ConfigBlock;  ///< device-side config struct
   std::vector<double> Out;                 ///< [NLookups]
-  /// Compiled modules must outlive their loaded images in the host runtime.
-  ImageSlot Images{Host};
 };
 
 } // namespace codesign::apps
