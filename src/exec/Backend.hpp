@@ -43,10 +43,7 @@ struct LaunchEnv {
 
 /// Outcome of one team's execution. Metrics/profile accumulate into the
 /// per-team shards the launch engine hands to runTeam.
-struct TeamOutcome {
-  std::optional<std::string> Err; ///< trap/deadlock message, empty = clean
-  std::uint64_t Cycles = 0;       ///< the team's modeled wall time
-};
+using TeamOutcome = vgpu::TeamRunOutcome;
 
 /// A kernel bound by a backend for execution: whatever per-(image, kernel)
 /// state runTeam needs (resolved constant pools, dlopen'd symbols, ...).

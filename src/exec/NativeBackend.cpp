@@ -8,21 +8,20 @@
 // hash otherwise) and on disk per (source, compiler command) hash — so a
 // recompile or a rerun reuses the .so.
 //
-// Each lane of a team runs the compiled kernel entry on its own ucontext
-// fiber; runTeam is the scheduler, replaying the interpreter's
-// strict-lane-order run-to-barrier schedule (TeamExecutor::run): sweep
-// lanes in thread order, run each until it returns / traps / suspends at a
-// barrier, stop the team on the first trap, detect livelock, and release
-// rendezvous with the debug aligned-barrier identity check. Because a
-// barrier suspends the whole fiber, barriers are legal at any call depth —
-// inside the old runtime's opaque entry helpers and inside outlined work
-// functions reached through the state machine's indirect calls included.
+// Each team runs in the shared team model (vgpu/TeamModel.hpp), like the
+// interpreting backends: its scheduler advances one lane at a time by
+// running the compiled kernel entry on that lane's fiber until the lane
+// returns, traps or suspends at a barrier, and its rendezvous releases the
+// barrier. Because a barrier suspends the whole fiber,
+// barriers are legal at any call depth — inside the old runtime's opaque
+// entry helpers and inside outlined work functions reached through the
+// state machine's indirect calls included.
 //
 // Everything the generated code cannot do natively calls back into the
-// host through the cg_team function pointers: registered native ops (run
-// against a bridged vgpu::NativeCtx with the interpreter's exact
-// resolve/charge semantics), device malloc/free on the global arena,
-// per-lane local-memory growth, and the barrier suspension itself.
+// team model through the cg_team function pointers: registered native ops
+// (run against the team model's NativeCtx), device malloc/free, every
+// address resolution outside the published memory windows (traps and
+// local-memory growth), and the barrier suspension itself.
 //
 //===----------------------------------------------------------------------===//
 #include <algorithm>
@@ -47,14 +46,13 @@
 #include "exec/NativeABI.hpp"
 #include "exec/NativeCodegen.hpp"
 #include "ir/Printer.hpp"
+#include "vgpu/TeamModel.hpp"
 
 namespace codesign::exec {
 
 namespace {
 
 namespace fs = std::filesystem;
-using vgpu::DeviceAddr;
-using vgpu::MemSpace;
 
 using DriverFn = void (*)(void *);
 
@@ -86,23 +84,6 @@ std::string moduleKey(const ir::Module &M) {
   if (!M.cacheKey().empty())
     return "ck|" + M.cacheKey();
   return "tx|" + hex64(fnv1a(ir::printModule(M)));
-}
-
-/// Interpreter canonInt: canonical 64-bit pattern of an integer value.
-std::uint64_t canonIntBits(ir::Type Ty, std::uint64_t Bits) {
-  switch (Ty.kind()) {
-  case ir::TypeKind::I1:
-    return Bits & 1;
-  case ir::TypeKind::I32:
-    return static_cast<std::uint64_t>(static_cast<std::int64_t>(
-        static_cast<std::int32_t>(static_cast<std::uint32_t>(Bits))));
-  default:
-    return Bits;
-  }
-}
-
-std::uint64_t canonArg(ir::Type Ty, std::uint64_t Bits) {
-  return Ty.isInteger() ? canonIntBits(Ty, Bits) : Bits;
 }
 
 //===----------------------------------------------------------------------===//
@@ -298,15 +279,10 @@ struct LaneFiber {
 };
 
 struct HostTeam {
-  const LaunchEnv *Env = nullptr;
-  vgpu::LaunchMetrics *Metrics = nullptr;
-  vgpu::LaunchProfile *Profile = nullptr;
-  std::uint32_t TeamId = 0;
+  vgpu::TeamModel *Team = nullptr;
   abi::cg_team T;
   std::vector<abi::cg_lane> Lanes;
   std::vector<std::vector<std::uint64_t>> SlotStore;
-  std::vector<std::vector<std::uint8_t>> LocalStore;
-  std::vector<std::uint8_t> Shared;
 #if CODESIGN_FIBER_RAWSWITCH
   void *SchedSp = nullptr;
 #else
@@ -314,6 +290,9 @@ struct HostTeam {
 #endif
   std::vector<LaneFiber> Fibers;
   DriverFn Entry = nullptr;
+  /// False when the module has no barrier: no lane can ever suspend, so
+  /// lanes run straight on the scheduler's stack.
+  bool UseFibers = false;
 };
 
 /// Fiber entry functions cannot portably receive pointers (makecontext) or
@@ -340,232 +319,46 @@ void fiberMain() {
   // context saved by the swap that ran us last.
 }
 
-void trapLane(abi::cg_lane &L, const char *Msg) {
-  L.trap_msg = Msg;
-  L.status = 2u;
+/// After a host call that may have grown lane L's local arena or trapped
+/// it: republish the local window, and let the generated code unwind the
+/// trap.
+void syncLane(abi::cg_lane &L, vgpu::Lane &TL) {
+  const std::span<std::uint8_t> Window = TL.Local.mapped();
+  L.local_base = Window.data();
+  L.local_size = Window.size();
+  if (TL.Status == vgpu::LaneStatus::Trapped)
+    L.status = 2u;
 }
-
-/// Grow (or map) lane L's local backing so [0, Need) is addressable, with
-/// the interpreter BumpArena's growth policy; updates the window the
-/// generated fast path checks against.
-std::uint8_t *lanLocalData(HostTeam &H, abi::cg_lane &L, std::uint64_t Off,
-                           std::uint64_t Size) {
-  if (Off + Size > H.T.local_cap) {
-    // The interpreter asserts here (local accesses beyond the arena cap are
-    // a broken-invariant state its BumpArena refuses); the native tier
-    // reports it as a trap with the same text.
-    trapLane(L, "local access out of bounds");
-    return nullptr;
-  }
-  auto &Store = H.LocalStore[L.tid];
-  const std::uint64_t Need = Off + Size;
-  if (Store.size() < Need)
-    Store.resize(std::max<std::uint64_t>(Need * 2, 256), 0);
-  L.local_base = Store.data();
-  L.local_size = Store.size();
-  return Store.data() + Off;
-}
-
-/// Interpreter TeamExecutor::resolve, host side (used by the NativeCtx
-/// bridge; the generated code has its own identical copy).
-std::uint8_t *bridgeResolve(HostTeam &H, abi::cg_lane &L, DeviceAddr A,
-                            unsigned Size) {
-  switch (A.space()) {
-  case MemSpace::Global:
-    if (A.offset() + Size > H.Env->GM.capacity()) {
-      trapLane(L, "global access out of bounds");
-      return nullptr;
-    }
-    return H.Env->GM.data(A.offset(), Size);
-  case MemSpace::Shared:
-    if (A.offset() + Size > H.Env->Config.SharedMemPerTeam) {
-      trapLane(L, "shared memory access out of bounds");
-      return nullptr;
-    }
-    return H.Shared.data() + A.offset();
-  case MemSpace::Local:
-    if (H.Env->Config.DebugChecks && A.owner() != L.tid) {
-      std::snprintf(L.msg_buf, sizeof(L.msg_buf),
-                    "cross-thread access to local memory (thread %u "
-                    "dereferenced a pointer owned by thread %u); such "
-                    "variables must be globalized",
-                    L.tid, static_cast<unsigned>(A.owner()));
-      trapLane(L, L.msg_buf);
-      return nullptr;
-    }
-    return lanLocalData(H, L, A.offset(), Size);
-  case MemSpace::Invalid:
-    trapLane(L, A.isNull() ? "null pointer dereference"
-                           : "dereference of a function address");
-    return nullptr;
-  }
-  return nullptr;
-}
-
-/// Interpreter chargeAccess: cost-model cycles + metric/profile counters.
-void chargeAccess(HostTeam &H, abi::cg_lane &L, MemSpace S, bool IsStore,
-                  bool IsAtomic, unsigned SizeBytes) {
-  const vgpu::CostModel &C = H.Env->Config.Costs;
-  std::uint64_t Cost = 0;
-  switch (S) {
-  case MemSpace::Global:
-    Cost = IsAtomic ? C.AtomicGlobal : C.GlobalAccess;
-    (IsStore ? H.Metrics->GlobalStores : H.Metrics->GlobalLoads)++;
-    if (H.Profile)
-      (IsStore ? H.Profile->GlobalBytesWritten
-               : H.Profile->GlobalBytesRead) += SizeBytes;
-    break;
-  case MemSpace::Shared:
-    Cost = IsAtomic ? C.AtomicShared : C.SharedAccess;
-    (IsStore ? H.Metrics->SharedStores : H.Metrics->SharedLoads)++;
-    if (H.Profile)
-      (IsStore ? H.Profile->SharedBytesWritten
-               : H.Profile->SharedBytesRead) += SizeBytes;
-    break;
-  case MemSpace::Local:
-    Cost = C.LocalAccess;
-    H.Metrics->LocalAccesses++;
-    break;
-  case MemSpace::Invalid:
-    break;
-  }
-  if (IsAtomic)
-    H.Metrics->Atomics++;
-  L.cycles += Cost;
-}
-
-/// vgpu::NativeCtx over a generated lane: registered native functors see
-/// the interpreter's exact memory/charging semantics (NativeCtxImpl), so an
-/// app's native loop bodies are backend-invariant.
-class BridgeCtx final : public vgpu::NativeCtx {
-public:
-  BridgeCtx(HostTeam &H, abi::cg_lane &L, const std::uint64_t *Args,
-            std::uint32_t N)
-      : H(H), L(L), Args(Args), N(N) {}
-
-  unsigned numArgs() const override { return N; }
-  std::uint64_t argBits(unsigned I) const override {
-    CODESIGN_ASSERT(I < N, "native arg out of range");
-    return Args[I];
-  }
-  std::uint64_t loadBits(DeviceAddr A, unsigned Size) override {
-    std::uint8_t *P = bridgeResolve(H, L, A, Size);
-    if (!P)
-      return 0;
-    std::uint64_t Raw = 0;
-    std::memcpy(&Raw, P, Size);
-    chargeAccess(H, L, A.space(), false, false, Size);
-    return Raw;
-  }
-  void storeBits(DeviceAddr A, std::uint64_t Bits, unsigned Size) override {
-    std::uint8_t *P = bridgeResolve(H, L, A, Size);
-    if (!P)
-      return;
-    std::memcpy(P, &Bits, Size);
-    chargeAccess(H, L, A.space(), true, false, Size);
-  }
-  void loadBlockF64(DeviceAddr A, double *Out, std::uint32_t Count) override {
-    const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
-    if (A.space() == MemSpace::Global &&
-        A.offset() + Bytes <= H.Env->GM.capacity()) {
-      std::memcpy(Out, H.Env->GM.data(A.offset(), Bytes), Bytes);
-      H.Metrics->GlobalLoads += Count;
-      if (H.Profile)
-        H.Profile->GlobalBytesRead += Bytes;
-      L.cycles += Count * H.Env->Config.Costs.GlobalAccess;
-      return;
-    }
-    if (A.space() == MemSpace::Shared &&
-        A.offset() + Bytes <= H.Env->Config.SharedMemPerTeam) {
-      std::memcpy(Out, H.Shared.data() + A.offset(), Bytes);
-      H.Metrics->SharedLoads += Count;
-      if (H.Profile)
-        H.Profile->SharedBytesRead += Bytes;
-      L.cycles += Count * H.Env->Config.Costs.SharedAccess;
-      return;
-    }
-    NativeCtx::loadBlockF64(A, Out, Count);
-  }
-  void storeBlockF64(DeviceAddr A, const double *In,
-                     std::uint32_t Count) override {
-    const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
-    if (A.space() == MemSpace::Global &&
-        A.offset() + Bytes <= H.Env->GM.capacity()) {
-      std::memcpy(H.Env->GM.data(A.offset(), Bytes), In, Bytes);
-      H.Metrics->GlobalStores += Count;
-      if (H.Profile)
-        H.Profile->GlobalBytesWritten += Bytes;
-      L.cycles += Count * H.Env->Config.Costs.GlobalAccess;
-      return;
-    }
-    if (A.space() == MemSpace::Shared &&
-        A.offset() + Bytes <= H.Env->Config.SharedMemPerTeam) {
-      std::memcpy(H.Shared.data() + A.offset(), In, Bytes);
-      H.Metrics->SharedStores += Count;
-      if (H.Profile)
-        H.Profile->SharedBytesWritten += Bytes;
-      L.cycles += Count * H.Env->Config.Costs.SharedAccess;
-      return;
-    }
-    NativeCtx::storeBlockF64(A, In, Count);
-  }
-  void chargeCycles(std::uint64_t Cycles) override {
-    L.cycles += Cycles;
-    H.Metrics->NativeCycles += Cycles;
-  }
-  void setResultBits(std::uint64_t Bits) override {
-    Result = Bits;
-    HasResult = true;
-  }
-  std::uint32_t threadId() const override { return L.tid; }
-  std::uint32_t teamId() const override { return H.TeamId; }
-
-  std::uint64_t Result = 0;
-  bool HasResult = false;
-
-private:
-  HostTeam &H;
-  abi::cg_lane &L;
-  const std::uint64_t *Args;
-  std::uint32_t N;
-};
 
 //--- cg_team host callbacks -------------------------------------------------
 
 std::uint64_t hostNativeOp(void *Host, abi::cg_lane *Lane, std::int64_t Id,
                            const std::uint64_t *Args, std::uint32_t N,
                            std::uint32_t *HasResult) {
-  auto &H = *static_cast<HostTeam *>(Host);
-  BridgeCtx Ctx(H, *Lane, Args, N);
-  H.Env->Registry.get(Id).Fn(Ctx);
-  *HasResult = Ctx.HasResult ? 1u : 0u;
-  return Ctx.Result;
+  vgpu::TeamModel &Team = *static_cast<HostTeam *>(Host)->Team;
+  vgpu::Lane &TL = Team.Lanes[Lane->tid];
+  const vgpu::NativeOpResult R = Team.callNative(TL, Id, Args, N);
+  syncLane(*Lane, TL);
+  *HasResult = R.HasResult ? 1u : 0u;
+  return R.Bits;
 }
 
 std::uint64_t hostMalloc(void *Host, std::uint64_t Size) {
-  auto &H = *static_cast<HostTeam *>(Host);
-  // The interpreter counts every device malloc, including size-0 requests
-  // that return null without touching the allocator.
-  H.Metrics->DeviceMallocs++;
-  if (Size == 0)
-    return 0;
-  auto R = H.Env->GM.allocate(Size, 16);
-  if (!R)
-    return 0;
-  return DeviceAddr::make(MemSpace::Global, *R).Bits;
+  return static_cast<HostTeam *>(Host)->Team->deviceMalloc(Size);
 }
 
 void hostFree(void *Host, std::uint64_t AddrBits) {
-  auto &H = *static_cast<HostTeam *>(Host);
-  const DeviceAddr A(AddrBits);
-  if (!A.isNull())
-    H.Env->GM.release(A.offset());
+  static_cast<HostTeam *>(Host)->Team->deviceFree(AddrBits);
 }
 
-std::uint8_t *hostLocalData(void *Host, abi::cg_lane *Lane, std::uint64_t Off,
-                            std::uint64_t Size) {
-  auto &H = *static_cast<HostTeam *>(Host);
-  return lanLocalData(H, *Lane, Off, Size);
+std::uint8_t *hostResolve(void *Host, abi::cg_lane *Lane,
+                          std::uint64_t AddrBits, std::uint64_t Size) {
+  vgpu::TeamModel &Team = *static_cast<HostTeam *>(Host)->Team;
+  vgpu::Lane &TL = Team.Lanes[Lane->tid];
+  std::uint8_t *P = Team.resolve(TL, vgpu::DeviceAddr(AddrBits),
+                                 static_cast<unsigned>(Size));
+  syncLane(*Lane, TL);
+  return P;
 }
 
 /// Barrier suspension: park the calling lane fiber (its status is already
@@ -580,9 +373,9 @@ void hostSuspend(void *Host, abi::cg_lane *Lane) {
 #endif
 }
 
-/// Run lane I until it blocks: start its fiber (first time) or resume it
-/// at the barrier it is parked on.
-void runLane(HostTeam &H, std::uint32_t I) {
+/// Start lane I's fiber (first time) or resume it at the barrier it is
+/// parked on; returns when the lane blocks.
+void resumeFiber(HostTeam &H, std::uint32_t I) {
   LaneFiber &Fb = H.Fibers[I];
   if (!Fb.Started) {
     Fb.Stack = acquireStack();
@@ -618,6 +411,30 @@ void runLane(HostTeam &H, std::uint32_t I) {
   if (H.Lanes[I].status != 3u) {
     // Returned or trapped: the fiber is dead, its stack reusable.
     recycleStack(std::move(Fb.Stack));
+  }
+}
+
+/// The team model's step for one lane: run it until it returns, traps or
+/// suspends at a barrier, then report that to the lane's model state.
+void runLane(HostTeam &H, vgpu::Lane &TL) {
+  abi::cg_lane &L = H.Lanes[TL.Tid];
+  L.status = 0u;
+  if (H.UseFibers)
+    resumeFiber(H, TL.Tid);
+  else
+    H.Entry(&L);
+  switch (L.status) {
+  case 1u:
+    TL.Status = vgpu::LaneStatus::Done;
+    break;
+  case 2u:
+    // Host-side traps (resolution, native ops) already hold their message.
+    if (TL.Status != vgpu::LaneStatus::Trapped)
+      H.Team->trap(TL, L.trap_msg);
+    break;
+  case 3u:
+    TL.block(L.barrier_site, L.barrier_aligned != 0u);
+    break;
   }
 }
 
@@ -687,41 +504,23 @@ public:
     auto &BK = static_cast<NativeBound &>(Bound);
     CODESIGN_ASSERT(Args.size() == Kernel->numArgs(),
                     "argument count validated by the launch engine");
+    vgpu::TeamModel Team(Env.Config, Env.GM, Env.Registry, Image, TeamId,
+                         NumTeams, NumThreads, Metrics, Profile);
 
     // One scratch HostTeam per worker thread, reused across the thousands
-    // of teams a launch sweeps: the arenas and lane arrays keep their
-    // capacity, so per-team setup is a handful of memsets instead of ~2 ×
-    // NumThreads allocations. Everything a kernel can observe is reset
-    // below (shared arena re-zeroed, lanes and local stores cleared).
+    // of teams a launch sweeps: the lane and slot arrays keep their
+    // capacity. Everything a kernel can observe is reset below.
     thread_local HostTeam Scratch;
     HostTeam &H = Scratch;
+    H.Team = &Team;
     H.T = abi::cg_team{};
-    H.Env = &Env;
-    H.Metrics = &Metrics;
-    H.Profile = Profile;
-    H.TeamId = TeamId;
-    // Shared arena preallocated at the device cap so the window never moves
-    // (the interpreter grows on demand; the trap bound is identical). The
-    // max() keeps initTeamShared's arena precondition even for
-    // misconfigured tiny caps — the occupancy check rejects such launches
-    // before any team runs.
-    H.Shared.assign(std::max({Env.Config.SharedMemPerTeam,
-                              Image.sharedStaticSize(),
-                              std::uint64_t{1}}),
-                    0);
-    Image.initTeamShared(H.Shared);
     H.Lanes.resize(NumThreads);
     H.SlotStore.resize(NumThreads);
-    H.LocalStore.resize(NumThreads);
     for (std::uint32_t I = 0; I < NumThreads; ++I) {
       auto &Slots = H.SlotStore[I];
       Slots.assign(std::max<std::uint32_t>(BK.NumSlots, 1), 0);
       for (unsigned A = 0; A < Kernel->numArgs(); ++A)
-        Slots[A] = canonArg(Kernel->arg(A)->type(), Args[A]);
-      // Local memory must read back zeroed, like the interpreter's fresh
-      // per-team arena: clear() + the zero-filling regrowth in
-      // lanLocalData re-zeroes exactly the bytes a lane actually maps.
-      H.LocalStore[I].clear();
+        Slots[A] = vgpu::canonBits(Kernel->arg(A)->type().kind(), Args[A]);
       abi::cg_lane &L = H.Lanes[I];
       L = abi::cg_lane{};
       L.team = &H.T;
@@ -729,144 +528,42 @@ public:
       L.tid = I;
     }
     H.T.host = &H;
-    H.T.lanes = H.Lanes.data();
-    H.T.num_lanes = NumThreads;
     H.T.team_id = TeamId;
     H.T.num_teams = NumTeams;
     H.T.num_threads = NumThreads;
     H.T.warp_size = Env.Config.WarpSize;
     H.T.debug_checks = Env.Config.DebugChecks ? 1u : 0u;
-    H.T.global_base = Env.GM.data(0, Env.GM.capacity());
-    H.T.global_size = Env.GM.capacity();
-    H.T.shared_base = H.Shared.data();
+    H.T.global_base = Team.GMBase;
+    H.T.global_size = Team.GMCap;
+    H.T.shared_base = Team.pinSharedArena();
     H.T.shared_cap = Env.Config.SharedMemPerTeam;
     H.T.local_cap = Env.Config.LocalMemPerThread;
     H.T.cpool = BK.CPool.data();
     H.T.host_native_op = &hostNativeOp;
     H.T.host_malloc = &hostMalloc;
     H.T.host_free = &hostFree;
-    H.T.host_local_data = &hostLocalData;
+    H.T.host_resolve = &hostResolve;
     H.T.host_suspend = &hostSuspend;
-    if (!BK.CM->Src.AnyBarriers) {
-      // No barrier anywhere in the module, so no lane can ever suspend:
-      // run each lane to completion straight on this stack, in the
-      // interpreter's strict thread order, stopping at the first trap.
-      for (std::uint32_t I = 0; I < NumThreads && !H.T.trapped; ++I) {
-        abi::cg_lane &L = H.Lanes[I];
-        BK.Fn(&L);
-        if (L.status == 2u) {
-          H.T.trapped = 1u;
-          H.T.trap_lane = I;
-        }
-      }
-      finishTeam(H, TeamId, Out);
-      return;
-    }
-
-    H.Fibers.resize(NumThreads);
-    for (LaneFiber &Fb : H.Fibers) {
-      // A fiber can carry a stack across teams only when its lane was
-      // still parked at a barrier when the previous team trapped; the
-      // suspended frames hold no nontrivial objects, so the memory is
-      // plain recyclable storage.
-      recycleStack(std::move(Fb.Stack));
-      Fb = LaneFiber{};
-    }
     H.Entry = BK.Fn;
-
-    // The interpreter's TeamExecutor::run(), with fibers standing in for
-    // its explicit frame stacks: sweep lanes in strict thread order, run
-    // each until it blocks, stop the team on the first trap, then release
-    // the rendezvous (releaseBarrier's exact debug checks, wait-cycle
-    // accounting, and cost charging).
-    for (;;) {
-      bool AllDone = true;
-      for (std::uint32_t I = 0; I < NumThreads && !H.T.trapped; ++I) {
-        abi::cg_lane &L = H.Lanes[I];
-        if (L.status == 0u)
-          runLane(H, I);
-        if (L.status == 2u) {
-          H.T.trapped = 1u;
-          H.T.trap_lane = I;
-          break;
-        }
-        if (L.status != 1u)
-          AllDone = false;
-      }
-      if (H.T.trapped || AllDone)
-        break;
-      bool AnyAtBarrier = false;
-      for (const abi::cg_lane &L : H.Lanes)
-        if (L.status == 3u)
-          AnyAtBarrier = true;
-      if (!AnyAtBarrier) {
-        H.T.trapped = 1u;
-        H.T.team_trap_msg = "livelock detected";
-        break;
-      }
-      // Rendezvous. Any arrival at an *aligned* barrier keys the debug
-      // identity check (the interpreter compares BarrierInst pointers; the
-      // module-unique site ids are that identity).
-      std::uint64_t MaxArrival = 0;
-      std::uint32_t AlignedSite = 0;
-      for (const abi::cg_lane &L : H.Lanes) {
-        if (L.status != 3u)
-          continue;
-        MaxArrival = std::max(MaxArrival, L.cycles);
-        if (L.barrier_aligned != 0u)
-          AlignedSite = L.barrier_site;
-      }
-      if (Env.Config.DebugChecks && AlignedSite != 0u) {
-        for (const abi::cg_lane &L : H.Lanes)
-          if (L.status == 3u && L.barrier_site != AlignedSite) {
-            H.T.trapped = 1u;
-            H.T.team_trap_msg =
-                "aligned barrier reached with unaligned threads";
-            break;
-          }
-        if (H.T.trapped)
-          break;
-      }
-      Metrics.Barriers++;
-      if (Profile)
-        for (const abi::cg_lane &L : H.Lanes)
-          if (L.status == 3u)
-            Profile->BarrierWaitCycles += MaxArrival - L.cycles;
-      const std::uint64_t Release =
-          MaxArrival + Env.Config.Costs.BarrierCost;
-      for (abi::cg_lane &L : H.Lanes) {
-        if (L.status != 3u)
-          continue;
-        L.cycles = Release;
-        L.status = 0u;
+    H.UseFibers = BK.CM->Src.AnyBarriers;
+    if (H.UseFibers) {
+      H.Fibers.resize(NumThreads);
+      for (LaneFiber &Fb : H.Fibers) {
+        // A fiber can carry a stack across teams only when its lane was
+        // still parked at a barrier when the previous team trapped; the
+        // suspended frames hold no nontrivial objects, so the memory is
+        // plain recyclable storage.
+        recycleStack(std::move(Fb.Stack));
+        Fb = LaneFiber{};
       }
     }
 
-    finishTeam(H, TeamId, Out);
+    Out.Err = Team.run([&H](vgpu::Lane &L) { runLane(H, L); });
+    Out.Cycles = Team.teamCycles();
+    H.Team = nullptr;
   }
 
 private:
-  /// Shared epilogue: trap formatting (the interpreter's exact wording) and
-  /// the team cycle count.
-  static void finishTeam(const HostTeam &H, std::uint32_t TeamId,
-                         TeamOutcome &Out) {
-    if (H.T.trapped) {
-      if (H.T.team_trap_msg) {
-        Out.Err = "team " + std::to_string(TeamId) + ": " +
-                  H.T.team_trap_msg;
-      } else {
-        const abi::cg_lane &L = H.Lanes[H.T.trap_lane];
-        Out.Err = "thread " + std::to_string(L.tid) + " of team " +
-                  std::to_string(TeamId) + ": " +
-                  (L.trap_msg ? L.trap_msg : "trap without a message");
-      }
-    }
-    std::uint64_t MaxCycles = 0;
-    for (const abi::cg_lane &L : H.Lanes)
-      MaxCycles = std::max(MaxCycles, L.cycles);
-    Out.Cycles = MaxCycles;
-  }
-
   Expected<std::shared_ptr<const CompiledModule>>
   ensureCompiled(const ir::Module &M) {
     const std::string Key = moduleKey(M);

@@ -2,27 +2,27 @@
 //
 // Emits one self-contained C++ translation unit per ir::Module. The
 // generated code mirrors the tree interpreter instruction by instruction —
-// the same canonical 64-bit value encoding (I1 masked, I32 sign-extended,
-// f32 stored as its 4 raw bytes), the same intops:: wrapping arithmetic,
-// and the same trap conditions and messages — so its outputs are
-// bit-identical to the interpreting backends on any input. Speed comes
-// from the host compiler, not from semantic shortcuts: values live in
-// plain uint64 slots, control flow is gotos, and only traps, native ops,
-// device mallocs and barrier suspension call back into the host.
+// the same canonical 64-bit value encoding, wrapping arithmetic and global
+// atomics (vgpu/IntOps.hpp, embedded verbatim), and the same trap
+// conditions and messages — so its outputs are bit-identical to the
+// interpreting backends on any input. Speed comes from the host compiler,
+// not from semantic shortcuts: values live in plain uint64 slots, control
+// flow is gotos, and only native ops, device mallocs, barrier suspension
+// and address resolution outside the published memory windows call back
+// into the host's team model.
 //
-// Lanes run on host-side fibers (NativeBackend.cpp's team scheduler): a
-// barrier — in the kernel entry or any callee, including ones reached
-// through the state machine's indirect work-function calls — records its
-// site and suspends via cg_team::host_suspend, and the scheduler replays
-// the interpreter's strict-lane-order run-to-barrier schedule around the
-// suspended call stacks. Barrier site ids are unique across the module so
-// they stand in for the interpreter's BarrierInst pointer identity.
+// Lanes run on host-side fibers scheduled by the team model
+// (NativeBackend.cpp): a barrier — in the kernel entry or any callee,
+// including ones reached through the state machine's indirect
+// work-function calls — records its site and suspends via
+// cg_team::host_suspend. Barrier site ids are unique across the module so
+// they serve as the team model's barrier identity.
 //
 // Layout of a generated TU:
 //   includes
 //   vgpu/IntOps.hpp          (embedded verbatim at build time)
 //   exec/NativeABI.inc       (embedded verbatim; host structs, same bytes)
-//   prelude                  (trap/resolve/canon/atomic helpers)
+//   prelude                  (trap and resolve fast path)
 //   static body functions    (cg_f<i>)
 //   extern "C" lane entries  (one per kernel; what the fibers run)
 //
@@ -31,13 +31,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "NativeEmbedded.hpp"
 #include "ir/Function.hpp"
 #include "ir/Instruction.hpp"
+#include "vgpu/TeamModel.hpp"
 
 namespace codesign::exec {
 
@@ -46,34 +46,8 @@ namespace {
 using namespace ir;
 
 //===----------------------------------------------------------------------===//
-// Compile-time mirrors of the interpreter's value encoding
+// Small helpers
 //===----------------------------------------------------------------------===//
-
-/// canonInt (Interpreter.cpp): the canonical 64-bit pattern of an integer.
-std::uint64_t canonIntBits(Type Ty, std::uint64_t Bits) {
-  switch (Ty.kind()) {
-  case TypeKind::I1:
-    return Bits & 1;
-  case TypeKind::I32:
-    return static_cast<std::uint64_t>(static_cast<std::int64_t>(
-        static_cast<std::int32_t>(static_cast<std::uint32_t>(Bits))));
-  default:
-    return Bits;
-  }
-}
-
-/// encodeF (Interpreter.cpp): f32 constants store their 4 raw bytes.
-std::uint64_t encodeFPBits(Type Ty, double D) {
-  if (Ty.kind() == TypeKind::F32) {
-    const float F = static_cast<float>(D);
-    std::uint32_t W = 0;
-    std::memcpy(&W, &F, sizeof(W));
-    return W;
-  }
-  std::uint64_t B = 0;
-  std::memcpy(&B, &D, sizeof(B));
-  return B;
-}
 
 std::string hexU64(std::uint64_t V) {
   char Buf[32];
@@ -188,12 +162,12 @@ private:
     case ValueKind::Argument:
       return Arr + "[" + std::to_string(Slots.at(V)) + "]";
     case ValueKind::ConstantInt:
-      return hexU64(canonIntBits(
-          V->type(),
+      return hexU64(vgpu::canonBits(
+          V->type().kind(),
           static_cast<std::uint64_t>(ir::cast<ir::ConstantInt>(V)->value())));
     case ValueKind::ConstantFP:
-      return hexU64(encodeFPBits(V->type(),
-                                 ir::cast<ir::ConstantFP>(V)->value()));
+      return hexU64(vgpu::encodeF(V->type().kind(),
+                                  ir::cast<ir::ConstantFP>(V)->value()));
     case ValueKind::ConstantNull:
     case ValueKind::Undef:
       return "0ULL";
@@ -211,19 +185,19 @@ private:
     return "0ULL";
   }
 
-  /// canonInt as an expression over E (already width-correct bits).
+  /// vgpu::canonBits as an expression over E.
   [[nodiscard]] static std::string canonExpr(Type Ty, const std::string &E) {
     switch (Ty.kind()) {
     case TypeKind::I1:
       return "((" + E + ") & 1ULL)";
     case TypeKind::I32:
-      return "cg_sx32(" + E + ")";
+      return "intops::sext32(" + E + ")";
     default:
       return "(" + E + ")";
     }
   }
 
-  /// zextToWidth as an expression over E.
+  /// vgpu::zextBits as an expression over E.
   [[nodiscard]] static std::string zextExpr(Type Ty, const std::string &E) {
     switch (Ty.kind()) {
     case TypeKind::I1:
@@ -236,13 +210,15 @@ private:
   }
 
   [[nodiscard]] static std::string decfCall(Type Ty, const std::string &E) {
-    return (Ty.kind() == TypeKind::F32 ? "cg_decf32(" : "cg_decf64(") + E +
-           ")";
+    return (Ty.kind() == TypeKind::F32 ? "intops::decodeF32("
+                                       : "intops::decodeF64(") +
+           E + ")";
   }
 
   [[nodiscard]] static std::string encfCall(Type Ty, const std::string &E) {
-    return (Ty.kind() == TypeKind::F32 ? "cg_encf32(" : "cg_encf64(") + E +
-           ")";
+    return (Ty.kind() == TypeKind::F32 ? "intops::encodeF32("
+                                       : "intops::encodeF64(") +
+           E + ")";
   }
 
   [[nodiscard]] std::string slotRef(const Value *V) const {
@@ -261,8 +237,7 @@ private:
 
   void emitHeader() {
     S += "// Generated by codesign exec::NativeBackend. Do not edit.\n";
-    S += "#include <atomic>\n#include <cstdint>\n#include <cstdio>\n"
-         "#include <cstring>\n\n";
+    S += "#include <cstdint>\n#include <cstring>\n\n";
     // vgpu/IntOps.hpp verbatim, minus the include guard (we are the main
     // file here and GCC warns about #pragma once in it).
     std::string IntOps = embedded::IntOpsText;
@@ -280,103 +255,29 @@ static inline void cg_trap(cg_lane *L, const char *Msg) {
   L->status = 2u;
 }
 
-static inline std::uint64_t cg_sx32(std::uint64_t X) {
-  return static_cast<std::uint64_t>(static_cast<std::int64_t>(
-      static_cast<std::int32_t>(static_cast<std::uint32_t>(X))));
-}
-
-static inline double cg_decf32(std::uint64_t B) {
-  const std::uint32_t W = static_cast<std::uint32_t>(B);
-  float F;
-  std::memcpy(&F, &W, sizeof(F));
-  return static_cast<double>(F);
-}
-
-static inline double cg_decf64(std::uint64_t B) {
-  double D;
-  std::memcpy(&D, &B, sizeof(D));
-  return D;
-}
-
-static inline std::uint64_t cg_encf32(double D) {
-  const float F = static_cast<float>(D);
-  std::uint32_t W;
-  std::memcpy(&W, &F, sizeof(W));
-  return static_cast<std::uint64_t>(W);
-}
-
-static inline std::uint64_t cg_encf64(double D) {
-  std::uint64_t B;
-  std::memcpy(&B, &D, sizeof(B));
-  return B;
-}
-
-// Interpreter resolve(): device address -> host pointer, trapping with the
-// interpreter's exact messages. Local resolution is always against the
-// executing lane's arena; growth beyond the mapped prefix goes through the
-// host (which also enforces the per-thread capacity).
-static std::uint8_t *cg_resolve(cg_lane *L, std::uint64_t A,
-                                std::uint64_t Size) {
+// The fast path of vgpu::TeamModel::resolve over the memory windows the
+// host publishes. Everything else (traps, local-memory growth) is the
+// host's resolve, which sets status 2 when it traps.
+static inline std::uint8_t *cg_resolve(cg_lane *L, std::uint64_t A,
+                                       std::uint64_t Size) {
   cg_team *const T = L->team;
   const std::uint64_t Off = A & CG_OFF_MASK;
   switch (A >> 62) {
   case 1: // global
-    if (Off + Size > T->global_size) {
-      cg_trap(L, "global access out of bounds");
-      return nullptr;
-    }
-    return T->global_base + Off;
+    if (Off + Size <= T->global_size)
+      return T->global_base + Off;
+    break;
   case 2: // shared
-    if (Off + Size > T->shared_cap) {
-      cg_trap(L, "shared memory access out of bounds");
-      return nullptr;
-    }
-    return T->shared_base + Off;
-  case 3: { // local
-    const std::uint64_t Owner = (A >> 46) & 0xffffULL;
-    if (T->debug_checks && Owner != L->tid) {
-      std::snprintf(L->msg_buf, sizeof(L->msg_buf),
-                    "cross-thread access to local memory (thread %u "
-                    "dereferenced a pointer owned by thread %llu); such "
-                    "variables must be globalized",
-                    L->tid, static_cast<unsigned long long>(Owner));
-      L->trap_msg = L->msg_buf;
-      L->status = 2u;
-      return nullptr;
-    }
-    if (Off + Size <= L->local_size)
+    if (Off + Size <= T->shared_cap)
+      return T->shared_base + Off;
+    break;
+  case 3: // local, owned by this lane
+    if ((!T->debug_checks || ((A >> 46) & 0xffffULL) == L->tid) &&
+        Off + Size <= L->local_size)
       return L->local_base + Off;
-    return T->host_local_data(T->host, L, Off, Size);
+    break;
   }
-  default: // invalid: null or a function address
-    cg_trap(L, A == 0 ? "null pointer dereference"
-                      : "dereference of a function address");
-    return nullptr;
-  }
-}
-
-// Interpreter atomicFetchModify: relaxed load + acq_rel/relaxed weak CAS.
-template <typename U, typename FnT>
-static std::uint64_t cg_atomic_rmw(std::uint8_t *P, FnT Fn) {
-  auto *A = reinterpret_cast<std::atomic<U> *>(P);
-  U Old = A->load(std::memory_order_relaxed);
-  while (!A->compare_exchange_weak(
-      Old, static_cast<U>(Fn(static_cast<std::uint64_t>(Old))),
-      std::memory_order_acq_rel, std::memory_order_relaxed)) {
-  }
-  return static_cast<std::uint64_t>(Old);
-}
-
-// Interpreter atomicCas: acq_rel/relaxed strong CAS at storage width.
-template <typename U>
-static std::uint64_t cg_atomic_cas(std::uint8_t *P, std::uint64_t Expected,
-                                   std::uint64_t Desired) {
-  auto *A = reinterpret_cast<std::atomic<U> *>(P);
-  U Exp = static_cast<U>(Expected);
-  A->compare_exchange_strong(Exp, static_cast<U>(Desired),
-                             std::memory_order_acq_rel,
-                             std::memory_order_relaxed);
-  return static_cast<std::uint64_t>(Exp);
+  return T->host_resolve(T->host, L, A, Size);
 }
 
 )CGPRE";
@@ -634,10 +535,9 @@ void Emitter::emitAtomicRMW(const Instruction *I) {
   line("  std::uint64_t cg_raw = 0;");
   if (Size == 4 || Size == 8) {
     const std::string U = Size == 4 ? "std::uint32_t" : "std::uint64_t";
-    line("  if ((cg_a >> 62) == 1ULL && "
-         "(reinterpret_cast<std::uintptr_t>(cg_p) % " +
-         SizeS + ") == 0) {");
-    line("    cg_raw = cg_atomic_rmw<" + U + ">(cg_p, cg_new);");
+    line("  if ((cg_a >> 62) == 1ULL && intops::atomicCapable(cg_p, " + SizeS +
+         ")) {");
+    line("    cg_raw = intops::atomicFetchModify<" + U + ">(cg_p, cg_new);");
     line("  } else {");
   } else {
     line("  {");
@@ -663,10 +563,9 @@ void Emitter::emitCmpXchg(const Instruction *I) {
   line("  std::uint64_t cg_raw = 0;");
   if (Size == 4 || Size == 8) {
     const std::string U = Size == 4 ? "std::uint32_t" : "std::uint64_t";
-    line("  if ((cg_a >> 62) == 1ULL && "
-         "(reinterpret_cast<std::uintptr_t>(cg_p) % " +
-         SizeS + ") == 0) {");
-    line("    cg_raw = cg_atomic_cas<" + U + ">(cg_p, cg_exp, cg_des);");
+    line("  if ((cg_a >> 62) == 1ULL && intops::atomicCapable(cg_p, " + SizeS +
+         ")) {");
+    line("    cg_raw = intops::atomicCas<" + U + ">(cg_p, cg_exp, cg_des);");
     line("  } else {");
   } else {
     line("  {");
@@ -1002,10 +901,8 @@ void Emitter::emitInstruction(const Instruction *I) {
   line(trapStmt("native backend limit: unsupported opcode"));
 }
 
-/// The exported per-kernel lane entry: what the host scheduler runs on
-/// each lane's fiber. Scheduling (the interpreter's run() loop: strict
-/// lane-order sweeps, trap-stops-team, livelock detection, the barrier
-/// rendezvous) lives host-side in NativeBackend.cpp.
+/// The exported per-kernel lane entry: what the host runs on each lane's
+/// fiber. Scheduling and the barrier rendezvous are the team model's.
 void Emitter::emitLaneEntry(const Function &Fn) {
   S += "\nextern \"C\" void " + Out.Kernels.at(Fn.name()).Symbol +
        "(void *LanePtr) {\n  cg_f" + std::to_string(FnOrdinal.at(&Fn)) +

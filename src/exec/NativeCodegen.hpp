@@ -4,10 +4,10 @@
 // translation unit the native backend compiles with the host toolchain and
 // dlopens behind the launch API. Each kernel exports a lane entry the host
 // runs on a per-lane fiber; a barrier anywhere in the lane's call stack
-// suspends the fiber through cg_team::host_suspend, and the host scheduler
-// replays the interpreter's cooperative strict-lane-order run-to-barrier
-// schedule, which is what makes native outputs bit-identical to the tree
-// and bytecode engines.
+// suspends the fiber through cg_team::host_suspend, and the team model
+// (vgpu/TeamModel.hpp) schedules the lanes exactly as it does for the tree
+// and bytecode engines, which is what makes native outputs bit-identical
+// to theirs.
 //
 //===----------------------------------------------------------------------===//
 #pragma once

@@ -34,12 +34,9 @@ public:
                std::uint32_t NumTeams, std::uint32_t NumThreads,
                vgpu::LaunchMetrics &Metrics, vgpu::LaunchProfile *Profile,
                TeamOutcome &Out) override {
-    vgpu::TeamRunOutcome R =
-        vgpu::runTreeTeam(Env.Config, Env.GM, Env.Registry, Image, TeamId,
-                          NumTeams, NumThreads, Kernel, Args, Metrics,
-                          Profile);
-    Out.Err = std::move(R.Err);
-    Out.Cycles = R.Cycles;
+    Out = vgpu::runTreeTeam(Env.Config, Env.GM, Env.Registry, Image, TeamId,
+                            NumTeams, NumThreads, Kernel, Args, Metrics,
+                            Profile);
   }
 };
 

@@ -1,22 +1,20 @@
 //===- vgpu/BytecodeExecutor.cpp - Fast-tier team execution ----------------===//
 //
-// A register-machine VM over vgpu/Bytecode.hpp programs. Semantics are the
-// tree interpreter's (Interpreter.cpp), replicated bit for bit: the same
+// A register-machine VM over vgpu/Bytecode.hpp programs. It supplies only
+// the "advance this lane until it blocks" half of team execution; the
+// scheduler, the barrier rendezvous, memory resolution and accounting, the
+// race shadow, native ops and the value encoding are the team model's
+// (TeamModel.hpp), shared with the tree walker and the native backend. The
 // per-instruction accounting order (budget check, dynamic-instruction
-// counter, op-class histogram), the same trap messages, the same barrier
-// rendezvous and race-detector shadow protocol, the same value encoding.
-// Divergences between the tiers are bugs; the differential tests pin every
-// proxy app's outputs, metrics and profiles across both.
+// counter, op-class histogram) and the trap messages match the tree
+// walker's; the differential tests pin every proxy app's outputs, metrics
+// and profiles across both.
 //
 //===----------------------------------------------------------------------===//
 #include "vgpu/BytecodeExecutor.hpp"
 
-#include <atomic>
-#include <cstring>
-
 #include "ir/BasicBlock.hpp"
-#include "rt/RuntimeABI.hpp"
-#include "vgpu/IntOps.hpp"
+#include "vgpu/TeamModel.hpp"
 
 namespace codesign::vgpu {
 
@@ -26,93 +24,8 @@ using ir::TypeKind;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Value encoding (TypeKind flavor of the Interpreter.cpp helpers)
-//===----------------------------------------------------------------------===//
-
-std::uint64_t canonIntK(std::uint8_t K, std::uint64_t Bits) {
-  switch (static_cast<TypeKind>(K)) {
-  case TypeKind::I1:
-    return Bits & 1;
-  case TypeKind::I32:
-    return static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(static_cast<std::int32_t>(Bits)));
-  default:
-    return Bits;
-  }
-}
-
-bool isIntKind(std::uint8_t K) {
-  const auto T = static_cast<TypeKind>(K);
-  return T == TypeKind::I1 || T == TypeKind::I32 || T == TypeKind::I64;
-}
-
-std::uint64_t canonValK(std::uint8_t K, std::uint64_t Bits) {
-  return isIntKind(K) ? canonIntK(K, Bits) : Bits;
-}
-
-double decodeFK(std::uint8_t K, std::uint64_t Bits) {
-  if (static_cast<TypeKind>(K) == TypeKind::F32) {
-    float F;
-    std::uint32_t B32 = static_cast<std::uint32_t>(Bits);
-    std::memcpy(&F, &B32, sizeof(F));
-    return static_cast<double>(F);
-  }
-  double D;
-  std::memcpy(&D, &Bits, sizeof(D));
-  return D;
-}
-
-std::uint64_t encodeFK(std::uint8_t K, double V) {
-  if (static_cast<TypeKind>(K) == TypeKind::F32) {
-    const float F = static_cast<float>(V);
-    std::uint32_t B32;
-    std::memcpy(&B32, &F, sizeof(F));
-    return B32;
-  }
-  std::uint64_t B;
-  std::memcpy(&B, &V, sizeof(B));
-  return B;
-}
-
-std::uint64_t zextToWidthK(std::uint8_t K, std::uint64_t CanonBits) {
-  switch (static_cast<TypeKind>(K)) {
-  case TypeKind::I1:
-    return CanonBits & 1;
-  case TypeKind::I32:
-    return CanonBits & 0xFFFFFFFFULL;
-  default:
-    return CanonBits;
-  }
-}
-
-bool atomicCapable(const std::uint8_t *P, unsigned Size) {
-  return (Size == 4 || Size == 8) &&
-         reinterpret_cast<std::uintptr_t>(P) % Size == 0;
-}
-
-template <typename U, typename Op>
-std::uint64_t atomicFetchModify(std::uint8_t *P, Op &&NewBitsFor) {
-  std::atomic_ref<U> A(*reinterpret_cast<U *>(P));
-  U Old = A.load(std::memory_order_relaxed);
-  for (;;) {
-    const U New = static_cast<U>(NewBitsFor(static_cast<std::uint64_t>(Old)));
-    if (A.compare_exchange_weak(Old, New, std::memory_order_acq_rel,
-                                std::memory_order_relaxed))
-      return static_cast<std::uint64_t>(Old);
-  }
-}
-
-template <typename U>
-std::uint64_t atomicCas(std::uint8_t *P, std::uint64_t Expected,
-                        std::uint64_t Desired) {
-  std::atomic_ref<U> A(*reinterpret_cast<U *>(P));
-  U Observed = static_cast<U>(Expected);
-  A.compare_exchange_strong(Observed, static_cast<U>(Desired),
-                            std::memory_order_acq_rel,
-                            std::memory_order_relaxed);
-  return static_cast<std::uint64_t>(Observed);
-}
+/// The ir::TypeKind a BCInst type field encodes.
+TypeKind kindOf(std::uint8_t K) { return static_cast<TypeKind>(K); }
 
 /// Integer compare on canonical operand bits. Canonical sign-extension is
 /// an order-preserving embedding for the unsigned predicates as well, so
@@ -176,8 +89,6 @@ std::uint64_t replayCost(BCOp Op, const CostModel &C) {
 // Execution state
 //===----------------------------------------------------------------------===//
 
-enum class ThreadStatus : std::uint8_t { Running, AtBarrier, Done, Trapped };
-
 struct BCFrame {
   const BCFunction *BF = nullptr;
   const BCInst *Code = nullptr;
@@ -192,31 +103,13 @@ struct BCFrame {
   std::uint64_t LocalWatermark = 0;
 };
 
-/// See Interpreter.cpp — identical shadow protocol.
-struct ShadowCell {
-  std::uint64_t WriteEpoch = 0;
-  std::uint32_t WriteTid = 0;
-  std::uint64_t ReadEpoch = 0;
-  std::uint32_t ReadTid = 0;
-  std::uint32_t ReadTid2 = 0;
-  bool MultiRead = false;
-};
-
-struct BCThreadState {
-  std::uint32_t Tid = 0;
-  ThreadStatus Status = ThreadStatus::Running;
-  /// Frame stack with recycling: entries [0, Depth) are live; entries past
-  /// Depth are retired frames kept as spares so their Slots vectors retain
-  /// capacity (no allocation per call once the stack has been this deep).
+/// One lane's frame stack, with recycling: entries [0, Depth) are live;
+/// entries past Depth are retired frames kept as spares so their Slots
+/// vectors retain capacity (no allocation per call once the stack has been
+/// this deep).
+struct BCStack {
   std::vector<BCFrame> Frames;
   std::uint32_t Depth = 0;
-  const ir::Instruction *BarrierInst = nullptr;
-  std::uint64_t Cycles = 0;
-  std::uint64_t InstCount = 0;
-  std::string TrapMsg;
-  BumpArena Local;
-
-  explicit BCThreadState(std::uint64_t LocalCap) : Local(LocalCap) {}
 };
 
 /// One uniform-execution log entry: either the broadcast value of a
@@ -248,34 +141,16 @@ public:
                  std::uint32_t NumThreads, const ir::Function *Kernel,
                  std::span<const std::uint64_t> Args, LaunchMetrics &Metrics,
                  LaunchProfile *Profile)
-      : Config(Config), GM(GM), Registry(Registry), Image(Image), BC(BC),
-        Pools(Pools), TeamId(TeamId), NumTeams(NumTeams),
-        NumThreads(NumThreads), Metrics(Metrics), Profile(Profile),
-        GMBase(GM.data(0, 0)), GMCap(GM.capacity()) {
-    SharedArena.resize(std::max<std::uint64_t>(Image.sharedStaticSize(), 1),
-                       0);
-    Image.initTeamShared(SharedArena);
-    if (Config.DetectRaces) {
-      if (const ir::GlobalVariable *Dummy =
-              Image.module().findGlobal(rt::DummyName)) {
-        if (Dummy->space() == ir::AddrSpace::Shared) {
-          DummyLo = Image.addressOf(Dummy).offset();
-          DummyHi = DummyLo + Dummy->sizeBytes();
-        }
-      }
-    }
+      : Team(Config, GM, Registry, Image, TeamId, NumTeams, NumThreads,
+             Metrics, Profile),
+        Config(Config), Image(Image), BC(BC), Pools(Pools),
+        Stacks(NumThreads) {
     const BCFunction *KernelBC = BC.functionFor(Kernel);
     CODESIGN_ASSERT(KernelBC && KernelBC->HasBody,
                     "kernel has no bytecode body");
     const std::uint32_t WS = std::max<std::uint32_t>(Config.WarpSize, 1);
     Logs.resize((NumThreads + WS - 1) / WS);
-    Threads.reserve(NumThreads);
-    for (std::uint32_t T = 0; T < NumThreads; ++T) {
-      Threads.emplace_back(Config.LocalMemPerThread);
-      // Index, don't cache a reference across the emplace: stays correct
-      // even if the reserve above is ever dropped or sized differently.
-      BCThreadState &TS = Threads[T];
-      TS.Tid = T;
+    for (BCStack &S : Stacks) {
       BCFrame F;
       F.BF = KernelBC;
       F.Code = KernelBC->Code.data();
@@ -285,440 +160,54 @@ public:
       std::copy(Pool.begin(), Pool.end(),
                 F.Slots.begin() + KernelBC->NumSlots);
       for (unsigned A = 0; A < KernelBC->NumArgs; ++A)
-        F.Slots[A] = canonValK(KernelBC->ArgTyKinds[A], Args[A]);
-      TS.Frames.push_back(std::move(F));
-      TS.Depth = 1;
+        F.Slots[A] = canonBits(kindOf(KernelBC->ArgTyKinds[A]), Args[A]);
+      S.Frames.push_back(std::move(F));
+      S.Depth = 1;
     }
   }
 
-  std::optional<std::string> run() {
-    std::optional<std::string> Err = runLoop();
-    // Hot counters accumulate in plain members during execution — the shard
-    // in the per-team outcome array is adjacent to shards other host threads
-    // write, so per-event increments would ping-pong cache lines. One flush
-    // when the team retires keeps totals identical to the tree walker's.
-    Metrics.DynamicInstructions += Cnt.DynamicInstructions;
-    Metrics.GlobalLoads += Cnt.GlobalLoads;
-    Metrics.GlobalStores += Cnt.GlobalStores;
-    Metrics.SharedLoads += Cnt.SharedLoads;
-    Metrics.SharedStores += Cnt.SharedStores;
-    Metrics.LocalAccesses += Cnt.LocalAccesses;
-    Metrics.Atomics += Cnt.Atomics;
-    Metrics.Calls += Cnt.Calls;
-    Metrics.NativeCycles += Cnt.NativeCycles;
-    if (Profile) {
-      for (std::size_t K = 0; K < NumOpClasses; ++K)
-        Profile->OpCounts[K] += Cnt.Ops[K];
-      Profile->GlobalBytesRead += Cnt.GlobalBytesRead;
-      Profile->GlobalBytesWritten += Cnt.GlobalBytesWritten;
-      Profile->SharedBytesRead += Cnt.SharedBytesRead;
-      Profile->SharedBytesWritten += Cnt.SharedBytesWritten;
-    }
-    return Err;
+  TeamRunOutcome run() {
+    TeamRunOutcome Out;
+    Out.Err = Team.run([this](Lane &L) { stepThread(L); },
+                       [this] { startSegment(); });
+    Out.Cycles = Team.teamCycles();
+    return Out;
   }
-
-  std::optional<std::string> runLoop() {
-    for (;;) {
-      bool AllDone = true;
-      for (BCThreadState &T : Threads) {
-        if (T.Status == ThreadStatus::Running)
-          stepThread(T);
-        if (T.Status == ThreadStatus::Trapped)
-          return "thread " + std::to_string(T.Tid) + " of team " +
-                 std::to_string(TeamId) + ": " + T.TrapMsg;
-        if (T.Status != ThreadStatus::Done)
-          AllDone = false;
-      }
-      if (AllDone)
-        break;
-      bool AnyAtBarrier = false;
-      for (const BCThreadState &T : Threads)
-        if (T.Status == ThreadStatus::AtBarrier)
-          AnyAtBarrier = true;
-      if (!AnyAtBarrier)
-        return "team " + std::to_string(TeamId) + ": livelock detected";
-      if (auto Err = releaseBarrier())
-        return Err;
-    }
-    for (const BCThreadState &T : Threads)
-      TeamCycles = std::max(TeamCycles, T.Cycles);
-    return std::nullopt;
-  }
-
-  [[nodiscard]] std::uint64_t teamCycles() const { return TeamCycles; }
 
 private:
-  //--- Barrier rendezvous ---------------------------------------------------
-
-  std::optional<std::string> releaseBarrier() {
-    const ir::Instruction *AlignedAt = nullptr;
-    std::uint64_t MaxArrival = 0;
-    // While scanning arrivals, decide whether the *next* segment starts
-    // team-aligned: every waiter sits at the same barrier instruction, at
-    // kernel-frame depth. Only then is "the n-th dynamic instruction after
-    // the release" the same program point for every lane, which is what
-    // makes warp-uniform replay meaningful.
-    bool NextAligned = true;
-    const ir::Instruction *CommonBarrier = nullptr;
-    for (const BCThreadState &T : Threads) {
-      if (T.Status != ThreadStatus::AtBarrier)
+  /// After a rendezvous: the next segment starts team-aligned when every
+  /// waiter sat at the same barrier instruction at kernel-frame depth. Only
+  /// then is "the n-th dynamic instruction after the release" the same
+  /// program point for every lane, which is what makes warp-uniform replay
+  /// meaningful.
+  void startSegment() {
+    bool Aligned = true;
+    std::uintptr_t Site = 0;
+    for (const Lane &L : Team.Lanes) {
+      if (L.Status == LaneStatus::Done)
         continue;
-      MaxArrival = std::max(MaxArrival, T.Cycles);
-      if (T.BarrierInst->opcode() == ir::Opcode::AlignedBarrier)
-        AlignedAt = T.BarrierInst;
-      if (!CommonBarrier)
-        CommonBarrier = T.BarrierInst;
-      else if (T.BarrierInst != CommonBarrier)
-        NextAligned = false;
-      if (T.Depth != 1)
-        NextAligned = false;
+      if (Stacks[L.Tid].Depth != 1 || (Site && L.BarrierSite != Site))
+        Aligned = false;
+      Site = L.BarrierSite;
     }
-    if (Config.DebugChecks && AlignedAt) {
-      for (const BCThreadState &T : Threads) {
-        if (T.Status != ThreadStatus::AtBarrier)
-          continue;
-        if (T.BarrierInst != AlignedAt)
-          return "team " + std::to_string(TeamId) +
-                 ": aligned barrier reached with unaligned threads";
-      }
+    SegmentAligned = Aligned;
+    for (WarpLog &Log : Logs) {
+      Log.Started = false;
+      Log.Entries.clear();
     }
-    if (Config.DetectRaces && AlignedAt) {
-      for (const BCThreadState &T : Threads)
-        if (T.Status == ThreadStatus::Done)
-          return "team " + std::to_string(TeamId) +
-                 ": divergent aligned barrier (thread " +
-                 std::to_string(T.Tid) +
-                 " already exited the kernel and can never arrive)";
-    }
-    Metrics.Barriers++;
-    if (Profile)
-      for (const BCThreadState &T : Threads)
-        if (T.Status == ThreadStatus::AtBarrier)
-          Profile->BarrierWaitCycles += MaxArrival - T.Cycles;
-    const std::uint64_t Release = MaxArrival + Config.Costs.BarrierCost;
-    for (BCThreadState &T : Threads) {
-      if (T.Status != ThreadStatus::AtBarrier)
-        continue;
-      T.Cycles = Release;
-      T.Status = ThreadStatus::Running;
-      T.Frames[T.Depth - 1].PC++; // resume after the barrier
-      T.BarrierInst = nullptr;
-    }
-    ++BarrierEpoch;
-    SegmentAligned = NextAligned;
-    for (WarpLog &L : Logs) {
-      L.Started = false;
-      L.Entries.clear();
-    }
-    return std::nullopt;
   }
-
-  //--- Memory ----------------------------------------------------------------
-
-  std::uint8_t *resolve(DeviceAddr A, unsigned Size, BCThreadState &T) {
-    switch (A.space()) {
-    case MemSpace::Global: {
-      // The arena never reallocates during a launch (capacity is fixed at
-      // device construction), so the cached base pointer avoids an
-      // out-of-line GlobalMemory::data call per access.
-      if (A.offset() + Size > GMCap) {
-        trap(T, "global access out of bounds");
-        return nullptr;
-      }
-      return GMBase + A.offset();
-    }
-    case MemSpace::Shared: {
-      if (A.offset() + Size > SharedArena.size()) {
-        if (A.offset() + Size > Config.SharedMemPerTeam) {
-          trap(T, "shared memory access out of bounds");
-          return nullptr;
-        }
-        SharedArena.resize(A.offset() + Size, 0);
-      }
-      return SharedArena.data() + A.offset();
-    }
-    case MemSpace::Local: {
-      if (Config.DebugChecks && A.owner() != T.Tid) {
-        trap(T,
-             "cross-thread access to local memory (thread " +
-                 std::to_string(T.Tid) + " dereferenced a pointer owned by "
-                 "thread " + std::to_string(A.owner()) +
-                 "); such variables must be globalized");
-        return nullptr;
-      }
-      return T.Local.data(A.offset(), Size);
-    }
-    case MemSpace::Invalid:
-      trap(T, A.isNull() ? "null pointer dereference"
-                         : "dereference of a function address");
-      return nullptr;
-    }
-    CODESIGN_UNREACHABLE("bad memory space");
-  }
-
-  void chargeAccess(BCThreadState &T, MemSpace S, bool IsStore, bool IsAtomic,
-                    unsigned SizeBytes) {
-    const CostModel &C = Config.Costs;
-    std::uint64_t Cost = 0;
-    switch (S) {
-    case MemSpace::Global:
-      Cost = IsAtomic ? C.AtomicGlobal : C.GlobalAccess;
-      (IsStore ? Cnt.GlobalStores : Cnt.GlobalLoads)++;
-      (IsStore ? Cnt.GlobalBytesWritten : Cnt.GlobalBytesRead) += SizeBytes;
-      break;
-    case MemSpace::Shared:
-      Cost = IsAtomic ? C.AtomicShared : C.SharedAccess;
-      (IsStore ? Cnt.SharedStores : Cnt.SharedLoads)++;
-      (IsStore ? Cnt.SharedBytesWritten : Cnt.SharedBytesRead) += SizeBytes;
-      break;
-    case MemSpace::Local:
-      Cost = C.LocalAccess;
-      Cnt.LocalAccesses++;
-      break;
-    case MemSpace::Invalid:
-      break;
-    }
-    if (IsAtomic)
-      Cnt.Atomics++;
-    T.Cycles += Cost;
-  }
-
-  bool checkSharedAccess(BCThreadState &T, std::uint64_t Off, unsigned Size,
-                         bool IsStore) {
-    if (Off >= DummyLo && Off + Size <= DummyHi && DummyHi > DummyLo)
-      return true;
-    for (std::uint64_t B = Off; B < Off + Size; ++B) {
-      ShadowCell &Cell = SharedShadow[B];
-      if (Cell.WriteEpoch == BarrierEpoch && Cell.WriteTid != T.Tid) {
-        trap(T, "shared-memory race: " +
-                    std::string(IsStore ? "store" : "load") +
-                    " at shared offset " + std::to_string(B) + " by thread " +
-                    std::to_string(T.Tid) + " conflicts with a write by "
-                    "thread " + std::to_string(Cell.WriteTid) +
-                    " in the same barrier interval");
-        return false;
-      }
-      if (IsStore && Cell.ReadEpoch == BarrierEpoch &&
-          (Cell.MultiRead || Cell.ReadTid != T.Tid)) {
-        const std::uint32_t Reader =
-            Cell.ReadTid != T.Tid ? Cell.ReadTid : Cell.ReadTid2;
-        trap(T, "shared-memory race: store at shared offset " +
-                    std::to_string(B) + " by thread " +
-                    std::to_string(T.Tid) + " conflicts with a read by "
-                    "thread " + std::to_string(Reader) +
-                    " in the same barrier interval");
-        return false;
-      }
-      if (IsStore) {
-        Cell.WriteEpoch = BarrierEpoch;
-        Cell.WriteTid = T.Tid;
-      } else if (Cell.ReadEpoch != BarrierEpoch) {
-        Cell.ReadEpoch = BarrierEpoch;
-        Cell.ReadTid = T.Tid;
-        Cell.MultiRead = false;
-      } else if (Cell.ReadTid != T.Tid && !Cell.MultiRead) {
-        Cell.ReadTid2 = T.Tid;
-        Cell.MultiRead = true;
-      }
-    }
-    return true;
-  }
-
-  std::uint64_t loadMemory(DeviceAddr A, std::uint8_t K, unsigned Size,
-                           BCThreadState &T) {
-    // Global fast path: one bounds check, direct read, local counters. The
-    // race detector only shadows shared memory, so it never diverts this.
-    if (A.space() == MemSpace::Global && A.offset() + Size <= GMCap) {
-      std::uint64_t Raw = 0;
-      std::memcpy(&Raw, GMBase + A.offset(), Size);
-      Cnt.GlobalLoads++;
-      Cnt.GlobalBytesRead += Size;
-      T.Cycles += Config.Costs.GlobalAccess;
-      return isIntKind(K) ? canonIntK(K, Raw) : Raw;
-    }
-    std::uint8_t *P = resolve(A, Size, T);
-    if (!P)
-      return 0;
-    if (Config.DetectRaces && A.space() == MemSpace::Shared &&
-        !checkSharedAccess(T, A.offset(), Size, /*IsStore=*/false))
-      return 0;
-    std::uint64_t Raw = 0;
-    std::memcpy(&Raw, P, Size);
-    chargeAccess(T, A.space(), /*IsStore=*/false, /*IsAtomic=*/false, Size);
-    if (isIntKind(K))
-      return canonIntK(K, Raw);
-    return Raw;
-  }
-
-  void storeMemory(DeviceAddr A, unsigned Size, std::uint64_t Bits,
-                   BCThreadState &T) {
-    if (A.space() == MemSpace::Global && A.offset() + Size <= GMCap) {
-      std::memcpy(GMBase + A.offset(), &Bits, Size);
-      Cnt.GlobalStores++;
-      Cnt.GlobalBytesWritten += Size;
-      T.Cycles += Config.Costs.GlobalAccess;
-      return;
-    }
-    std::uint8_t *P = resolve(A, Size, T);
-    if (!P)
-      return;
-    if (Config.DetectRaces && A.space() == MemSpace::Shared &&
-        !checkSharedAccess(T, A.offset(), Size, /*IsStore=*/true))
-      return;
-    std::memcpy(P, &Bits, Size);
-    chargeAccess(T, A.space(), /*IsStore=*/true, /*IsAtomic=*/false, Size);
-  }
-
-  void trap(BCThreadState &T, std::string Msg) {
-    T.Status = ThreadStatus::Trapped;
-    T.TrapMsg = std::move(Msg);
-  }
-
-  //--- Native operations ------------------------------------------------------
-
-  class NativeCtxImpl final : public NativeCtx {
-  public:
-    NativeCtxImpl(BCTeamExecutor &Exec, BCThreadState &T,
-                  const std::uint64_t *Args, unsigned N)
-        : Exec(Exec), T(T), Args(Args), N(N) {}
-
-    unsigned numArgs() const override { return N; }
-    std::uint64_t argBits(unsigned I) const override {
-      CODESIGN_ASSERT(I < N, "native arg out of range");
-      return Args[I];
-    }
-    std::uint64_t loadBits(DeviceAddr A, unsigned Size) override {
-      if (A.space() == MemSpace::Global && A.offset() + Size <= Exec.GMCap) {
-        std::uint64_t Raw = 0;
-        std::memcpy(&Raw, Exec.GMBase + A.offset(), Size);
-        Exec.Cnt.GlobalLoads++;
-        Exec.Cnt.GlobalBytesRead += Size;
-        T.Cycles += Exec.Config.Costs.GlobalAccess;
-        return Raw;
-      }
-      std::uint8_t *P = Exec.resolve(A, Size, T);
-      if (!P)
-        return 0;
-      std::uint64_t Raw = 0;
-      std::memcpy(&Raw, P, Size);
-      Exec.chargeAccess(T, A.space(), false, false, Size);
-      return Raw;
-    }
-    void storeBits(DeviceAddr A, std::uint64_t Bits, unsigned Size) override {
-      if (A.space() == MemSpace::Global && A.offset() + Size <= Exec.GMCap) {
-        std::memcpy(Exec.GMBase + A.offset(), &Bits, Size);
-        Exec.Cnt.GlobalStores++;
-        Exec.Cnt.GlobalBytesWritten += Size;
-        T.Cycles += Exec.Config.Costs.GlobalAccess;
-        return;
-      }
-      std::uint8_t *P = Exec.resolve(A, Size, T);
-      if (!P)
-        return;
-      std::memcpy(P, &Bits, Size);
-      Exec.chargeAccess(T, A.space(), true, false, Size);
-    }
-    void loadBlockF64(DeviceAddr A, double *Out, std::uint32_t Count) override {
-      const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
-      if (A.space() == MemSpace::Global && A.offset() + Bytes <= Exec.GMCap) {
-        std::memcpy(Out, Exec.GMBase + A.offset(), Bytes);
-        Exec.Cnt.GlobalLoads += Count;
-        Exec.Cnt.GlobalBytesRead += Bytes;
-        T.Cycles += Count * Exec.Config.Costs.GlobalAccess;
-        return;
-      }
-      if (A.space() == MemSpace::Shared &&
-          A.offset() + Bytes <= Exec.Config.SharedMemPerTeam) {
-        if (A.offset() + Bytes > Exec.SharedArena.size())
-          Exec.SharedArena.resize(A.offset() + Bytes, 0);
-        std::memcpy(Out, Exec.SharedArena.data() + A.offset(), Bytes);
-        Exec.Cnt.SharedLoads += Count;
-        Exec.Cnt.SharedBytesRead += Bytes;
-        T.Cycles += Count * Exec.Config.Costs.SharedAccess;
-        return;
-      }
-      NativeCtx::loadBlockF64(A, Out, Count);
-    }
-    void storeBlockF64(DeviceAddr A, const double *In,
-                       std::uint32_t Count) override {
-      const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
-      if (A.space() == MemSpace::Global && A.offset() + Bytes <= Exec.GMCap) {
-        std::memcpy(Exec.GMBase + A.offset(), In, Bytes);
-        Exec.Cnt.GlobalStores += Count;
-        Exec.Cnt.GlobalBytesWritten += Bytes;
-        T.Cycles += Count * Exec.Config.Costs.GlobalAccess;
-        return;
-      }
-      if (A.space() == MemSpace::Shared &&
-          A.offset() + Bytes <= Exec.Config.SharedMemPerTeam) {
-        if (A.offset() + Bytes > Exec.SharedArena.size())
-          Exec.SharedArena.resize(A.offset() + Bytes, 0);
-        std::memcpy(Exec.SharedArena.data() + A.offset(), In, Bytes);
-        Exec.Cnt.SharedStores += Count;
-        Exec.Cnt.SharedBytesWritten += Bytes;
-        T.Cycles += Count * Exec.Config.Costs.SharedAccess;
-        return;
-      }
-      NativeCtx::storeBlockF64(A, In, Count);
-    }
-    void chargeCycles(std::uint64_t Cycles) override {
-      T.Cycles += Cycles;
-      Exec.Cnt.NativeCycles += Cycles;
-    }
-    void setResultBits(std::uint64_t Bits) override {
-      Result = Bits;
-      HasResult = true;
-    }
-    std::uint32_t threadId() const override { return T.Tid; }
-    std::uint32_t teamId() const override { return Exec.TeamId; }
-
-    std::uint64_t Result = 0;
-    bool HasResult = false;
-
-  private:
-    BCTeamExecutor &Exec;
-    BCThreadState &T;
-    const std::uint64_t *Args;
-    unsigned N;
-  };
 
   //--- The dispatch loop ------------------------------------------------------
 
-  void stepThread(BCThreadState &T);
+  void stepThread(Lane &T);
 
+  TeamModel Team;
   const DeviceConfig &Config;
-  GlobalMemory &GM;
-  const NativeRegistry &Registry;
   const ModuleImage &Image;
   const BytecodeModule &BC;
   const std::vector<std::vector<std::uint64_t>> &Pools;
-  std::uint32_t TeamId;
-  std::uint32_t NumTeams;
-  std::uint32_t NumThreads;
-  LaunchMetrics &Metrics;
-  LaunchProfile *Profile = nullptr;
-  /// Cached global-arena view; the arena is fixed-size for the device's
-  /// lifetime, so one pointer serves every access of the launch.
-  std::uint8_t *GMBase = nullptr;
-  std::uint64_t GMCap = 0;
-  std::vector<std::uint8_t> SharedArena;
+  std::vector<BCStack> Stacks; ///< per lane, indexed by Tid
   std::vector<std::uint64_t> NativeArgScratch;
-  /// Hot metric/profile counters, flushed into the shard once in run().
-  struct HotCounters {
-    std::uint64_t DynamicInstructions = 0;
-    std::array<std::uint64_t, NumOpClasses> Ops{};
-    std::uint64_t GlobalLoads = 0, GlobalStores = 0;
-    std::uint64_t SharedLoads = 0, SharedStores = 0;
-    std::uint64_t LocalAccesses = 0, Atomics = 0, Calls = 0;
-    std::uint64_t NativeCycles = 0;
-    std::uint64_t GlobalBytesRead = 0, GlobalBytesWritten = 0;
-    std::uint64_t SharedBytesRead = 0, SharedBytesWritten = 0;
-  } Cnt;
-  std::vector<BCThreadState> Threads;
-  std::uint64_t TeamCycles = 0;
-  std::uint64_t BarrierEpoch = 1;
-  std::unordered_map<std::uint64_t, ShadowCell> SharedShadow;
-  std::uint64_t DummyLo = 0, DummyHi = 0;
   // Warp-uniform execution state. A segment is the run between barrier
   // rendezvous; it is "aligned" when every live thread starts it at the
   // same program point in the kernel frame (true at kernel entry).
@@ -727,8 +216,10 @@ private:
   std::vector<std::uint64_t> PhiBuf; ///< parallel-copy staging buffer
 };
 
-void BCTeamExecutor::stepThread(BCThreadState &T) {
+void BCTeamExecutor::stepThread(Lane &T) {
   const CostModel &C = Config.Costs;
+  HotCounters &Cnt = Team.Cnt;
+  BCStack &S = Stacks[T.Tid];
   const std::uint64_t MaxInst = Config.MaxDynamicInstPerThread;
 
   // Warp-uniform participation for this thread's run of the current
@@ -740,7 +231,7 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     std::size_t Cursor = 0;
     WarpLog *Log = nullptr;
   } Seg;
-  if (SegmentAligned && T.Depth == 1 && T.Frames[0].BF->HasUniform) {
+  if (SegmentAligned && S.Depth == 1 && S.Frames[0].BF->HasUniform) {
     WarpLog &L = Logs[T.Tid / std::max<std::uint32_t>(Config.WarpSize, 1)];
     Seg.Log = &L;
     Seg.Participating = true;
@@ -773,8 +264,8 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     Seg.Participating = false;
   };
 
-  while (T.Status == ThreadStatus::Running) {
-    BCFrame &F = T.Frames[T.Depth - 1];
+  while (T.Status == LaneStatus::Running) {
+    BCFrame &F = S.Frames[S.Depth - 1];
     const BCInst &I = F.Code[F.PC];
 
     const auto Ref = [&](std::uint32_t R) -> std::uint64_t {
@@ -796,27 +287,27 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     }
     if (I.Op == BCOp::PhiTrap) {
       if (I.Imm == 0) {
-        trap(T, "phi has no incoming value for predecessor");
+        Team.trap(T, "phi has no incoming value for predecessor");
         return;
       }
       if (I.Imm == 2) {
-        trap(T, "fell off the end of a basic block");
+        Team.trap(T, "fell off the end of a basic block");
         return;
       }
       // Mid-block phi: counted like any other dynamic instruction, then
       // rejected.
       if (++T.InstCount > MaxInst) {
-        trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
+        Team.trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
         return;
       }
       Cnt.DynamicInstructions++;
       Cnt.Ops[I.Cls]++;
-      trap(T, "phi encountered mid-block");
+      Team.trap(T, "phi encountered mid-block");
       return;
     }
 
     if (++T.InstCount > MaxInst) {
-      trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
+      Team.trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
       return;
     }
     Cnt.DynamicInstructions++;
@@ -860,12 +351,12 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     case BCOp::AShr: {
       const std::uint64_t A = Ref(I.A);
       const std::uint64_t B = Ref(I.B);
-      const std::uint64_t UA = zextToWidthK(I.TyKind, A);
-      const std::uint64_t UB = zextToWidthK(I.TyKind, B);
+      const std::uint64_t UA = zextBits(kindOf(I.TyKind), A);
+      const std::uint64_t UB = zextBits(kindOf(I.TyKind), B);
       std::uint64_t R = 0;
       std::uint32_t Cost = C.Alu;
       const unsigned ShMask =
-          static_cast<TypeKind>(I.TyKind) == TypeKind::I32 ? 31 : 63;
+          kindOf(I.TyKind) == TypeKind::I32 ? 31 : 63;
       switch (I.Op) {
       case BCOp::Add:
         R = intops::addWrap(A, B);
@@ -879,28 +370,28 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
         break;
       case BCOp::SDiv:
         if (!intops::sdiv(A, B, R)) {
-          trap(T, "integer division by zero");
+          Team.trap(T, "integer division by zero");
           return;
         }
         Cost = C.Div;
         break;
       case BCOp::UDiv:
         if (!intops::udiv(UA, UB, R)) {
-          trap(T, "integer division by zero");
+          Team.trap(T, "integer division by zero");
           return;
         }
         Cost = C.Div;
         break;
       case BCOp::SRem:
         if (!intops::srem(A, B, R)) {
-          trap(T, "integer remainder by zero");
+          Team.trap(T, "integer remainder by zero");
           return;
         }
         Cost = C.Div;
         break;
       case BCOp::URem:
         if (!intops::urem(UA, UB, R)) {
-          trap(T, "integer remainder by zero");
+          Team.trap(T, "integer remainder by zero");
           return;
         }
         Cost = C.Div;
@@ -926,7 +417,7 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       default:
         CODESIGN_UNREACHABLE("not an int binop");
       }
-      F.Slots[I.Dst] = canonIntK(I.TyKind, R);
+      F.Slots[I.Dst] = canonBits(kindOf(I.TyKind), R);
       T.Cycles += Cost;
       break;
     }
@@ -935,8 +426,8 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     case BCOp::FSub:
     case BCOp::FMul:
     case BCOp::FDiv: {
-      const double A = decodeFK(I.TyKind, Ref(I.A));
-      const double B = decodeFK(I.TyKind, Ref(I.B));
+      const double A = decodeF(kindOf(I.TyKind), Ref(I.A));
+      const double B = decodeF(kindOf(I.TyKind), Ref(I.B));
       double R = 0;
       std::uint32_t Cost = C.FAlu;
       switch (I.Op) {
@@ -956,7 +447,7 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       default:
         CODESIGN_UNREACHABLE("not a float binop");
       }
-      F.Slots[I.Dst] = encodeFK(I.TyKind, R);
+      F.Slots[I.Dst] = encodeF(kindOf(I.TyKind), R);
       T.Cycles += Cost;
       break;
     }
@@ -968,8 +459,8 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       break;
     }
     case BCOp::FCmp: {
-      const double A = decodeFK(I.SrcTyKind, Ref(I.A));
-      const double B = decodeFK(I.SrcTyKind, Ref(I.B));
+      const double A = decodeF(kindOf(I.SrcTyKind), Ref(I.A));
+      const double B = decodeF(kindOf(I.SrcTyKind), Ref(I.B));
       bool R = false;
       switch (static_cast<CmpPred>(I.Pred)) {
       case CmpPred::OEQ:
@@ -1005,32 +496,32 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     //--- Conversions -----------------------------------------------------------
     case BCOp::ZExt: {
       F.Slots[I.Dst] =
-          canonIntK(I.TyKind, zextToWidthK(I.SrcTyKind, Ref(I.A)));
+          canonBits(kindOf(I.TyKind), zextBits(kindOf(I.SrcTyKind), Ref(I.A)));
       T.Cycles += C.Alu;
       break;
     }
     case BCOp::SExt:
     case BCOp::Trunc: {
-      F.Slots[I.Dst] = canonIntK(I.TyKind, Ref(I.A));
+      F.Slots[I.Dst] = canonBits(kindOf(I.TyKind), Ref(I.A));
       T.Cycles += C.Alu;
       break;
     }
     case BCOp::SIToFP: {
-      F.Slots[I.Dst] = encodeFK(
-          I.TyKind,
+      F.Slots[I.Dst] = encodeF(
+          kindOf(I.TyKind),
           static_cast<double>(static_cast<std::int64_t>(Ref(I.A))));
       T.Cycles += C.FAlu;
       break;
     }
     case BCOp::FPToSI: {
-      const double D = decodeFK(I.SrcTyKind, Ref(I.A));
-      F.Slots[I.Dst] = canonIntK(
-          I.TyKind, static_cast<std::uint64_t>(intops::fpToI64(D)));
+      const double D = decodeF(kindOf(I.SrcTyKind), Ref(I.A));
+      F.Slots[I.Dst] = canonBits(
+          kindOf(I.TyKind), static_cast<std::uint64_t>(intops::fpToI64(D)));
       T.Cycles += C.FAlu;
       break;
     }
     case BCOp::FPCast: {
-      F.Slots[I.Dst] = encodeFK(I.TyKind, decodeFK(I.SrcTyKind, Ref(I.A)));
+      F.Slots[I.Dst] = encodeF(kindOf(I.TyKind), decodeF(kindOf(I.SrcTyKind), Ref(I.A)));
       T.Cycles += C.FAlu;
       break;
     }
@@ -1041,26 +532,26 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     }
     //--- Memory ----------------------------------------------------------------
     case BCOp::Alloca: {
-      const std::uint64_t Off =
-          T.Local.allocate(static_cast<std::uint64_t>(I.Imm));
-      F.Slots[I.Dst] = DeviceAddr::make(MemSpace::Local, Off,
-                                        static_cast<std::uint16_t>(T.Tid))
-                           .Bits;
+      const std::uint64_t Addr =
+          Team.allocLocal(T, static_cast<std::uint64_t>(I.Imm));
+      if (T.Status != LaneStatus::Running)
+        return;
+      F.Slots[I.Dst] = Addr;
       T.Cycles += C.Alu;
       break;
     }
     case BCOp::Load: {
       const DeviceAddr A(Ref(I.A));
-      const std::uint64_t V = loadMemory(A, I.TyKind, I.Size, T);
-      if (T.Status != ThreadStatus::Running)
+      const std::uint64_t V = Team.load(T, A, kindOf(I.TyKind), I.Size);
+      if (T.Status != LaneStatus::Running)
         return;
       F.Slots[I.Dst] = V;
       break;
     }
     case BCOp::Store: {
       const DeviceAddr A(Ref(I.B));
-      storeMemory(A, I.Size, Ref(I.A), T);
-      if (T.Status != ThreadStatus::Running)
+      Team.store(T, A, I.Size, Ref(I.A));
+      if (T.Status != LaneStatus::Running)
         return;
       break;
     }
@@ -1078,13 +569,13 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
           Base.advance(static_cast<std::int64_t>(Ref(I.B)));
       T.Cycles += C.Alu;
       if (++T.InstCount > MaxInst) {
-        trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
+        Team.trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
         return;
       }
       Cnt.DynamicInstructions++;
       Cnt.Ops[static_cast<std::size_t>(OpClass::Memory)]++;
-      const std::uint64_t V = loadMemory(Addr, I.TyKind, I.Size, T);
-      if (T.Status != ThreadStatus::Running)
+      const std::uint64_t V = Team.load(T, Addr, kindOf(I.TyKind), I.Size);
+      if (T.Status != LaneStatus::Running)
         return;
       F.Slots[I.Dst] = V;
       break;
@@ -1095,102 +586,41 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
           Base.advance(static_cast<std::int64_t>(Ref(I.B)));
       T.Cycles += C.Alu;
       if (++T.InstCount > MaxInst) {
-        trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
+        Team.trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
         return;
       }
       Cnt.DynamicInstructions++;
       Cnt.Ops[static_cast<std::size_t>(OpClass::Memory)]++;
-      storeMemory(Addr, I.Size, Ref(I.C), T);
-      if (T.Status != ThreadStatus::Running)
+      Team.store(T, Addr, I.Size, Ref(I.C));
+      if (T.Status != LaneStatus::Running)
         return;
       break;
     }
     case BCOp::AtomicRMW: {
-      const DeviceAddr A(Ref(I.A));
-      const unsigned Size = I.Size;
-      std::uint8_t *P = resolve(A, Size, T);
-      if (!P)
+      const std::uint64_t Old =
+          Team.atomicRMW(T, DeviceAddr(Ref(I.A)), kindOf(I.TyKind), I.Size,
+                         static_cast<AtomicOp>(I.Imm), Ref(I.B));
+      if (T.Status != LaneStatus::Running)
         return;
-      const auto Op = static_cast<AtomicOp>(I.Imm);
-      const std::int64_t V = static_cast<std::int64_t>(Ref(I.B));
-      const bool IntK = isIntKind(I.TyKind);
-      const auto NewBitsFor = [&](std::uint64_t RawOld) {
-        const std::uint64_t OldC =
-            IntK ? canonIntK(I.TyKind, RawOld) : RawOld;
-        const std::int64_t OldS = static_cast<std::int64_t>(OldC);
-        std::int64_t New = 0;
-        switch (Op) {
-        case AtomicOp::Add:
-          New = static_cast<std::int64_t>(
-              intops::addWrap(OldC, static_cast<std::uint64_t>(V)));
-          break;
-        case AtomicOp::Max:
-          New = std::max(OldS, V);
-          break;
-        case AtomicOp::Min:
-          New = std::min(OldS, V);
-          break;
-        case AtomicOp::Exchange:
-          New = V;
-          break;
-        }
-        return static_cast<std::uint64_t>(New);
-      };
-      std::uint64_t Raw = 0;
-      if (A.space() == MemSpace::Global && atomicCapable(P, Size)) {
-        Raw = Size == 4 ? atomicFetchModify<std::uint32_t>(P, NewBitsFor)
-                        : atomicFetchModify<std::uint64_t>(P, NewBitsFor);
-      } else {
-        std::memcpy(&Raw, P, Size);
-        const std::uint64_t NewBits = NewBitsFor(Raw);
-        std::memcpy(P, &NewBits, Size);
-      }
-      const std::uint64_t Old = IntK ? canonIntK(I.TyKind, Raw) : Raw;
-      chargeAccess(T, A.space(), /*IsStore=*/true, /*IsAtomic=*/true, Size);
       F.Slots[I.Dst] = Old;
       break;
     }
     case BCOp::CmpXchg: {
-      const DeviceAddr A(Ref(I.A));
-      const unsigned Size = I.Size;
-      std::uint8_t *P = resolve(A, Size, T);
-      if (!P)
+      const std::uint64_t Old =
+          Team.cmpXchg(T, DeviceAddr(Ref(I.A)), kindOf(I.TyKind), I.Size,
+                       Ref(I.B), Ref(I.C));
+      if (T.Status != LaneStatus::Running)
         return;
-      const bool IntK = isIntKind(I.TyKind);
-      std::uint64_t Raw = 0;
-      if (A.space() == MemSpace::Global && atomicCapable(P, Size)) {
-        Raw = Size == 4 ? atomicCas<std::uint32_t>(P, Ref(I.B), Ref(I.C))
-                        : atomicCas<std::uint64_t>(P, Ref(I.B), Ref(I.C));
-      } else {
-        std::memcpy(&Raw, P, Size);
-        const std::uint64_t OldC = IntK ? canonIntK(I.TyKind, Raw) : Raw;
-        if (OldC == Ref(I.B)) {
-          const std::uint64_t Desired = Ref(I.C);
-          std::memcpy(P, &Desired, Size);
-        }
-      }
-      const std::uint64_t Old = IntK ? canonIntK(I.TyKind, Raw) : Raw;
-      chargeAccess(T, A.space(), /*IsStore=*/true, /*IsAtomic=*/true, Size);
       F.Slots[I.Dst] = Old;
       break;
     }
     case BCOp::Malloc: {
-      const std::uint64_t Size = Ref(I.A);
-      if (Size == 0) {
-        F.Slots[I.Dst] = 0;
-      } else {
-        auto Off = GM.allocate(Size, 16);
-        F.Slots[I.Dst] =
-            Off ? DeviceAddr::make(MemSpace::Global, *Off).Bits : 0;
-      }
-      Metrics.DeviceMallocs++;
+      F.Slots[I.Dst] = Team.deviceMalloc(Ref(I.A));
       T.Cycles += C.MallocCost;
       break;
     }
     case BCOp::Free: {
-      const DeviceAddr A(Ref(I.A));
-      if (!A.isNull())
-        GM.release(A.offset());
+      Team.deviceFree(Ref(I.A));
       T.Cycles += C.MallocCost / 2;
       break;
     }
@@ -1216,7 +646,7 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
                               Ref(I.B));
       T.Cycles += C.Alu;
       if (++T.InstCount > MaxInst) {
-        trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
+        Team.trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
         return;
       }
       Cnt.DynamicInstructions++;
@@ -1235,21 +665,21 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       const std::uint32_t CallerDst = F.CallerDst;
       const std::uint8_t RetTy = F.CallerRetTy;
       const std::uint32_t RetPC = F.RetPC;
-      --T.Depth; // frame stays behind as a spare (slot storage recycled)
+      --S.Depth; // frame stays behind as a spare (slot storage recycled)
       T.Local.restore(Watermark);
-      if (T.Depth == 0) {
-        T.Status = ThreadStatus::Done;
+      if (S.Depth == 0) {
+        T.Status = LaneStatus::Done;
         return;
       }
-      BCFrame &Caller = T.Frames[T.Depth - 1];
+      BCFrame &Caller = S.Frames[S.Depth - 1];
       if (CallerDst != BCNoSlot)
-        Caller.Slots[CallerDst] = canonValK(RetTy, RetBits);
+        Caller.Slots[CallerDst] = canonBits(kindOf(RetTy), RetBits);
       Caller.PC = RetPC;
       T.Cycles += C.Branch;
       continue;
     }
     case BCOp::Unreachable: {
-      trap(T, "unreachable executed");
+      Team.trap(T, "unreachable executed");
       return;
     }
     case BCOp::Call: {
@@ -1265,20 +695,20 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       } else {
         CalleeIR = Image.functionFor(DeviceAddr(Ref(I.A)));
         if (!CalleeIR) {
-          trap(T, "indirect call to a non-function address");
+          Team.trap(T, "indirect call to a non-function address");
           return;
         }
         CalleeBC = BC.functionFor(CalleeIR);
         CODESIGN_ASSERT(CalleeBC, "function missing from bytecode module");
       }
       if (CalleeIR->isDeclaration()) {
-        trap(T, "call to unresolved external function '" +
-                    CalleeIR->name() + "'");
+        Team.trap(T, "call to unresolved external function '" +
+                         CalleeIR->name() + "'");
         return;
       }
       if (CalleeIR->numArgs() != I.T1) {
-        trap(T, "indirect call argument count mismatch for '" +
-                    CalleeIR->name() + "'");
+        Team.trap(T, "indirect call argument count mismatch for '" +
+                         CalleeIR->name() + "'");
         return;
       }
       // Everything needed from the caller frame and its instruction is
@@ -1291,10 +721,10 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       const std::uint8_t CallerRetTy = I.TyKind;
       const std::uint32_t ArgBase = I.T0;
       const std::uint32_t NumCallArgs = I.T1;
-      if (T.Frames.size() == T.Depth)
-        T.Frames.emplace_back();
-      BCFrame &Caller = T.Frames[T.Depth - 1];
-      BCFrame &NewF = T.Frames[T.Depth];
+      if (S.Frames.size() == S.Depth)
+        S.Frames.emplace_back();
+      BCFrame &Caller = S.Frames[S.Depth - 1];
+      BCFrame &NewF = S.Frames[S.Depth];
       NewF.BF = CalleeBC;
       NewF.Code = CalleeBC->Code.data();
       NewF.PC = CalleeBC->Entry;
@@ -1306,10 +736,10 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       std::copy(CalleePool.begin(), CalleePool.end(),
                 NewF.Slots.begin() + CalleeBC->NumSlots);
       for (std::uint32_t A = 0; A < NumCallArgs; ++A)
-        NewF.Slots[A] = canonValK(CalleeBC->ArgTyKinds[A],
+        NewF.Slots[A] = canonBits(kindOf(CalleeBC->ArgTyKinds[A]),
                                   Caller.Slots[Caller.BF->Extras[ArgBase + A]]);
       NewF.LocalWatermark = T.Local.watermark();
-      ++T.Depth;
+      ++S.Depth;
       T.Cycles += C.CallOverhead;
       Cnt.Calls++;
       continue;
@@ -1320,15 +750,15 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       T.Cycles += C.Alu;
       break;
     case BCOp::BlockIdOp:
-      F.Slots[I.Dst] = TeamId;
+      F.Slots[I.Dst] = Team.TeamId;
       T.Cycles += C.Alu;
       break;
     case BCOp::BlockDimOp:
-      F.Slots[I.Dst] = NumThreads;
+      F.Slots[I.Dst] = Team.NumThreads;
       T.Cycles += C.Alu;
       break;
     case BCOp::GridDimOp:
-      F.Slots[I.Dst] = NumTeams;
+      F.Slots[I.Dst] = Team.NumTeams;
       T.Cycles += C.Alu;
       break;
     case BCOp::WarpSizeOp:
@@ -1338,23 +768,24 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     //--- Synchronization -------------------------------------------------------
     case BCOp::BarrierOp:
     case BCOp::AlignedBarrierOp: {
-      T.Status = ThreadStatus::AtBarrier;
-      T.BarrierInst = I.Src;
+      T.block(reinterpret_cast<std::uintptr_t>(I.Src),
+              I.Op == BCOp::AlignedBarrierOp);
+      F.PC++; // resume after the barrier once it releases
       return;
     }
     //--- Metadata --------------------------------------------------------------
     case BCOp::Assume: {
       if (Config.DebugChecks && Ref(I.A) == 0) {
-        trap(T, "compiler assumption violated at runtime (in @" +
-                    I.Src->function()->name() + ", block '" +
-                    I.Src->parent()->name() + "')");
+        Team.trap(T, "compiler assumption violated at runtime (in @" +
+                         I.Src->function()->name() + ", block '" +
+                         I.Src->parent()->name() + "')");
         return;
       }
       break;
     }
     case BCOp::AssertFail: {
       if (Config.DebugChecks && Ref(I.A) == 0) {
-        trap(T, "assertion failed: " + I.Src->str());
+        Team.trap(T, "assertion failed: " + I.Src->str());
         return;
       }
       if (Config.DebugChecks)
@@ -1362,7 +793,7 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       break;
     }
     case BCOp::TrapOp: {
-      trap(T, "trap executed");
+      Team.trap(T, "trap executed");
       return;
     }
     case BCOp::NativeCall: {
@@ -1371,15 +802,14 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       NativeArgScratch.clear();
       for (std::uint32_t A = 0; A < I.T1; ++A)
         NativeArgScratch.push_back(Ref(F.BF->Extras[I.T0 + A]));
-      NativeCtxImpl Ctx(*this, T, NativeArgScratch.data(), I.T1);
-      const NativeOpInfo &Info = Registry.get(I.Imm);
-      Info.Fn(Ctx);
-      if (T.Status != ThreadStatus::Running)
+      const NativeOpResult R =
+          Team.callNative(T, I.Imm, NativeArgScratch.data(), I.T1);
+      if (T.Status != LaneStatus::Running)
         return;
-      if (static_cast<TypeKind>(I.TyKind) != TypeKind::Void) {
-        CODESIGN_ASSERT(Ctx.HasResult,
+      if (kindOf(I.TyKind) != TypeKind::Void) {
+        CODESIGN_ASSERT(R.HasResult,
                         "native op did not produce its declared result");
-        F.Slots[I.Dst] = canonValK(I.TyKind, Ctx.Result);
+        F.Slots[I.Dst] = canonBits(kindOf(I.TyKind), R.Bits);
       }
       break;
     }
@@ -1411,22 +841,17 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
 
 } // namespace
 
-BCTeamResult runBytecodeTeam(const DeviceConfig &Config, GlobalMemory &GM,
-                             const NativeRegistry &Registry,
-                             const ModuleImage &Image,
-                             const BytecodeModule &BC,
-                             const std::vector<std::vector<std::uint64_t>> &Pools,
-                             std::uint32_t TeamId, std::uint32_t NumTeams,
-                             std::uint32_t NumThreads,
-                             const ir::Function *Kernel,
-                             std::span<const std::uint64_t> Args,
-                             LaunchMetrics &Metrics, LaunchProfile *Profile) {
-  BCTeamExecutor Exec(Config, GM, Registry, Image, BC, Pools, TeamId,
-                      NumTeams, NumThreads, Kernel, Args, Metrics, Profile);
-  BCTeamResult R;
-  R.Err = Exec.run();
-  R.Cycles = Exec.teamCycles();
-  return R;
+TeamRunOutcome runBytecodeTeam(
+    const DeviceConfig &Config, GlobalMemory &GM,
+    const NativeRegistry &Registry, const ModuleImage &Image,
+    const BytecodeModule &BC,
+    const std::vector<std::vector<std::uint64_t>> &Pools,
+    std::uint32_t TeamId, std::uint32_t NumTeams, std::uint32_t NumThreads,
+    const ir::Function *Kernel, std::span<const std::uint64_t> Args,
+    LaunchMetrics &Metrics, LaunchProfile *Profile) {
+  return BCTeamExecutor(Config, GM, Registry, Image, BC, Pools, TeamId,
+                        NumTeams, NumThreads, Kernel, Args, Metrics, Profile)
+      .run();
 }
 
 } // namespace codesign::vgpu

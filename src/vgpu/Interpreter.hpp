@@ -1,13 +1,14 @@
 //===- vgpu/Interpreter.hpp - IR interpreter with GPU execution model -----===//
 //
-// Executes kernel IR over a league of teams. Threads within a team are
-// interpreted cooperatively: each runs until it blocks at a team barrier,
-// finishes, or traps; a barrier rendezvous completes when every live thread
-// of the team has arrived, at which point all clocks synchronize to the
-// latest arrival (plus the barrier cost). This reproduces the execution
-// semantics the paper's runtime relies on — including the generic-mode
-// state machine, which is pure barrier choreography between the main
-// thread and the workers (paper Section II-C).
+// Module images (the device-resident layout of a module's globals and
+// functions) and the tree-walking interpreter: each lane of a team walks
+// the IR instruction objects directly until it blocks at a team barrier,
+// finishes, or traps. Scheduling, the barrier rendezvous, memory and
+// accounting are the shared team model's (TeamModel.hpp), which is what
+// reproduces the execution semantics the paper's runtime relies on —
+// including the generic-mode state machine, which is pure barrier
+// choreography between the main thread and the workers (paper Section
+// II-C).
 //
 //===----------------------------------------------------------------------===//
 #pragma once
@@ -121,9 +122,9 @@ struct LaunchResult {
   LaunchProfile Profile;  ///< populated when Ok and DeviceConfig::CollectProfile
 };
 
-/// Outcome of one team's execution under the tree interpreter (the
-/// per-team entry point the exec::Backend architecture fans out over;
-/// launch orchestration lives in exec/LaunchEngine.cpp).
+/// Outcome of one team's execution under any backend (the per-team result
+/// the exec::Backend architecture fans out over; launch orchestration lives
+/// in exec/LaunchEngine.cpp).
 struct TeamRunOutcome {
   std::optional<std::string> Err; ///< trap/deadlock message, empty = clean
   std::uint64_t Cycles = 0;       ///< the team's modeled wall time

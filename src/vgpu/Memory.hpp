@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,17 +60,21 @@ private:
 };
 
 /// A simple bump arena with watermark save/restore, used for per-thread
-/// local memory (allocas are released when the owning frame returns).
+/// local memory (allocas are released when the owning frame returns). Both
+/// the allocation and the access path report exhaustion to the caller,
+/// which traps the guest lane: a guest kernel must never abort the host.
 class BumpArena {
 public:
   /// Cap is the maximum size; backing storage grows on demand so idle
   /// threads cost nothing.
   explicit BumpArena(std::uint64_t Cap) : Cap(Cap) {}
 
-  /// Allocate Size bytes aligned to 16; returns offset.
-  std::uint64_t allocate(std::uint64_t Size) {
+  /// Allocate Size bytes aligned to 16; returns the offset, or nothing
+  /// when the arena cannot hold them.
+  std::optional<std::uint64_t> allocate(std::uint64_t Size) {
     const std::uint64_t Off = (Top + 15) & ~std::uint64_t{15};
-    CODESIGN_ASSERT(Off + Size <= Cap, "local memory exhausted");
+    if (Size > Cap || Off > Cap - Size)
+      return std::nullopt;
     Top = Off + Size;
     ensure(Top);
     return Off;
@@ -81,19 +86,27 @@ public:
     CODESIGN_ASSERT(Mark <= Top, "invalid watermark restore");
     Top = Mark;
   }
-  /// Reset for reuse by the next team.
-  void reset() { Top = 0; }
 
+  /// Host storage of [Offset, Offset + Size), or null when the range
+  /// reaches past the cap.
   [[nodiscard]] std::uint8_t *data(std::uint64_t Offset, std::uint64_t Size) {
-    CODESIGN_ASSERT(Offset + Size <= Cap, "local access out of bounds");
+    if (Size > Cap || Offset > Cap - Size)
+      return nullptr;
     ensure(Offset + Size);
     return Bytes.data() + Offset;
   }
 
+  /// The backing bytes mapped so far, for executors that address local
+  /// memory through a raw window (it moves when data() grows it, and it
+  /// never reaches past the cap).
+  [[nodiscard]] std::span<std::uint8_t> mapped() { return Bytes; }
+
 private:
+  /// Map at least Size (<= Cap) bytes, never more than Cap: mapped() is
+  /// then exactly the range an access may reach without a bounds check.
   void ensure(std::uint64_t Size) {
     if (Bytes.size() < Size)
-      Bytes.resize(std::max<std::uint64_t>(Size * 2, 256));
+      Bytes.resize(std::min(Cap, std::max<std::uint64_t>(Size * 2, 256)));
   }
 
   std::uint64_t Cap;

@@ -25,26 +25,17 @@ public:
     // Runtime knob for differential runs: CODESIGN_EXEC_BACKEND=
     // tree|bytecode|native overrides the configured execution backend
     // without recompiling the harness (bench/ and the backend-parity tests
-    // rely on this). The old CODESIGN_EXEC_TIER spelling still works as a
-    // deprecated alias. Unknown values are rejected: the error is latched
-    // and every launch on this device reports it, instead of the old
-    // behavior of silently running the default engine — a typo in a
-    // differential harness must not quietly compare a backend to itself.
-    const char *Env = std::getenv("CODESIGN_EXEC_BACKEND");
-    const char *Var = "CODESIGN_EXEC_BACKEND";
-    if (!Env) {
-      Env = std::getenv("CODESIGN_EXEC_TIER");
-      Var = "CODESIGN_EXEC_TIER";
-      if (Env && trace::Tracer::global().enabled())
-        trace::Tracer::global().instant(
-            "vgpu", "exec.backend.deprecated-knob");
-    }
-    if (Env) {
+    // rely on this). Unknown values are rejected: the error is latched and
+    // every launch on this device reports it, instead of the old behavior
+    // of silently running the default engine — a typo in a differential
+    // harness must not quietly compare a backend to itself.
+    if (const char *Env = std::getenv("CODESIGN_EXEC_BACKEND")) {
       auto Canon = exec::canonicalBackendName(Env);
       if (Canon) {
         this->Config.ExecBackend = *Canon;
       } else {
-        BackendError = std::string(Var) + ": " + Canon.error().message();
+        BackendError =
+            "CODESIGN_EXEC_BACKEND: " + Canon.error().message();
         if (trace::Tracer::global().enabled())
           trace::Tracer::global().instant("vgpu", "exec.backend.unknown");
       }

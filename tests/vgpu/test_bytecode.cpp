@@ -1,8 +1,11 @@
 //===- tests/vgpu/test_bytecode.cpp - Bytecode tier vs. tree oracle --------===//
 //
 // Differential proof for the warp-batched bytecode tier: every kernel here
-// runs under both execution tiers (DeviceConfig::Tier) and must produce
-// bit-identical memory, metrics, profiles, and trap messages. The suite
+// runs under the tree and bytecode backends (pinned per device with
+// VirtualGPU::setExecBackend) and must produce bit-identical memory,
+// metrics, profiles, and trap messages. The trap-verdict cases run under
+// the native backend too, which must stop with the same message (it models
+// no ALU cycles, so only the verdict is compared there). The suite
 // doubles as the evaluator-semantics regression net for the IntOps.hpp
 // wrapping arithmetic — the cases below (INT64_MIN / -1, overflow wrap,
 // shifts at the type width, i32 canonicalization, float-to-int saturation)
@@ -120,6 +123,18 @@ TierRun runBothTiers(const std::function<void(Module &)> &Build,
   TierRun BC = runTier("bytecode", Build, Kernel, BufBytes, ExtraArgs, Teams,
                        Threads, DetectRaces);
   expectTierIdentical(Tree, BC);
+  return BC;
+}
+
+/// runBothTiers for a single-team trap-verdict case, plus the native
+/// backend, which must reach the same verdict with the same message.
+TierRun runAllBackends(const std::function<void(Module &)> &Build,
+                       const std::string &Kernel, std::uint64_t BufBytes,
+                       std::uint32_t Threads = 1) {
+  TierRun BC = runBothTiers(Build, Kernel, BufBytes, {}, 1, Threads);
+  TierRun Native = runTier("native", Build, Kernel, BufBytes, {}, 1, Threads);
+  EXPECT_EQ(BC.LR.Ok, Native.LR.Ok) << "native: " << Native.LR.Error;
+  EXPECT_EQ(BC.LR.Error, Native.LR.Error);
   return BC;
 }
 
@@ -254,7 +269,7 @@ TEST(BytecodeTier, FloatToIntSaturates) {
 TEST(BytecodeTier, DivisionByZeroTrapsIdentically) {
   for (const char *Op : {"sdiv", "udiv", "srem", "urem"}) {
     const std::string Name = Op;
-    TierRun R = runBothTiers(
+    TierRun R = runAllBackends(
         [&Name](Module &M) {
           Function *K =
               M.createFunction("dz", Type::voidTy(), {Type::ptr()});
@@ -417,7 +432,7 @@ TEST(BytecodeTier, DivergentAlignedBarrierVerdictIdentical) {
 }
 
 TEST(BytecodeTier, AssertTrapMessageIdentical) {
-  TierRun R = runBothTiers(
+  TierRun R = runAllBackends(
       [](Module &M) {
         Function *K = M.createFunction("chk", Type::voidTy(), {Type::ptr()});
         K->addAttr(FnAttr::Kernel);
@@ -429,10 +444,55 @@ TEST(BytecodeTier, AssertTrapMessageIdentical) {
         B.retVoid();
         ASSERT_TRUE(verifyModule(M).empty());
       },
-      "chk", 8, {}, /*Teams=*/1, /*Threads=*/8);
+      "chk", 8, /*Threads=*/8);
   EXPECT_FALSE(R.LR.Ok);
   EXPECT_NE(R.LR.Error.find("tid must stay below three"), std::string::npos)
       << R.LR.Error;
+}
+
+// A kernel that overruns its lane's local memory traps the lane with the
+// same message under every backend instead of aborting the host process.
+TEST(BytecodeTier, AllocaPastLocalCapTraps) {
+  TierRun R = runAllBackends(
+      [](Module &M) {
+        Function *K = M.createFunction("big", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        IRBuilder B(M);
+        B.setInsertPoint(K->createBlock("entry"));
+        B.store(B.i64(1), B.allocaBytes(1 << 20));
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "big", 8);
+  EXPECT_EQ(R.LR.Error, "thread 0 of team 0: local memory exhausted");
+}
+
+TEST(BytecodeTier, LocalAccessPastCapTraps) {
+  // Stores past a 16-byte alloca: 1 MiB out, and just past the 64 KiB cap
+  // after an in-bounds store has mapped most of the arena (native reads
+  // mapped local memory without asking the host).
+  const std::int64_t Cap =
+      static_cast<std::int64_t>(DeviceConfig{}.LocalMemPerThread);
+  for (const std::vector<std::int64_t> &Offsets :
+       {std::vector<std::int64_t>{std::int64_t{1} << 20},
+        std::vector<std::int64_t>{Cap - 4096, Cap}}) {
+    TierRun R = runAllBackends(
+        [&Offsets](Module &M) {
+          Function *K =
+              M.createFunction("far", Type::voidTy(), {Type::ptr()});
+          K->addAttr(FnAttr::Kernel);
+          IRBuilder B(M);
+          B.setInsertPoint(K->createBlock("entry"));
+          Value *P = B.allocaBytes(16);
+          for (const std::int64_t Off : Offsets)
+            B.store(B.i64(1), B.gep(P, Off));
+          B.retVoid();
+          ASSERT_TRUE(verifyModule(M).empty());
+        },
+        "far", 8);
+    EXPECT_EQ(R.LR.Error, "thread 0 of team 0: local access out of bounds")
+        << "last offset " << Offsets.back();
+  }
 }
 
 TEST(BytecodeTier, CallsAtomicsAndIndirectDispatchMatch) {

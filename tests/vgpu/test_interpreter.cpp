@@ -301,21 +301,25 @@ TEST(Interpreter, IndirectCallThroughSharedSlot) {
   B.barrier();
   Value *Fn = B.load(Type::ptr(), Slot);
   Value *R = B.callIndirect(Type::i64(), Fn, {});
-  Value *Out = B.gep(K->arg(0), B.mul(B.zext(Tid, Type::i64()), B.i64(8)));
-  B.store(R, Out);
+  // out[bid * T + tid]: each team writes its own slice, since teams run on
+  // concurrent host threads.
+  Value *Gid = B.add(B.mul(B.zext(B.blockId(), Type::i64()),
+                           B.zext(B.blockDim(), Type::i64())),
+                     B.zext(Tid, Type::i64()));
+  B.store(R, B.gep(K->arg(0), B.mul(Gid, B.i64(8))));
   B.retVoid();
   ASSERT_TRUE(verifyModule(M).empty());
 
   VirtualGPU GPU;
   auto Image = GPU.loadImage(M);
-  constexpr std::uint32_t T = 16;
-  DeviceAddr Buf = GPU.allocate(T * 8);
+  constexpr std::uint32_t Teams = 2, T = 16;
+  DeviceAddr Buf = GPU.allocate(Teams * T * 8);
   std::uint64_t Args[] = {Buf.Bits};
-  LaunchResult LR = GPU.launch(*Image, "indirect", Args, 2, T);
+  LaunchResult LR = GPU.launch(*Image, "indirect", Args, Teams, T);
   ASSERT_TRUE(LR.Ok) << LR.Error;
-  std::vector<std::uint8_t> Raw(T * 8);
+  std::vector<std::uint8_t> Raw(Teams * T * 8);
   GPU.read(Buf, Raw);
-  for (std::uint32_t I = 0; I < T; ++I) {
+  for (std::uint32_t I = 0; I < Teams * T; ++I) {
     std::int64_t V;
     std::memcpy(&V, Raw.data() + I * 8, 8);
     EXPECT_EQ(V, 77) << "thread " << I;

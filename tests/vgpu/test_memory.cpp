@@ -125,20 +125,23 @@ TEST(GlobalMemory, TinyArenaRejected) {
 TEST(BumpArena, WatermarkDiscipline) {
   BumpArena A(4096);
   std::uint64_t W0 = A.watermark();
-  std::uint64_t X = A.allocate(100);
-  std::uint64_t Y = A.allocate(100);
+  std::uint64_t X = *A.allocate(100);
+  std::uint64_t Y = *A.allocate(100);
   EXPECT_NE(X, Y);
   EXPECT_EQ(X % 16, 0u);
   EXPECT_EQ(Y % 16, 0u);
   A.restore(W0);
-  std::uint64_t Z = A.allocate(100);
+  std::uint64_t Z = *A.allocate(100);
   EXPECT_EQ(Z, X) << "restore rewinds the bump pointer";
 }
 
 TEST(BumpArena, CapEnforced) {
   BumpArena A(128);
-  A.allocate(100);
-  EXPECT_DEATH(A.allocate(100), "exhausted");
+  ASSERT_TRUE(A.allocate(100).has_value());
+  EXPECT_FALSE(A.allocate(100).has_value())
+      << "exhaustion is reported to the caller, which traps the lane";
+  EXPECT_EQ(A.data(120, 16), nullptr) << "accesses past the cap too";
+  EXPECT_NE(A.data(112, 16), nullptr);
 }
 
 } // namespace

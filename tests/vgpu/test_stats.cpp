@@ -54,10 +54,16 @@ TEST(CostModelBehaviour, TeamsSpreadAcrossSMs) {
   K->addAttr(FnAttr::Kernel);
   IRBuilder B(M);
   B.setInsertPoint(K->createBlock("entry"));
+  // Each thread works on its own word: teams run on concurrent host
+  // threads.
+  Value *Gid = B.add(B.mul(B.zext(B.blockId(), Type::i64()),
+                           B.zext(B.blockDim(), Type::i64())),
+                     B.zext(B.threadId(), Type::i64()));
+  Value *P = B.gep(K->arg(0), B.mul(Gid, B.i64(8)));
   Value *Acc = B.i64(0);
   for (int I = 0; I < 8; ++I)
-    Acc = B.add(Acc, B.load(Type::i64(), K->arg(0)));
-  B.store(Acc, K->arg(0));
+    Acc = B.add(Acc, B.load(Type::i64(), P));
+  B.store(Acc, P);
   B.retVoid();
   DeviceConfig Cfg;
   Cfg.NumSMs = 4;
@@ -65,7 +71,7 @@ TEST(CostModelBehaviour, TeamsSpreadAcrossSMs) {
   Cfg.MaxConcurrentTeamsPerSM = 1;
   VirtualGPU GPU(Cfg);
   auto Img = GPU.loadImage(M);
-  DeviceAddr Buf = GPU.allocate(8);
+  DeviceAddr Buf = GPU.allocate(8 * 4 * 8);
   std::uint64_t Args[] = {Buf.Bits};
   LaunchResult R4 = GPU.launch(*Img, "k", Args, 4, 4);
   LaunchResult R8 = GPU.launch(*Img, "k", Args, 8, 4);
@@ -80,7 +86,7 @@ TEST(CostModelBehaviour, TeamsSpreadAcrossSMs) {
   Wide.NumSMs = 4;
   VirtualGPU GPU2(Wide);
   auto Img2 = GPU2.loadImage(M);
-  DeviceAddr Buf2 = GPU2.allocate(8);
+  DeviceAddr Buf2 = GPU2.allocate(8 * 4 * 8);
   std::uint64_t Args2[] = {Buf2.Bits};
   LaunchResult W8 = GPU2.launch(*Img2, "k", Args2, 8, 4);
   LaunchResult W4 = GPU2.launch(*Img2, "k", Args2, 4, 4);
