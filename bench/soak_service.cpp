@@ -8,10 +8,10 @@
 // Reported, both as tables and in the BENCH_soak_service.json "service"
 // section: request throughput, launch latency percentiles (p50/p95/p99
 // from exact per-client samples), submission-queue depth statistics, and
-// per-shard kernel-cache hit rates. The proof obligation of the compile
-// storm: with C clients each issuing R requests spread over K distinct
-// kernels, the cache records exactly K misses — every other request is a
-// hit or was coalesced onto an in-flight compile.
+// kernel-cache hits, misses, coalesced waits and entries. The proof
+// obligation of the compile storm: with C clients each issuing R requests
+// spread over K distinct kernels, the cache records exactly K misses —
+// every other request is a hit or was coalesced onto an in-flight compile.
 //
 // Smoke mode (CODESIGN_BENCH_SMOKE=1) keeps the storm at 8 clients x 125
 // requests = 1000 concurrent compiles so the single-flight property is
@@ -321,17 +321,8 @@ int main() {
   Cache.set("misses", json::Value(CacheStats.misses()));
   Cache.set("hits", json::Value(CacheStats.hits()));
   Cache.set("coalesced", json::Value(CacheStats.coalesced()));
+  Cache.set("entries", json::Value(CacheStats.entries()));
   Cache.set("single_flight_ok", json::Value(SingleFlightOk));
-  json::Value Shards = json::Value::array();
-  for (const auto &S : CacheStats.Shards) {
-    json::Value Shard = json::Value::object();
-    Shard.set("hits", json::Value(S.Hits));
-    Shard.set("misses", json::Value(S.Misses));
-    Shard.set("coalesced", json::Value(S.Coalesced));
-    Shard.set("entries", json::Value(S.Entries));
-    Shards.push(std::move(Shard));
-  }
-  Cache.set("shards", std::move(Shards));
   Svx.set("cache", std::move(Cache));
   Report.setSection("service", std::move(Svx));
 

@@ -121,7 +121,7 @@ bool validate(const std::string &File) {
       return fail(File, "row moved d2h bytes with zero d2h transfers");
   }
   // The service section (soak_service): throughput, latency percentiles,
-  // queue health and per-shard cache stats must all be present and typed.
+  // queue health and cache stats must all be present and typed.
   if (const Value *Svc = Doc->find("service")) {
     if (!Svc->isObject())
       return fail(File, "\"service\" is present but not an object");
@@ -149,7 +149,8 @@ bool validate(const std::string &File) {
     const Value *Cache = Svc->find("cache");
     if (!Cache || !Cache->isObject())
       return fail(File, "\"service\" missing the \"cache\" object");
-    for (const char *CF : {"distinct_kernels", "misses", "hits", "coalesced"}) {
+    for (const char *CF :
+         {"distinct_kernels", "misses", "hits", "coalesced", "entries"}) {
       const Value *V = Cache->find(CF);
       if (!V || !V->isNumber())
         return fail(File, "\"service.cache\" missing a counter");
@@ -157,18 +158,6 @@ bool validate(const std::string &File) {
     const Value *Flight = Cache->find("single_flight_ok");
     if (!Flight || !Flight->isBool())
       return fail(File, "\"service.cache\" missing \"single_flight_ok\"");
-    const Value *Shards = Cache->find("shards");
-    if (!Shards || !Shards->isArray() || Shards->size() == 0)
-      return fail(File, "\"service.cache.shards\" missing or empty");
-    for (const Value &Shard : Shards->elements()) {
-      if (!Shard.isObject())
-        return fail(File, "\"service.cache.shards\" entry is not an object");
-      for (const char *SF : {"hits", "misses", "coalesced", "entries"}) {
-        const Value *V = Shard.find(SF);
-        if (!V || !V->isNumber())
-          return fail(File, "cache shard entry missing a counter");
-      }
-    }
   }
   std::printf("%s: ok (%zu rows)\n", File.c_str(), Rows->size());
   return true;

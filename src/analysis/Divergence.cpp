@@ -17,17 +17,6 @@ DivergenceAnalysis::DivergenceAnalysis(const Function &F,
   compute(PDT);
 }
 
-DivergenceAnalysis::DivergenceAnalysis(const Function &F)
-    : DivergenceAnalysis(F, PostDominatorTree(F)) {}
-
-Uniformity
-DivergenceAnalysis::instructionUniformity(const Instruction *I) const {
-  const Uniformity ValueU = uniformity(I);
-  if (I->parent() && isDivergentBlock(I->parent()))
-    return Uniformity::Divergent;
-  return ValueU;
-}
-
 Uniformity DivergenceAnalysis::uniformity(const Value *V) const {
   if (auto It = ValueClass.find(V); It != ValueClass.end())
     return It->second;

@@ -62,11 +62,6 @@ public:
   /// Build for F using its post-dominator tree (not retained afterwards).
   DivergenceAnalysis(const ir::Function &F, const PostDominatorTree &PDT);
 
-  /// Convenience constructor computing a private post-dominator tree.
-  /// Execution-side consumers (the bytecode emitter) have no
-  /// AnalysisManager to borrow one from.
-  explicit DivergenceAnalysis(const ir::Function &F);
-
   /// The function this analysis describes.
   [[nodiscard]] const ir::Function &function() const { return F; }
 
@@ -89,24 +84,6 @@ public:
   /// and nothing else consults them.
   [[nodiscard]] bool isDivergentBlock(const ir::BasicBlock *BB) const {
     return DivergentBlocks.count(BB) != 0;
-  }
-
-  /// Effective uniformity of *executing* instruction I: its value
-  /// classification joined with the control divergence of its block. An
-  /// instruction in a divergence-guarded block reports Divergent even when
-  /// its value would be uniform — some threads of the team may not execute
-  /// that dynamic instance at all. This is the per-instruction oracle the
-  /// bytecode tier's warp-uniform execution consumes: only instructions
-  /// reporting Team or League here may run once per warp with the result
-  /// broadcast to all lanes.
-  [[nodiscard]] Uniformity
-  instructionUniformity(const ir::Instruction *I) const;
-
-  /// True when I both computes a team-uniform value and executes under
-  /// uniform control, i.e. one execution per warp observes and produces
-  /// exactly what every lane would.
-  [[nodiscard]] bool isWarpUniformInstruction(const ir::Instruction *I) const {
-    return instructionUniformity(I) != Uniformity::Divergent;
   }
 
   /// The divergent branch (a CondBr terminator) that guards BB, or null

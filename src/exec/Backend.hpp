@@ -1,7 +1,7 @@
 //===- exec/Backend.hpp - Pluggable execution backends ---------------------===//
 //
 // One narrow abstraction over "how does a kernel actually run": the tree
-// interpreter, the warp-batched bytecode tier and the native C++ codegen
+// interpreter, the register-machine bytecode tier and the native C++ codegen
 // backend all implement exec::Backend and are selected by name through the
 // exec::BackendRegistry. The launch engine (LaunchEngine.cpp) owns
 // everything backend-independent — launch validation, occupancy, the

@@ -1,10 +1,10 @@
-//===- exec/BytecodeBackend.cpp - Warp-batched bytecode backend ------------===//
+//===- exec/BytecodeBackend.cpp - Bytecode backend -------------------------===//
 //
 // The fast interpreter tier as an exec::Backend. prepareModule/bindKernel
 // materialize the module's one-shot bytecode lowering and this image's
 // resolved constant pools ahead of the team fan-out (the lazy cache is
 // mutex-guarded, but paying the lowering under contention would skew the
-// first team's wall time); runTeam delegates to the warp-batched executor.
+// first team's wall time); runTeam delegates to the bytecode executor.
 //
 //===----------------------------------------------------------------------===//
 #include "exec/Backend.hpp"

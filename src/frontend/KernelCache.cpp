@@ -116,37 +116,36 @@ Expected<CompiledKernel> KernelCache::getOrCompile(
     const std::string &Key,
     const std::function<Expected<CompiledKernel>()> &Compile,
     Outcome *WasOutcome) {
-  Shard &S = Shards[shardOf(Key)];
   std::shared_ptr<Flight> F;
   {
-    std::unique_lock<std::mutex> Lock(S.Mutex);
-    if (auto It = S.Entries.find(Key); It != S.Entries.end()) {
-      ++S.Hits;
+    std::unique_lock<std::mutex> Lock(Mutex);
+    if (auto It = Entries.find(Key); It != Entries.end()) {
+      ++Hits;
       Counters::global().add("kernel-cache.hits");
       if (WasOutcome)
         *WasOutcome = Outcome::Hit;
       return It->second;
     }
-    if (auto It = S.InFlight.find(Key); It != S.InFlight.end()) {
+    if (auto It = InFlight.find(Key); It != InFlight.end()) {
       // Someone else is compiling this key right now: coalesce onto their
       // flight instead of compiling again.
-      ++S.Coalesced;
+      ++Coalesced;
       Counters::global().add("kernel-cache.coalesced");
       F = It->second;
     } else {
-      // This caller wins the flight and compiles below, outside the shard
-      // lock — other keys in this shard stay serviceable meanwhile.
-      ++S.Misses;
+      // This caller wins the flight and compiles below, outside the lock —
+      // every other key stays serviceable meanwhile.
+      ++Misses;
       Counters::global().add("kernel-cache.misses");
       F = std::make_shared<Flight>();
-      S.InFlight.emplace(Key, F);
+      InFlight.emplace(Key, F);
       Lock.unlock();
       auto Result = Compile();
       {
-        std::lock_guard<std::mutex> Relock(S.Mutex);
+        std::lock_guard<std::mutex> Relock(Mutex);
         if (Result)
-          S.Entries.emplace(Key, *Result);
-        S.InFlight.erase(Key);
+          Entries.emplace(Key, *Result);
+        InFlight.erase(Key);
       }
       {
         std::lock_guard<std::mutex> FlightLock(F->M);
@@ -173,54 +172,22 @@ Expected<CompiledKernel> KernelCache::getOrCompile(
   return F->Result;
 }
 
-std::optional<CompiledKernel> KernelCache::lookup(const std::string &Key) {
-  Shard &S = Shards[shardOf(Key)];
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Entries.find(Key);
-  if (It == S.Entries.end()) {
-    ++S.Misses;
-    Counters::global().add("kernel-cache.misses");
-    return std::nullopt;
-  }
-  ++S.Hits;
-  Counters::global().add("kernel-cache.hits");
-  return It->second;
-}
-
-void KernelCache::insert(const std::string &Key, const CompiledKernel &CK) {
-  Shard &S = Shards[shardOf(Key)];
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  S.Entries.emplace(Key, CK);
-}
-
 KernelCache::Stats KernelCache::stats() const {
-  Stats Out;
-  for (std::size_t I = 0; I < NumShards; ++I) {
-    const Shard &S = Shards[I];
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Out.Shards[I] = ShardStats{S.Hits, S.Misses, S.Coalesced,
-                               S.Entries.size()};
-  }
-  return Out;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Stats{Hits, Misses, Coalesced, Entries.size()};
 }
 
 std::size_t KernelCache::size() const {
-  std::size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    N += S.Entries.size();
-  }
-  return N;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Entries.size();
 }
 
 void KernelCache::clear() {
-  for (Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    CODESIGN_ASSERT(S.InFlight.empty(),
-                    "KernelCache::clear with compilations in flight");
-    S.Entries.clear();
-    S.Hits = S.Misses = S.Coalesced = 0;
-  }
+  std::lock_guard<std::mutex> Lock(Mutex);
+  CODESIGN_ASSERT(InFlight.empty(),
+                  "KernelCache::clear with compilations in flight");
+  Entries.clear();
+  Hits = Misses = Coalesced = 0;
 }
 
 } // namespace codesign::frontend

@@ -1,4 +1,4 @@
-//===- frontend/KernelCache.hpp - Sharded compiled-kernel cache ------------===//
+//===- frontend/KernelCache.hpp - Single-flight compiled-kernel cache ------===//
 //
 // The benches recompile the same (spec, options) pairs many times — every
 // figure sweeps the same proxy kernels over the five build configurations —
@@ -11,9 +11,9 @@
 //    codegen/pipeline switch. The key is the complete serialization (not a
 //    digest), so lookups cannot collide.
 //
-//  * Sharding: entries are distributed over NumShards independently locked
-//    shards by key hash, so concurrent compiles of distinct kernels do not
-//    serialize on one mutex.
+//  * One lock: a single mutex guards the entry and in-flight maps. It is
+//    held only for map probes and updates, never across a compilation, so
+//    concurrent compiles of distinct kernels still run in parallel.
 //
 //  * Single-flight deduplication: getOrCompile guarantees that N concurrent
 //    requests for the same key perform exactly one compilation — the first
@@ -23,13 +23,11 @@
 //===----------------------------------------------------------------------===//
 #pragma once
 
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -44,43 +42,19 @@ namespace codesign::frontend {
 /// "kernel-cache.coalesced").
 class KernelCache {
 public:
-  /// Shard fan-out. A small power of two: enough that a handful of service
-  /// workers compiling distinct kernels rarely contend on one lock, small
-  /// enough that per-shard hit rates stay meaningful in bench reports.
-  static constexpr std::size_t NumShards = 8;
-
-  /// Per-shard event counts. Misses count executed compilations; coalesced
-  /// counts requests that waited on another thread's in-flight compile
-  /// (the single-flight proof: misses per distinct key is exactly 1 no
-  /// matter how many requests raced).
-  struct ShardStats {
+  /// Event counts. Misses count executed compilations; coalesced counts
+  /// requests that waited on another thread's in-flight compile (the
+  /// single-flight proof: misses per distinct key is exactly 1 no matter
+  /// how many requests raced).
+  struct Stats {
     std::uint64_t Hits = 0;
     std::uint64_t Misses = 0;
     std::uint64_t Coalesced = 0;
     std::uint64_t Entries = 0;
-  };
-
-  /// Snapshot of every shard plus aggregate accessors.
-  struct Stats {
-    std::array<ShardStats, NumShards> Shards;
-    [[nodiscard]] std::uint64_t hits() const { return total(&ShardStats::Hits); }
-    [[nodiscard]] std::uint64_t misses() const {
-      return total(&ShardStats::Misses);
-    }
-    [[nodiscard]] std::uint64_t coalesced() const {
-      return total(&ShardStats::Coalesced);
-    }
-    [[nodiscard]] std::uint64_t entries() const {
-      return total(&ShardStats::Entries);
-    }
-
-  private:
-    [[nodiscard]] std::uint64_t total(std::uint64_t ShardStats::*F) const {
-      std::uint64_t Sum = 0;
-      for (const ShardStats &S : Shards)
-        Sum += S.*F;
-      return Sum;
-    }
+    [[nodiscard]] std::uint64_t hits() const { return Hits; }
+    [[nodiscard]] std::uint64_t misses() const { return Misses; }
+    [[nodiscard]] std::uint64_t coalesced() const { return Coalesced; }
+    [[nodiscard]] std::uint64_t entries() const { return Entries; }
   };
 
   /// How a getOrCompile request was satisfied.
@@ -112,14 +86,6 @@ public:
                const std::function<Expected<CompiledKernel>()> &Compile,
                Outcome *WasOutcome = nullptr);
 
-  /// Cached kernel for Key; nullopt on miss. Counts a hit or a miss.
-  /// (Non-coalescing probe, kept for direct cache inspection; compileKernel
-  /// goes through getOrCompile.)
-  std::optional<CompiledKernel> lookup(const std::string &Key);
-  /// Record a successful compilation under Key (failures are not cached).
-  void insert(const std::string &Key, const CompiledKernel &CK);
-
-  /// Per-shard and aggregate statistics.
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::uint64_t hits() const { return stats().hits(); }
   [[nodiscard]] std::uint64_t misses() const { return stats().misses(); }
@@ -129,15 +95,10 @@ public:
   /// called while compilations are in flight.
   void clear();
 
-  /// Shard a key the same way the cache does (bench reports label shards).
-  static std::size_t shardOf(const std::string &Key) {
-    return std::hash<std::string>{}(Key) % NumShards;
-  }
-
 private:
   /// An in-flight compilation: the winner fills Result/Err and flips Done;
   /// losers wait on CV. Kept alive by shared_ptr so waiters survive the
-  /// shard erasing the marker.
+  /// cache erasing the marker.
   struct Flight {
     std::mutex M;
     std::condition_variable CV;
@@ -147,16 +108,12 @@ private:
     std::string ErrMsg;
   };
 
-  struct Shard {
-    mutable std::mutex Mutex;
-    std::unordered_map<std::string, CompiledKernel> Entries;
-    std::unordered_map<std::string, std::shared_ptr<Flight>> InFlight;
-    std::uint64_t Hits = 0;
-    std::uint64_t Misses = 0;
-    std::uint64_t Coalesced = 0;
-  };
-
-  std::array<Shard, NumShards> Shards;
+  mutable std::mutex Mutex;
+  std::unordered_map<std::string, CompiledKernel> Entries;
+  std::unordered_map<std::string, std::shared_ptr<Flight>> InFlight;
+  std::uint64_t Hits = 0;
+  std::uint64_t Misses = 0;
+  std::uint64_t Coalesced = 0;
 };
 
 } // namespace codesign::frontend

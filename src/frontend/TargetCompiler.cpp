@@ -120,7 +120,7 @@ Expected<CompiledKernel> compileKernel(const KernelSpec &Spec,
       Tracer.instant("frontend", "kernel-cache.bypass");
     return compileUncached(Spec, Options, Registry, OptCfg, Pipeline);
   }
-  // Single-flight through the sharded cache: when many threads request the
+  // Single-flight through the kernel cache: when many threads request the
   // same key concurrently (the service's compile storms), exactly one runs
   // compileUncached and the rest share its result.
   const std::string Key = KernelCache::key(Spec, Options, Registry,

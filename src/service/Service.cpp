@@ -21,29 +21,33 @@ std::uint64_t nowMicros() {
 } // namespace
 
 Service::Service(vgpu::VirtualGPU &Device, ServiceConfig Config)
-    : Device(Device), Config(Config), Host(Device),
-      Pool(std::max(1u, Config.Workers)) {
+    : Device(Device), Config(Config), Host(Device) {
   this->Config.Workers = std::max(1u, Config.Workers);
   this->Config.QueueCapacity = std::max<std::size_t>(1, Config.QueueCapacity);
-  // The runner thread turns the fork-join pool into a service worker pool:
-  // parallelFor hands each index of [0, Workers) to a distinct thread (the
-  // runner itself claims one), and every index runs the drain loop until
-  // shutdown flips Stopping.
-  Runner = std::thread([this] {
-    Pool.parallelFor(this->Config.Workers,
-                     [this](std::uint64_t) { workerLoop(); });
-  });
+  Threads.reserve(this->Config.Workers);
+  try {
+    for (unsigned W = 0; W < this->Config.Workers; ++W)
+      Threads.emplace_back([this] { workerLoop(); });
+  } catch (...) {
+    stopWorkers(); // no started worker may outlive a failed constructor
+    throw;
+  }
 }
 
 Service::~Service() {
   drain();
+  stopWorkers();
+}
+
+void Service::stopWorkers() {
   {
     std::lock_guard<std::mutex> Lock(QMutex);
     Stopping = true;
   }
   NotEmpty.notify_all();
   NotFull.notify_all();
-  Runner.join();
+  for (std::thread &T : Threads)
+    T.join();
 }
 
 void Service::workerLoop() {

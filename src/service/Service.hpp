@@ -1,20 +1,18 @@
 //===- service/Service.hpp - Multi-tenant compile-and-launch service -------===//
 //
-// The "millions of users" path (ROADMAP item 2): an asynchronous service
-// over the library stack that accepts concurrent requests from many client
-// threads — register an image, compile a kernel with options, launch with
-// arguments, fetch per-tenant profiles — through one bounded submission
-// queue drained by a pool of workers.
+// An asynchronous service over the library stack that accepts concurrent
+// requests from many client threads — register an image, compile a kernel
+// with options, launch with arguments, fetch per-tenant profiles — through
+// one bounded submission queue drained by a fixed set of worker threads.
 //
 //   * Futures: every submit returns a Ticket (future) for the request's
 //     Expected outcome; clients overlap submission freely.
-//   * Queueing: the queue is backed by the support::ThreadPool — the
-//     service's worker slots are one parallelFor index space swept by the
-//     pool, each slot draining jobs until shutdown.
+//   * Queueing: ServiceConfig::Workers plain threads each run workerLoop(),
+//     draining jobs until shutdown.
 //   * Admission control: the queue is bounded; when full, submissions
 //     either block for space or are rejected with an error, per
 //     ServiceConfig::Policy (backpressure instead of unbounded memory).
-//   * Deduplication: compiles funnel through the sharded single-flight
+//   * Deduplication: compiles funnel through the single-flight
 //     KernelCache, so 1000 identical concurrent compile requests perform
 //     exactly one compilation (KernelCache::Stats proves it).
 //   * Tenant isolation: stats (request counts, launch latency, cache hits)
@@ -45,7 +43,6 @@
 #include "host/HostRuntime.hpp"
 #include "service/Ticket.hpp"
 #include "support/Stats.hpp"
-#include "support/ThreadPool.hpp"
 
 namespace codesign::service {
 
@@ -57,7 +54,7 @@ enum class AdmissionPolicy {
 
 /// Service shape: worker parallelism and admission control.
 struct ServiceConfig {
-  /// Worker slots draining the queue (clamped to >= 1).
+  /// Worker threads draining the queue (clamped to >= 1).
   unsigned Workers = 4;
   /// Maximum queued (not yet executing) requests.
   std::size_t QueueCapacity = 64;
@@ -115,8 +112,8 @@ public:
   submitRegister(std::string Tenant, std::shared_ptr<ir::Module> M,
                  std::shared_ptr<const vgpu::BytecodeModule> Bytecode = nullptr);
 
-  /// Compile Spec under Options (through the single-flight sharded kernel
-  /// cache) and make the kernel launchable by name. Identical concurrent
+  /// Compile Spec under Options (through the single-flight kernel cache)
+  /// and make the kernel launchable by name. Identical concurrent
   /// requests — same spec, same options — share one compilation and one
   /// registered image, whichever tenants submitted them.
   Expected<Ticket<frontend::CompiledKernel>>
@@ -192,9 +189,10 @@ private:
   Expected<std::uint64_t> enqueue(const std::string &Tenant,
                                   std::function<void()> Run,
                                   std::function<void()> Publish);
-  /// One worker slot: drains jobs until shutdown. Runs as a parallelFor
-  /// index of the backing ThreadPool.
+  /// One worker thread's body: drains jobs until shutdown.
   void workerLoop();
+  /// Flip the stop flag, wake every waiter, and join the workers.
+  void stopWorkers();
   /// Bind a compiled kernel's module into the host runtime (idempotent for
   /// the cache-shared module; an error for a genuine name conflict).
   Expected<void> registerCompiled(const frontend::CompiledKernel &CK);
@@ -239,11 +237,8 @@ private:
 
   std::atomic<std::uint64_t> NextRequestId{1};
 
-  // The PR-1 fork-join pool provides the worker threads: the runner thread
-  // sweeps the [0, Workers) index space, every index being one worker slot
-  // that drains the queue until shutdown.
-  support::ThreadPool Pool;
-  std::thread Runner;
+  /// Config.Workers threads, each running workerLoop().
+  std::vector<std::thread> Threads;
 };
 
 } // namespace codesign::service

@@ -2,9 +2,7 @@
 #include "vgpu/Bytecode.hpp"
 
 #include <map>
-#include <optional>
 
-#include "analysis/Divergence.hpp"
 #include "ir/BasicBlock.hpp"
 #include "vgpu/Interpreter.hpp"
 #include "vgpu/TeamModel.hpp"
@@ -65,52 +63,6 @@ BCOp directOp(Opcode Op) {
   }
 }
 
-/// Opcodes whose results the executor may broadcast across a warp when the
-/// divergence analysis proves them uniform. Deliberately excludes anything
-/// touching memory, calling, allocating, or trapping on its own authority
-/// (Assume/AssertFail): those must run on every lane so traps, shadow
-/// state and metrics stay per-lane exact.
-bool replayEligible(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::SDiv:
-  case Opcode::UDiv:
-  case Opcode::SRem:
-  case Opcode::URem:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::LShr:
-  case Opcode::AShr:
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-  case Opcode::FDiv:
-  case Opcode::ICmp:
-  case Opcode::FCmp:
-  case Opcode::Select:
-  case Opcode::ZExt:
-  case Opcode::SExt:
-  case Opcode::Trunc:
-  case Opcode::SIToFP:
-  case Opcode::FPToSI:
-  case Opcode::FPCast:
-  case Opcode::PtrToInt:
-  case Opcode::IntToPtr:
-  case Opcode::Gep:
-  case Opcode::BlockId:
-  case Opcode::BlockDim:
-  case Opcode::GridDim:
-  case Opcode::WarpSize:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Number of leading phis of a block (the en-bloc prefix the tree
 /// interpreter executes as a parallel assignment).
 std::size_t leadingPhis(const BasicBlock *BB) {
@@ -141,13 +93,6 @@ public:
     for (const auto &A : F.args())
       Out.ArgTyKinds.push_back(static_cast<std::uint8_t>(A->type().kind()));
 
-    // Warp-uniformity oracle: only for kernels. The analysis assumes
-    // team-uniform arguments, which is exact for kernels (launch args are
-    // identical across threads) but not for helpers, so helper bodies never
-    // get the broadcast flag.
-    if (F.hasAttr(ir::FnAttr::Kernel))
-      DA.emplace(F);
-
     for (const auto &BB : F.blocks())
       emitBlock(BB.get());
 
@@ -168,11 +113,6 @@ public:
     }
     Out.NumSlots = NumSlots;
     Out.HasBody = true;
-    for (const BCInst &I : Out.Code)
-      if (I.Flags & BCFlagWarpUniform) {
-        Out.HasUniform = true;
-        break;
-      }
   }
 
 private:
@@ -242,9 +182,6 @@ private:
     Inst.Cls = static_cast<std::uint8_t>(classifyOpcode(I->opcode()));
     Inst.Dst = dstSlot(I);
     Inst.Src = I;
-    if (DA && replayEligible(I->opcode()) && !I->type().isVoid() &&
-        DA->isWarpUniformInstruction(I))
-      Inst.Flags |= BCFlagWarpUniform;
     return Inst;
   }
 
@@ -318,70 +255,12 @@ private:
         Terminated = true;
         break;
       }
-      const Instruction *Next =
-          Idx + 1 < BB->size() ? BB->inst(Idx + 1) : nullptr;
-      if (tryFuse(I, Next, BB)) {
-        ++Idx;
-        continue;
-      }
       emitInst(I, BB);
     }
     // A block whose last instruction is not a terminator lets execution run
     // off its end; the tree interpreter traps before counting anything.
     if (!Terminated && BB->terminator() == nullptr)
       emitPhiTrap(/*Kind=*/2);
-  }
-
-  /// Superinstruction peephole over adjacent single-use producer/consumer
-  /// pairs: address compute + access, compare + branch. The fused
-  /// instruction performs both dynamic-instruction countings and both cycle
-  /// charges, and skips only the dead intermediate slot write.
-  bool tryFuse(const Instruction *I, const Instruction *Next,
-               const BasicBlock *BB) {
-    if (!Next || I->numUses() != 1)
-      return false;
-    if (I->opcode() == Opcode::Gep) {
-      if (Next->opcode() == Opcode::Load && Next->pointerOperand() == I) {
-        BCInst Inst = base(Next, BCOp::GepLoad);
-        Inst.Flags = 0; // two countings; never broadcast
-        Inst.Cls = static_cast<std::uint8_t>(OpClass::Memory);
-        Inst.A = ref(I->operand(0));
-        Inst.B = ref(I->operand(1));
-        Inst.Size = static_cast<std::uint16_t>(Next->type().sizeInBytes());
-        emit(Inst);
-        return true;
-      }
-      if (Next->opcode() == Opcode::Store && Next->operand(1) == I) {
-        BCInst Inst = base(Next, BCOp::GepStore);
-        Inst.Flags = 0;
-        Inst.Cls = static_cast<std::uint8_t>(OpClass::Memory);
-        Inst.A = ref(I->operand(0));
-        Inst.B = ref(I->operand(1));
-        Inst.C = ref(Next->operand(0));
-        Inst.SrcTyKind =
-            static_cast<std::uint8_t>(Next->operand(0)->type().kind());
-        Inst.Size =
-            static_cast<std::uint16_t>(Next->operand(0)->type().sizeInBytes());
-        emit(Inst);
-        return true;
-      }
-      return false;
-    }
-    if (I->opcode() == Opcode::ICmp && Next->opcode() == Opcode::CondBr &&
-        Next->operand(0) == I) {
-      BCInst Inst = base(I, BCOp::CmpBr);
-      Inst.Flags =
-          DA && DA->isWarpUniformInstruction(I) ? BCFlagUniformBranch : 0;
-      Inst.Dst = BCNoSlot; // the condition slot is dead after the branch
-      Inst.Pred = static_cast<std::uint8_t>(I->pred());
-      Inst.A = ref(I->operand(0));
-      Inst.B = ref(I->operand(1));
-      const std::uint32_t Idx = emit(Inst);
-      branchFixup(Idx, /*IsT1=*/false, BB, Next->blockOperand(0));
-      branchFixup(Idx, /*IsT1=*/true, BB, Next->blockOperand(1));
-      return true;
-    }
-    return false;
   }
 
   void emitInst(const Instruction *I, const BasicBlock *BB) {
@@ -523,8 +402,6 @@ private:
     }
     case Opcode::CondBr: {
       BCInst Inst = base(I, BCOp::CondBr);
-      if (DA && !DA->isDivergentBlock(BB) && DA->isUniform(I->operand(0)))
-        Inst.Flags |= BCFlagUniformBranch;
       Inst.A = ref(I->operand(0));
       const std::uint32_t Idx = emit(Inst);
       branchFixup(Idx, /*IsT1=*/false, BB, I->blockOperand(0));
@@ -611,7 +488,6 @@ private:
   const Function &F;
   const BytecodeModule &Mod;
   BCFunction &Out;
-  std::optional<analysis::DivergenceAnalysis> DA;
   std::unordered_map<const Value *, std::uint32_t> Slots;
   std::uint32_t NumSlots = 0;
   std::unordered_map<std::uint64_t, std::uint32_t> LitIdx;

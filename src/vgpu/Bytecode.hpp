@@ -6,16 +6,8 @@
 // args-then-instructions numbering ModuleImage uses), every operand
 // pre-resolved to a slot index or a constant-pool index, branch targets as
 // instruction indices, and phi nodes compiled into per-edge parallel-copy
-// trampolines. The hottest producer/consumer pairs of the proxy apps'
-// LaunchProfile histograms (address compute + memory access, compare +
-// branch) are fused into superinstructions that keep the architectural
-// metrics of their two components.
-//
-// Lowering also consults analysis::DivergenceAnalysis: instructions of
-// kernel functions that are provably warp-uniform (uniform value, uniform
-// control) carry a flag the BytecodeExecutor uses to execute them once per
-// warp and broadcast the result to the other lanes (see
-// BytecodeExecutor.hpp for the exact execution rules).
+// trampolines. Apart from those trampolines, every bytecode instruction is
+// exactly one IR instruction, so each counts and charges once.
 //
 // The bytecode is pure program text: it references ir::GlobalVariable /
 // ir::Function symbols through typed constant-pool entries that each
@@ -35,8 +27,8 @@
 
 namespace codesign::vgpu {
 
-/// Bytecode operations. Mostly 1:1 with ir::Opcode; the tail adds the
-/// phi-edge trampolines and fused superinstructions.
+/// Bytecode operations: one per ir::Opcode (PtrCast covers both pointer
+/// casts, phis become trampolines); the tail adds those trampolines.
 enum class BCOp : std::uint8_t {
   // Integer arithmetic / bitwise (operands in the canonical encoding).
   Add,
@@ -105,10 +97,6 @@ enum class BCOp : std::uint8_t {
   // Trampoline for an edge where some phi has no incoming value, or a
   // mid-block phi (Imm distinguishes; both trap like the tree walker).
   PhiTrap,
-  // Superinstructions (metrics of both components preserved).
-  GepLoad,  // address compute + load
-  GepStore, // address compute + store
-  CmpBr,    // integer compare + conditional branch
 };
 
 /// Operand references index a frame's unified value array: indices below
@@ -120,16 +108,6 @@ inline constexpr std::uint32_t BCNoSlot = 0xFFFFFFFFu;
 /// "No operand" marker (e.g. a void Ret).
 inline constexpr std::uint32_t BCNoRef = 0xFFFFFFFFu;
 
-/// Instruction flag bits.
-inline constexpr std::uint8_t BCFlagWarpUniform = 1u << 0;
-/// Conditional branch whose direction is provably warp-uniform: the warp's
-/// recorder logs one control token and replaying lanes verify it. An
-/// *unflagged* conditional branch ends the warp's uniform prefix for every
-/// lane — the recorder stops logging (instead of filling the log with
-/// tokens no lane can replay past) and replayers fall back to plain
-/// execution.
-inline constexpr std::uint8_t BCFlagUniformBranch = 1u << 1;
-
 /// One bytecode instruction. Fixed layout; operand/branch decoding needs
 /// no IR access on the hot path. Src keeps the originating IR instruction
 /// for the cases that need identity or payload at runtime: barrier
@@ -140,7 +118,6 @@ struct BCInst {
   std::uint8_t SrcTyKind = 0; ///< ir::TypeKind of the source operand
   std::uint8_t Pred = 0;      ///< ir::CmpPred for compares
   std::uint8_t Cls = 0;       ///< vgpu::OpClass for the launch profile
-  std::uint8_t Flags = 0;
   std::uint16_t Size = 0; ///< memory access size in bytes
   std::uint32_t Dst = BCNoSlot;
   std::uint32_t A = 0; ///< operand ref (slot or NumSlots+pool index)
@@ -172,10 +149,6 @@ struct BCFunction {
   const ir::Function *F = nullptr;
   std::uint32_t Index = 0; ///< dense index within the BytecodeModule
   bool HasBody = false;    ///< declarations keep an empty body
-  /// True iff any instruction carries BCFlagWarpUniform. When false the
-  /// executor skips warp record/replay bookkeeping entirely for frames of
-  /// this function — no broadcast could ever fire.
-  bool HasUniform = false;
   std::uint32_t NumArgs = 0;
   std::uint32_t NumSlots = 0; ///< frame size (args + non-void results)
   std::uint32_t Entry = 0;    ///< instruction index of the entry block

@@ -59,32 +59,6 @@ bool evalICmp(CmpPred Pred, std::uint64_t UA, std::uint64_t UB) {
   }
 }
 
-/// Cycle cost of a replay-eligible operation — must agree with the charge
-/// the normal execution path applies, or broadcast lanes drift.
-std::uint64_t replayCost(BCOp Op, const CostModel &C) {
-  switch (Op) {
-  case BCOp::Mul:
-    return C.Mul;
-  case BCOp::SDiv:
-  case BCOp::UDiv:
-  case BCOp::SRem:
-  case BCOp::URem:
-    return C.Div;
-  case BCOp::FAdd:
-  case BCOp::FSub:
-  case BCOp::FMul:
-  case BCOp::FCmp:
-  case BCOp::SIToFP:
-  case BCOp::FPToSI:
-  case BCOp::FPCast:
-    return C.FAlu;
-  case BCOp::FDiv:
-    return C.FDiv;
-  default:
-    return C.Alu; // int ALU, compares, casts, select, gep, intrinsics
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Execution state
 //===----------------------------------------------------------------------===//
@@ -112,25 +86,6 @@ struct BCStack {
   std::uint32_t Depth = 0;
 };
 
-/// One uniform-execution log entry: either the broadcast value of a
-/// warp-uniform instruction (Ctl=false) or the direction of a conditional
-/// branch (Ctl=true, Bits=taken).
-struct LogEntry {
-  std::uint32_t PC = 0;
-  bool Ctl = false;
-  std::uint64_t Bits = 0;
-};
-
-/// Per-warp uniform log for the current aligned segment.
-struct WarpLog {
-  bool Started = false; ///< a recorder lane claimed this warp
-  std::vector<LogEntry> Entries;
-};
-
-/// Bound on a warp log; a recorder that fills it simply stops recording
-/// and later lanes fall back to per-lane execution.
-constexpr std::size_t LogCap = 1u << 20;
-
 class BCTeamExecutor {
 public:
   BCTeamExecutor(const DeviceConfig &Config, GlobalMemory &GM,
@@ -148,8 +103,6 @@ public:
     const BCFunction *KernelBC = BC.functionFor(Kernel);
     CODESIGN_ASSERT(KernelBC && KernelBC->HasBody,
                     "kernel has no bytecode body");
-    const std::uint32_t WS = std::max<std::uint32_t>(Config.WarpSize, 1);
-    Logs.resize((NumThreads + WS - 1) / WS);
     for (BCStack &S : Stacks) {
       BCFrame F;
       F.BF = KernelBC;
@@ -168,35 +121,12 @@ public:
 
   TeamRunOutcome run() {
     TeamRunOutcome Out;
-    Out.Err = Team.run([this](Lane &L) { stepThread(L); },
-                       [this] { startSegment(); });
+    Out.Err = Team.run([this](Lane &L) { stepThread(L); });
     Out.Cycles = Team.teamCycles();
     return Out;
   }
 
 private:
-  /// After a rendezvous: the next segment starts team-aligned when every
-  /// waiter sat at the same barrier instruction at kernel-frame depth. Only
-  /// then is "the n-th dynamic instruction after the release" the same
-  /// program point for every lane, which is what makes warp-uniform replay
-  /// meaningful.
-  void startSegment() {
-    bool Aligned = true;
-    std::uintptr_t Site = 0;
-    for (const Lane &L : Team.Lanes) {
-      if (L.Status == LaneStatus::Done)
-        continue;
-      if (Stacks[L.Tid].Depth != 1 || (Site && L.BarrierSite != Site))
-        Aligned = false;
-      Site = L.BarrierSite;
-    }
-    SegmentAligned = Aligned;
-    for (WarpLog &Log : Logs) {
-      Log.Started = false;
-      Log.Entries.clear();
-    }
-  }
-
   //--- The dispatch loop ------------------------------------------------------
 
   void stepThread(Lane &T);
@@ -208,11 +138,6 @@ private:
   const std::vector<std::vector<std::uint64_t>> &Pools;
   std::vector<BCStack> Stacks; ///< per lane, indexed by Tid
   std::vector<std::uint64_t> NativeArgScratch;
-  // Warp-uniform execution state. A segment is the run between barrier
-  // rendezvous; it is "aligned" when every live thread starts it at the
-  // same program point in the kernel frame (true at kernel entry).
-  bool SegmentAligned = true;
-  std::vector<WarpLog> Logs;
   std::vector<std::uint64_t> PhiBuf; ///< parallel-copy staging buffer
 };
 
@@ -221,48 +146,6 @@ void BCTeamExecutor::stepThread(Lane &T) {
   HotCounters &Cnt = Team.Cnt;
   BCStack &S = Stacks[T.Tid];
   const std::uint64_t MaxInst = Config.MaxDynamicInstPerThread;
-
-  // Warp-uniform participation for this thread's run of the current
-  // segment: the first lane of the warp to execute records, later lanes
-  // replay while their branch history matches the recording.
-  struct SegState {
-    bool Participating = false;
-    bool Recorder = false;
-    std::size_t Cursor = 0;
-    WarpLog *Log = nullptr;
-  } Seg;
-  if (SegmentAligned && S.Depth == 1 && S.Frames[0].BF->HasUniform) {
-    WarpLog &L = Logs[T.Tid / std::max<std::uint32_t>(Config.WarpSize, 1)];
-    Seg.Log = &L;
-    Seg.Participating = true;
-    if (!L.Started) {
-      L.Started = true;
-      L.Entries.clear();
-      Seg.Recorder = true;
-    }
-  }
-
-  // Verify (replayer) or record (recorder) one conditional-branch token.
-  const auto CtlToken = [&](std::uint32_t PC, bool Taken) {
-    if (!Seg.Participating)
-      return;
-    if (Seg.Recorder) {
-      if (Seg.Log->Entries.size() >= LogCap) {
-        Seg.Participating = false;
-        return;
-      }
-      Seg.Log->Entries.push_back({PC, true, Taken ? 1ULL : 0ULL});
-      return;
-    }
-    if (Seg.Cursor < Seg.Log->Entries.size()) {
-      const LogEntry &E = Seg.Log->Entries[Seg.Cursor];
-      if (E.Ctl && E.PC == PC && E.Bits == (Taken ? 1ULL : 0ULL)) {
-        ++Seg.Cursor;
-        return;
-      }
-    }
-    Seg.Participating = false;
-  };
 
   while (T.Status == LaneStatus::Running) {
     BCFrame &F = S.Frames[S.Depth - 1];
@@ -312,27 +195,6 @@ void BCTeamExecutor::stepThread(Lane &T) {
     }
     Cnt.DynamicInstructions++;
     Cnt.Ops[I.Cls]++;
-
-    // Broadcast fast path: a replaying lane consumes the recorder's value
-    // for a warp-uniform instruction instead of recomputing it, charging
-    // the identical cycle cost.
-    if ((I.Flags & BCFlagWarpUniform) && Seg.Participating && !Seg.Recorder) {
-      bool Hit = false;
-      if (Seg.Cursor < Seg.Log->Entries.size()) {
-        const LogEntry &E = Seg.Log->Entries[Seg.Cursor];
-        if (!E.Ctl && E.PC == F.PC) {
-          ++Seg.Cursor;
-          F.Slots[I.Dst] = E.Bits;
-          T.Cycles += replayCost(I.Op, C);
-          Hit = true;
-        }
-      }
-      if (Hit) {
-        F.PC++;
-        continue;
-      }
-      Seg.Participating = false;
-    }
 
     switch (I.Op) {
     //--- Integer arithmetic ---------------------------------------------------
@@ -562,40 +424,6 @@ void BCTeamExecutor::stepThread(Lane &T) {
       T.Cycles += C.Alu;
       break;
     }
-    case BCOp::GepLoad: {
-      // Fused address compute + load: both components count and charge.
-      const DeviceAddr Base(Ref(I.A));
-      const DeviceAddr Addr =
-          Base.advance(static_cast<std::int64_t>(Ref(I.B)));
-      T.Cycles += C.Alu;
-      if (++T.InstCount > MaxInst) {
-        Team.trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
-        return;
-      }
-      Cnt.DynamicInstructions++;
-      Cnt.Ops[static_cast<std::size_t>(OpClass::Memory)]++;
-      const std::uint64_t V = Team.load(T, Addr, kindOf(I.TyKind), I.Size);
-      if (T.Status != LaneStatus::Running)
-        return;
-      F.Slots[I.Dst] = V;
-      break;
-    }
-    case BCOp::GepStore: {
-      const DeviceAddr Base(Ref(I.A));
-      const DeviceAddr Addr =
-          Base.advance(static_cast<std::int64_t>(Ref(I.B)));
-      T.Cycles += C.Alu;
-      if (++T.InstCount > MaxInst) {
-        Team.trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
-        return;
-      }
-      Cnt.DynamicInstructions++;
-      Cnt.Ops[static_cast<std::size_t>(OpClass::Memory)]++;
-      Team.store(T, Addr, I.Size, Ref(I.C));
-      if (T.Status != LaneStatus::Running)
-        return;
-      break;
-    }
     case BCOp::AtomicRMW: {
       const std::uint64_t Old =
           Team.atomicRMW(T, DeviceAddr(Ref(I.A)), kindOf(I.TyKind), I.Size,
@@ -631,31 +459,7 @@ void BCTeamExecutor::stepThread(Lane &T) {
       continue;
     }
     case BCOp::CondBr: {
-      const bool Taken = Ref(I.A) != 0;
-      if (I.Flags & BCFlagUniformBranch)
-        CtlToken(F.PC, Taken);
-      else
-        Seg.Participating = false;
-      F.PC = Taken ? I.T0 : I.T1;
-      T.Cycles += C.Branch;
-      continue;
-    }
-    case BCOp::CmpBr: {
-      // Fused compare + conditional branch: both components count.
-      const bool R = evalICmp(static_cast<CmpPred>(I.Pred), Ref(I.A),
-                              Ref(I.B));
-      T.Cycles += C.Alu;
-      if (++T.InstCount > MaxInst) {
-        Team.trap(T, "dynamic instruction budget exceeded (runaway kernel?)");
-        return;
-      }
-      Cnt.DynamicInstructions++;
-      Cnt.Ops[static_cast<std::size_t>(OpClass::ControlFlow)]++;
-      if (I.Flags & BCFlagUniformBranch)
-        CtlToken(F.PC, R);
-      else
-        Seg.Participating = false;
-      F.PC = R ? I.T0 : I.T1;
+      F.PC = Ref(I.A) != 0 ? I.T0 : I.T1;
       T.Cycles += C.Branch;
       continue;
     }
@@ -683,10 +487,6 @@ void BCTeamExecutor::stepThread(Lane &T) {
       return;
     }
     case BCOp::Call: {
-      // The uniformity oracle assumes team-uniform arguments only for the
-      // kernel itself; inside callees (and after returning) this thread no
-      // longer records or replays for the rest of the segment.
-      Seg.Participating = false;
       const BCFunction *CalleeBC = nullptr;
       const ir::Function *CalleeIR = nullptr;
       if (I.Imm > 0) {
@@ -827,14 +627,6 @@ void BCTeamExecutor::stepThread(Lane &T) {
 #endif
     }
 
-    // Record the broadcast value of a warp-uniform instruction for the
-    // lanes that follow.
-    if ((I.Flags & BCFlagWarpUniform) && Seg.Participating && Seg.Recorder) {
-      if (Seg.Log->Entries.size() >= LogCap)
-        Seg.Participating = false;
-      else
-        Seg.Log->Entries.push_back({F.PC, false, F.Slots[I.Dst]});
-    }
     F.PC++;
   }
 }

@@ -179,14 +179,9 @@ public:
   TeamModel &operator=(const TeamModel &) = delete;
 
   /// Run the team to completion: Step(Lane &) advances one running lane
-  /// until it is done, trapped or blocked at a barrier; Release() runs
-  /// after every completed rendezvous, with the waiters running again.
-  /// Returns the trap or rendezvous error that stopped the team.
-  template <typename StepFn, typename ReleaseFn>
-  std::optional<std::string> run(StepFn &&Step, ReleaseFn &&Release);
-  template <typename StepFn> std::optional<std::string> run(StepFn &&Step) {
-    return run(Step, [] {});
-  }
+  /// until it is done, trapped or blocked at a barrier. Returns the trap or
+  /// rendezvous error that stopped the team.
+  template <typename StepFn> std::optional<std::string> run(StepFn &&Step);
 
   /// The team's modeled wall time: its slowest lane's clock.
   [[nodiscard]] std::uint64_t teamCycles() const;
@@ -292,8 +287,8 @@ private:
 // Inline definitions: the scheduler and the per-access paths
 //===----------------------------------------------------------------------===//
 
-template <typename StepFn, typename ReleaseFn>
-std::optional<std::string> TeamModel::run(StepFn &&Step, ReleaseFn &&Release) {
+template <typename StepFn>
+std::optional<std::string> TeamModel::run(StepFn &&Step) {
   std::optional<std::string> Err;
   for (;;) {
     bool AllDone = true;
@@ -311,7 +306,6 @@ std::optional<std::string> TeamModel::run(StepFn &&Step, ReleaseFn &&Release) {
       break;
     if ((Err = rendezvous()))
       break;
-    Release();
   }
   flush();
   return Err;

@@ -3,7 +3,7 @@
 // The execution-backend contract at application scale: every proxy app
 // under every paper build configuration must produce bit-identical device
 // outputs whether the device executes the tree-walking interpreter, the
-// warp-batched bytecode, or the host-compiled native codegen backend.
+// register-machine bytecode, or the host-compiled native codegen backend.
 // Tree vs. bytecode additionally agree on every metric and the full
 // profile (both run the cycle cost model); the native backend reports no
 // cycle model, so for it the suite checks outputs plus the LaunchProfile

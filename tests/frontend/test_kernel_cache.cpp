@@ -248,7 +248,7 @@ TEST_F(KernelCacheTest, SingleFlightSharesFailureButDoesNotCacheIt) {
   EXPECT_EQ(KernelCache::global().misses(), 2u);
 }
 
-TEST_F(KernelCacheTest, ShardStatsAggregateAcrossShards) {
+TEST_F(KernelCacheTest, StatsCountEveryDistinctKey) {
   constexpr unsigned Keys = 64;
   for (unsigned I = 0; I < Keys; ++I) {
     KernelCache::Outcome Outcome = KernelCache::Outcome::Hit;
@@ -267,14 +267,6 @@ TEST_F(KernelCacheTest, ShardStatsAggregateAcrossShards) {
   EXPECT_EQ(S.misses(), Keys);
   EXPECT_EQ(S.entries(), Keys);
   EXPECT_EQ(KernelCache::global().size(), Keys);
-  std::uint64_t PerShardEntries = 0, NonEmptyShards = 0;
-  for (const auto &Shard : S.Shards) {
-    PerShardEntries += Shard.Entries;
-    NonEmptyShards += Shard.Entries ? 1 : 0;
-  }
-  EXPECT_EQ(PerShardEntries, Keys) << "aggregate must equal shard sum";
-  EXPECT_GT(NonEmptyShards, 1u) << "64 keys must spread over >1 of the "
-                                << KernelCache::NumShards << " shards";
 }
 
 TEST_F(KernelCacheTest, ConcurrentCompileKernelStormCompilesOnce) {

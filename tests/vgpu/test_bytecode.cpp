@@ -1,17 +1,17 @@
 //===- tests/vgpu/test_bytecode.cpp - Bytecode tier vs. tree oracle --------===//
 //
-// Differential proof for the warp-batched bytecode tier: every kernel here
-// runs under the tree and bytecode backends (pinned per device with
-// VirtualGPU::setExecBackend) and must produce bit-identical memory,
-// metrics, profiles, and trap messages. The trap-verdict cases run under
-// the native backend too, which must stop with the same message (it models
-// no ALU cycles, so only the verdict is compared there). The suite
-// doubles as the evaluator-semantics regression net for the IntOps.hpp
-// wrapping arithmetic — the cases below (INT64_MIN / -1, overflow wrap,
-// shifts at the type width, i32 canonicalization, float-to-int saturation)
-// are exactly the ones that were UB before the shared helpers existed, so
-// the whole file is also run under -DCODESIGN_SANITIZE=undefined (ctest
-// -L ubsan).
+// Differential proof for the bytecode tier: every kernel here runs under
+// the tree and bytecode backends (pinned per device with
+// VirtualGPU::setExecBackend) and must produce bit-identical memory (read
+// back after failed launches too), metrics, profiles, and trap messages.
+// The trap-verdict cases run under the native backend too, which must stop
+// with the same message (it models no ALU cycles, so only the verdict is
+// compared there). The suite doubles as the evaluator-semantics
+// regression net for the IntOps.hpp wrapping arithmetic — the cases below
+// (INT64_MIN / -1, overflow wrap, shifts at the type width, i32
+// canonicalization, float-to-int saturation) are exactly the ones that
+// were UB before the shared helpers existed, so the whole file is also run
+// under -DCODESIGN_SANITIZE=undefined (ctest -L ubsan).
 //
 //===----------------------------------------------------------------------===//
 #include "vgpu/VirtualGPU.hpp"
@@ -39,16 +39,20 @@ struct TierRun {
 
 /// Build a fresh module with Build, load it on a device pinned to the
 /// named execution backend, and launch Kernel with an output buffer of
-/// BufBytes as argument 0 followed by ExtraArgs.
+/// BufBytes as argument 0 followed by ExtraArgs. The buffer is read back
+/// whether or not the launch succeeded.
 TierRun runTier(std::string_view Backend,
                 const std::function<void(Module &)> &Build,
                 const std::string &Kernel, std::uint64_t BufBytes,
                 std::vector<std::uint64_t> ExtraArgs, std::uint32_t Teams,
-                std::uint32_t Threads, bool DetectRaces = false) {
+                std::uint32_t Threads, bool DetectRaces = false,
+                std::uint64_t InstBudget =
+                    DeviceConfig{}.MaxDynamicInstPerThread) {
   Module M;
   Build(M);
   DeviceConfig C;
   C.CollectProfile = true;
+  C.MaxDynamicInstPerThread = InstBudget;
   VirtualGPU GPU(C);
   // Pin: overrides any CODESIGN_EXEC_BACKEND ambient.
   auto Pinned = GPU.setExecBackend(Backend);
@@ -63,10 +67,8 @@ TierRun runTier(std::string_view Backend,
   Args.insert(Args.end(), ExtraArgs.begin(), ExtraArgs.end());
   TierRun R;
   R.LR = GPU.launch(*Image, Kernel, Args, Teams, Threads);
-  if (R.LR.Ok) {
-    R.Out.resize(Size);
-    GPU.read(Buf, R.Out);
-  }
+  R.Out.resize(Size);
+  GPU.read(Buf, R.Out);
   return R;
 }
 
@@ -299,11 +301,9 @@ TEST(BytecodeTier, DivisionByZeroTrapsIdentically) {
   }
 }
 
-TEST(BytecodeTier, UniformLoopReplaysAcrossWarp) {
-  // Every lane of every warp runs the same counted loop: the bytecode
-  // tier records the loop on the first lane and replays it on the other
-  // 31, while the tree oracle executes each lane in full. Two barriers
-  // split the kernel into three replay segments.
+TEST(BytecodeTier, UniformLoopBetweenBarriersMatches) {
+  // Every lane of two teams runs the same counted loop, with a phi-carried
+  // induction variable and accumulator, between two barriers.
   TierRun R = runBothTiers(
       [](Module &M) {
         Function *K = M.createFunction("uni", Type::voidTy(),
@@ -347,9 +347,8 @@ TEST(BytecodeTier, UniformLoopReplaysAcrossWarp) {
     EXPECT_EQ(loadI64(R, T), Want) << "thread " << T;
 }
 
-TEST(BytecodeTier, DivergentBranchesFallBackPerLane) {
-  // Lanes diverge on tid parity, so the warp-uniform fast path must bail
-  // out and the slow path must still match the oracle exactly.
+TEST(BytecodeTier, DivergentBranchesMatch) {
+  // Lanes diverge on tid parity and merge through a phi.
   TierRun R = runBothTiers(
       [](Module &M) {
         Function *K = M.createFunction("div", Type::voidTy(), {Type::ptr()});
@@ -383,6 +382,58 @@ TEST(BytecodeTier, DivergentBranchesFallBackPerLane) {
     EXPECT_EQ(loadI64(R, static_cast<std::size_t>(T)),
               (T & 1) ? T * 3 : -T)
         << "thread " << T;
+}
+
+TEST(BytecodeTier, InstructionBudgetTripsAtSameInstruction) {
+  // One thread runs a loop whose body holds every adjacent pair a lowering
+  // could be tempted to count as one step: gep+load, gep+store, and
+  // icmp+condbr, plus a store of the iteration counter. Budgets from
+  // Base to Base+Body put the budget's last instruction at every position
+  // of the body; both backends must stop on the same instruction with the
+  // same message and the same memory.
+  constexpr std::int64_t Body = 9;     // instructions per iteration
+  constexpr std::int64_t CounterAt = 7; // the counter store's position
+  constexpr std::uint64_t Base = 1 + 3 * Body; // entry br + 3 iterations
+  const auto Build = [](Module &M) {
+    Function *K = M.createFunction("spin", Type::voidTy(), {Type::ptr()});
+    K->addAttr(FnAttr::Kernel);
+    BasicBlock *Entry = K->createBlock("entry");
+    BasicBlock *Loop = K->createBlock("loop");
+    BasicBlock *Exit = K->createBlock("exit");
+    IRBuilder B(M);
+    B.setInsertPoint(Entry);
+    B.br(Loop);
+    B.setInsertPoint(Loop);
+    Instruction *IV = B.phi(Type::i64());
+    Value *Acc = B.load(Type::i64(), B.gep(K->arg(0), 8));
+    Value *Sum = B.add(Acc, IV);
+    B.store(Sum, B.gep(K->arg(0), 8));
+    Value *Next = B.add(IV, B.i64(1));
+    B.store(Next, K->arg(0));
+    Value *More = B.icmpSLT(Next, B.i64(std::int64_t{1} << 40));
+    B.condBr(More, Loop, Exit);
+    IV->addIncoming(B.i64(0), Entry);
+    IV->addIncoming(Next, Loop);
+    B.setInsertPoint(Exit);
+    B.retVoid();
+    ASSERT_TRUE(verifyModule(M).empty());
+  };
+  for (std::uint64_t Budget = Base; Budget <= Base + Body; ++Budget) {
+    SCOPED_TRACE("budget " + std::to_string(Budget));
+    TierRun Tree =
+        runTier("tree", Build, "spin", 16, {}, 1, 1, false, Budget);
+    TierRun BC =
+        runTier("bytecode", Build, "spin", 16, {}, 1, 1, false, Budget);
+    expectTierIdentical(Tree, BC);
+    ASSERT_FALSE(BC.LR.Ok);
+    EXPECT_EQ(BC.LR.Error, "thread 0 of team 0: dynamic instruction budget "
+                           "exceeded (runaway kernel?)");
+    EXPECT_EQ(loadI64(Tree, 0), loadI64(BC, 0));
+    // Iteration j's counter store (value j + 1) is instruction
+    // 1 + Body * j + CounterAt.
+    const auto Limit = static_cast<std::int64_t>(Budget);
+    EXPECT_EQ(loadI64(BC, 0), (Limit - 1 - CounterAt) / Body + 1);
+  }
 }
 
 TEST(BytecodeTier, SharedMemoryRaceVerdictIdentical) {
@@ -496,9 +547,9 @@ TEST(BytecodeTier, LocalAccessPastCapTraps) {
 }
 
 TEST(BytecodeTier, CallsAtomicsAndIndirectDispatchMatch) {
-  // Function calls leave the warp-uniform fast path; atomics serialize;
-  // the indirect call goes through a shared-memory slot — the generic-mode
-  // state-machine shape. All of it must match the oracle.
+  // Atomics serialize, and the indirect call goes through a shared-memory
+  // slot — the generic-mode state-machine shape. All of it must match the
+  // oracle.
   TierRun R = runBothTiers(
       [](Module &M) {
         GlobalVariable *Slot = M.createGlobal("workfn", AddrSpace::Shared, 8);
