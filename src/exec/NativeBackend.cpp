@@ -20,8 +20,8 @@
 // Everything the generated code cannot do natively calls back into the
 // team model through the cg_team function pointers: registered native ops
 // (run against the team model's NativeCtx), device malloc/free, every
-// address resolution outside the published memory windows (traps and
-// local-memory growth), and the barrier suspension itself.
+// address resolution outside the published memory windows (traps, and
+// local- and shared-memory growth), and the barrier suspension itself.
 //
 //===----------------------------------------------------------------------===//
 #include <algorithm>
@@ -319,13 +319,15 @@ void fiberMain() {
   // context saved by the swap that ran us last.
 }
 
-/// After a host call that may have grown lane L's local arena or trapped
-/// it: republish the local window, and let the generated code unwind the
-/// trap.
-void syncLane(abi::cg_lane &L, vgpu::Lane &TL) {
+/// After a host call that may have grown lane L's local arena or the
+/// team's shared arena, or trapped L: republish both windows (the shared
+/// one grows in place, so only its size changes), and let the generated
+/// code unwind the trap.
+void syncLane(HostTeam &H, abi::cg_lane &L, vgpu::Lane &TL) {
   const std::span<std::uint8_t> Window = TL.Local.mapped();
   L.local_base = Window.data();
   L.local_size = Window.size();
+  H.T.shared_cap = H.Team->sharedWindow().size();
   if (TL.Status == vgpu::LaneStatus::Trapped)
     L.status = 2u;
 }
@@ -335,10 +337,10 @@ void syncLane(abi::cg_lane &L, vgpu::Lane &TL) {
 std::uint64_t hostNativeOp(void *Host, abi::cg_lane *Lane, std::int64_t Id,
                            const std::uint64_t *Args, std::uint32_t N,
                            std::uint32_t *HasResult) {
-  vgpu::TeamModel &Team = *static_cast<HostTeam *>(Host)->Team;
-  vgpu::Lane &TL = Team.Lanes[Lane->tid];
-  const vgpu::NativeOpResult R = Team.callNative(TL, Id, Args, N);
-  syncLane(*Lane, TL);
+  HostTeam &H = *static_cast<HostTeam *>(Host);
+  vgpu::Lane &TL = H.Team->Lanes[Lane->tid];
+  const vgpu::NativeOpResult R = H.Team->callNative(TL, Id, Args, N);
+  syncLane(H, *Lane, TL);
   *HasResult = R.HasResult ? 1u : 0u;
   return R.Bits;
 }
@@ -353,11 +355,11 @@ void hostFree(void *Host, std::uint64_t AddrBits) {
 
 std::uint8_t *hostResolve(void *Host, abi::cg_lane *Lane,
                           std::uint64_t AddrBits, std::uint64_t Size) {
-  vgpu::TeamModel &Team = *static_cast<HostTeam *>(Host)->Team;
-  vgpu::Lane &TL = Team.Lanes[Lane->tid];
-  std::uint8_t *P = Team.resolve(TL, vgpu::DeviceAddr(AddrBits),
-                                 static_cast<unsigned>(Size));
-  syncLane(*Lane, TL);
+  HostTeam &H = *static_cast<HostTeam *>(Host);
+  vgpu::Lane &TL = H.Team->Lanes[Lane->tid];
+  std::uint8_t *P = H.Team->resolve(TL, vgpu::DeviceAddr(AddrBits),
+                                    static_cast<unsigned>(Size));
+  syncLane(H, *Lane, TL);
   return P;
 }
 
@@ -535,8 +537,9 @@ public:
     H.T.debug_checks = Env.Config.DebugChecks ? 1u : 0u;
     H.T.global_base = Team.GMBase;
     H.T.global_size = Team.GMCap;
-    H.T.shared_base = Team.pinSharedArena();
-    H.T.shared_cap = Env.Config.SharedMemPerTeam;
+    const std::span<std::uint8_t> Shared = Team.sharedWindow();
+    H.T.shared_base = Shared.data();
+    H.T.shared_cap = Shared.size();
     H.T.local_cap = Env.Config.LocalMemPerThread;
     H.T.cpool = BK.CPool.data();
     H.T.host_native_op = &hostNativeOp;

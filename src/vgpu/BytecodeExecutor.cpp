@@ -13,6 +13,8 @@
 //===----------------------------------------------------------------------===//
 #include "vgpu/BytecodeExecutor.hpp"
 
+#include <utility>
+
 #include "ir/BasicBlock.hpp"
 #include "vgpu/TeamModel.hpp"
 
@@ -64,6 +66,23 @@ bool evalICmp(CmpPred Pred, std::uint64_t UA, std::uint64_t UB) {
 //===----------------------------------------------------------------------===//
 
 struct BCFrame {
+  /// Start an activation of Fn in this frame, reusing its slot storage:
+  /// zeroed slots followed by Fn's constant pool. The caller fills the
+  /// argument slots.
+  void enter(const BCFunction &Fn, const std::vector<std::uint64_t> &Pool,
+             std::uint32_t ResumePC, std::uint32_t Dst, std::uint8_t RetTy,
+             std::uint64_t Watermark) {
+    BF = &Fn;
+    Code = Fn.Code.data();
+    PC = Fn.Entry;
+    RetPC = ResumePC;
+    CallerDst = Dst;
+    CallerRetTy = RetTy;
+    LocalWatermark = Watermark;
+    Slots.assign(Fn.NumSlots + Pool.size(), 0);
+    std::copy(Pool.begin(), Pool.end(), Slots.begin() + Fn.NumSlots);
+  }
+
   const BCFunction *BF = nullptr;
   const BCInst *Code = nullptr;
   /// Frame values: [0, NumSlots) are argument/instruction slots, followed by
@@ -80,11 +99,20 @@ struct BCFrame {
 /// One lane's frame stack, with recycling: entries [0, Depth) are live;
 /// entries past Depth are retired frames kept as spares so their Slots
 /// vectors retain capacity (no allocation per call once the stack has been
-/// this deep).
+/// this deep, nor per team once the host thread has run one this deep).
 struct BCStack {
   std::vector<BCFrame> Frames;
   std::uint32_t Depth = 0;
 };
+
+/// The frame stacks and scratch buffers of the last team this host thread
+/// retired; the next team's executor takes them over (see BCTeamExecutor).
+struct BCSpares {
+  std::vector<BCStack> Stacks;
+  std::vector<std::uint64_t> NativeArgScratch;
+  std::vector<std::uint64_t> PhiBuf;
+};
+thread_local BCSpares Spares;
 
 class BCTeamExecutor {
 public:
@@ -99,24 +127,32 @@ public:
       : Team(Config, GM, Registry, Image, TeamId, NumTeams, NumThreads,
              Metrics, Profile),
         Config(Config), Image(Image), BC(BC), Pools(Pools),
-        Stacks(NumThreads) {
+        Stacks(std::exchange(Spares.Stacks, {})),
+        NativeArgScratch(std::exchange(Spares.NativeArgScratch, {})),
+        PhiBuf(std::exchange(Spares.PhiBuf, {})) {
     const BCFunction *KernelBC = BC.functionFor(Kernel);
     CODESIGN_ASSERT(KernelBC && KernelBC->HasBody,
                     "kernel has no bytecode body");
+    // Every lane starts at the kernel entry in frame 0; retired frames
+    // above it keep their slot storage for this team's calls.
+    Stacks.resize(NumThreads);
     for (BCStack &S : Stacks) {
-      BCFrame F;
-      F.BF = KernelBC;
-      F.Code = KernelBC->Code.data();
-      F.PC = KernelBC->Entry;
-      const std::vector<std::uint64_t> &Pool = Pools[KernelBC->Index];
-      F.Slots.resize(KernelBC->NumSlots + Pool.size(), 0);
-      std::copy(Pool.begin(), Pool.end(),
-                F.Slots.begin() + KernelBC->NumSlots);
+      if (S.Frames.empty())
+        S.Frames.emplace_back();
+      BCFrame &F = S.Frames[0];
+      F.enter(*KernelBC, Pools[KernelBC->Index], /*ResumePC=*/0, BCNoSlot,
+              /*RetTy=*/0, /*Watermark=*/0);
       for (unsigned A = 0; A < KernelBC->NumArgs; ++A)
         F.Slots[A] = canonBits(kindOf(KernelBC->ArgTyKinds[A]), Args[A]);
-      S.Frames.push_back(std::move(F));
       S.Depth = 1;
     }
+  }
+  BCTeamExecutor(const BCTeamExecutor &) = delete;
+  BCTeamExecutor &operator=(const BCTeamExecutor &) = delete;
+  ~BCTeamExecutor() {
+    Spares.Stacks = std::move(Stacks);
+    Spares.NativeArgScratch = std::move(NativeArgScratch);
+    Spares.PhiBuf = std::move(PhiBuf);
   }
 
   TeamRunOutcome run() {
@@ -525,20 +561,11 @@ void BCTeamExecutor::stepThread(Lane &T) {
         S.Frames.emplace_back();
       BCFrame &Caller = S.Frames[S.Depth - 1];
       BCFrame &NewF = S.Frames[S.Depth];
-      NewF.BF = CalleeBC;
-      NewF.Code = CalleeBC->Code.data();
-      NewF.PC = CalleeBC->Entry;
-      NewF.RetPC = RetPC;
-      NewF.CallerDst = CallerDst;
-      NewF.CallerRetTy = CallerRetTy;
-      const std::vector<std::uint64_t> &CalleePool = Pools[CalleeBC->Index];
-      NewF.Slots.assign(CalleeBC->NumSlots + CalleePool.size(), 0);
-      std::copy(CalleePool.begin(), CalleePool.end(),
-                NewF.Slots.begin() + CalleeBC->NumSlots);
+      NewF.enter(*CalleeBC, Pools[CalleeBC->Index], RetPC, CallerDst,
+                 CallerRetTy, T.Local.watermark());
       for (std::uint32_t A = 0; A < NumCallArgs; ++A)
         NewF.Slots[A] = canonBits(kindOf(CalleeBC->ArgTyKinds[A]),
                                   Caller.Slots[Caller.BF->Extras[ArgBase + A]]);
-      NewF.LocalWatermark = T.Local.watermark();
       ++S.Depth;
       T.Cycles += C.CallOverhead;
       Cnt.Calls++;

@@ -41,7 +41,9 @@ struct DeviceConfig {
   std::uint32_t WarpSize = 32;              ///< threads per warp
   std::uint32_t MaxThreadsPerTeam = 1024;   ///< hardware limit
   std::uint64_t SharedMemPerTeam = 48 * 1024;   ///< bytes of shared memory
-  std::uint64_t GlobalMemBytes = 64ULL << 20;   ///< bytes of global memory
+  /// Bytes of global memory: reserved when the device is built and
+  /// committed by the OS a page at a time on first touch (at most 2^46).
+  std::uint64_t GlobalMemBytes = 64ULL << 20;
   std::uint64_t LocalMemPerThread = 64 * 1024;  ///< bytes of local memory
   /// Register file per SM; together with SharedMemPerTeam it bounds how
   /// many teams an SM can host concurrently (occupancy). This is the

@@ -1,6 +1,7 @@
 #include "vgpu/Interpreter.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "ir/BasicBlock.hpp"
 #include "vgpu/TeamModel.hpp"
@@ -126,6 +127,20 @@ ModuleImage::layout(const Function *F) const {
 namespace {
 
 struct Frame {
+  /// Start an activation of Callee in this frame, reusing its slot storage
+  /// (zeroed). The caller fills the argument slots.
+  void enter(const Function *Callee, const ModuleImage::FunctionLayout &L,
+             const Instruction *Site, std::uint64_t Watermark) {
+    Fn = Callee;
+    Layout = &L;
+    Block = Callee->entry();
+    InstIdx = 0;
+    PrevBlock = nullptr;
+    Slots.assign(L.NumSlots, 0);
+    LocalWatermark = Watermark;
+    CallSite = Site;
+  }
+
   const Function *Fn = nullptr;
   const ModuleImage::FunctionLayout *Layout = nullptr;
   const BasicBlock *Block = nullptr;
@@ -136,6 +151,23 @@ struct Frame {
   /// The call instruction in the *caller* frame awaiting our return value.
   const Instruction *CallSite = nullptr;
 };
+
+/// One lane's frame stack: entries [0, Depth) are live; entries past Depth
+/// are retired frames kept so their slot storage is reused by later calls
+/// and, through the per-thread spare below, by later teams.
+struct FrameStack {
+  std::vector<Frame> Frames;
+  std::uint32_t Depth = 0;
+};
+
+/// The frame stacks and scratch buffers of the last team this host thread
+/// retired; the next team's executor takes them over (see TeamExecutor).
+struct TreeSpares {
+  std::vector<FrameStack> Stacks;
+  std::vector<std::pair<const Instruction *, std::uint64_t>> PhiBuf;
+  std::vector<std::uint64_t> NativeArgScratch;
+};
+thread_local TreeSpares Spares;
 
 /// One team walking the IR: every lane advances its own frame stack, and
 /// the team model schedules the lanes and owns all memory and accounting.
@@ -149,18 +181,29 @@ public:
                LaunchProfile *Profile)
       : Team(Config, GM, Registry, Image, TeamId, NumTeams, NumThreads,
              Metrics, Profile),
-        Config(Config), Image(Image), Stacks(NumThreads) {
-    for (std::vector<Frame> &Frames : Stacks) {
-      Frame F;
-      F.Fn = Kernel;
-      F.Layout = &Image.layout(Kernel);
-      F.Block = Kernel->entry();
-      F.Slots.resize(F.Layout->NumSlots, 0);
+        Config(Config), Image(Image),
+        Stacks(std::exchange(Spares.Stacks, {})),
+        PhiBuf(std::exchange(Spares.PhiBuf, {})),
+        NativeArgScratch(std::exchange(Spares.NativeArgScratch, {})) {
+    const ModuleImage::FunctionLayout &Layout = Image.layout(Kernel);
+    Stacks.resize(NumThreads);
+    for (FrameStack &S : Stacks) {
+      if (S.Frames.empty())
+        S.Frames.emplace_back();
+      Frame &F = S.Frames[0];
+      F.enter(Kernel, Layout, /*Site=*/nullptr, /*Watermark=*/0);
       for (unsigned A = 0; A < Kernel->numArgs(); ++A)
-        F.Slots[F.Layout->Slots.at(Kernel->arg(A))] =
+        F.Slots[Layout.Slots.at(Kernel->arg(A))] =
             canonBits(Kernel->arg(A)->type().kind(), Args[A]);
-      Frames.push_back(std::move(F));
+      S.Depth = 1;
     }
+  }
+  TeamExecutor(const TeamExecutor &) = delete;
+  TeamExecutor &operator=(const TeamExecutor &) = delete;
+  ~TeamExecutor() {
+    Spares.Stacks = std::move(Stacks);
+    Spares.PhiBuf = std::move(PhiBuf);
+    Spares.NativeArgScratch = std::move(NativeArgScratch);
   }
 
   TeamRunOutcome run() {
@@ -200,11 +243,11 @@ private:
 
   /// Run lane T until it blocks at a barrier, returns from the kernel, or
   /// traps.
-  void stepThread(Lane &T, std::vector<Frame> &Frames);
+  void stepThread(Lane &T, FrameStack &S);
 
   /// Execute leading phis of the current block as a parallel assignment.
   void executePhis(Lane &T, Frame &F) {
-    std::vector<std::pair<const Instruction *, std::uint64_t>> Results;
+    PhiBuf.clear();
     std::size_t Idx = 0;
     while (Idx < F.Block->size() &&
            F.Block->inst(Idx)->opcode() == Opcode::Phi) {
@@ -214,25 +257,29 @@ private:
         Team.trap(T, "phi has no incoming value for predecessor");
         return;
       }
-      Results.emplace_back(Phi, operandValue(In, F));
+      PhiBuf.emplace_back(Phi, operandValue(In, F));
       ++Idx;
     }
-    for (const auto &[Phi, Bits] : Results)
+    for (const auto &[Phi, Bits] : PhiBuf)
       setResult(Phi, F, Bits);
     F.InstIdx = Idx;
-    T.Cycles += Results.size() * Config.Costs.Alu;
+    T.Cycles += PhiBuf.size() * Config.Costs.Alu;
   }
 
   TeamModel Team;
   const DeviceConfig &Config;
   const ModuleImage &Image;
-  std::vector<std::vector<Frame>> Stacks; ///< per lane, indexed by Tid
+  std::vector<FrameStack> Stacks; ///< per lane, indexed by Tid
+  /// Team-level scratch: lanes step one at a time and native ops cannot
+  /// re-enter the walker, so one buffer of each kind suffices.
+  std::vector<std::pair<const Instruction *, std::uint64_t>> PhiBuf;
+  std::vector<std::uint64_t> NativeArgScratch;
 };
 
-void TeamExecutor::stepThread(Lane &T, std::vector<Frame> &Frames) {
+void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
   const CostModel &C = Config.Costs;
   while (T.Status == LaneStatus::Running) {
-    Frame &F = Frames.back();
+    Frame &F = S.Frames[S.Depth - 1];
     if (F.InstIdx == 0 && !F.Block->empty() &&
         F.Block->inst(0)->opcode() == Opcode::Phi) {
       executePhis(T, F);
@@ -586,13 +633,13 @@ void TeamExecutor::stepThread(Lane &T, std::vector<Frame> &Frames) {
       const std::uint64_t RetBits = HasValue ? opI(0) : 0;
       const std::uint64_t Watermark = F.LocalWatermark;
       const Instruction *CallSite = F.CallSite;
-      Frames.pop_back();
+      --S.Depth; // frame stays behind as a spare (slot storage recycled)
       T.Local.restore(Watermark);
-      if (Frames.empty()) {
+      if (S.Depth == 0) {
         T.Status = LaneStatus::Done;
         return;
       }
-      Frame &Caller = Frames.back();
+      Frame &Caller = S.Frames[S.Depth - 1];
       if (CallSite && !CallSite->type().isVoid())
         Caller.Slots[Caller.Layout->Slots.at(CallSite)] =
             canonBits(CallSite->type().kind(), RetBits);
@@ -629,17 +676,19 @@ void TeamExecutor::stepThread(Lane &T, std::vector<Frame> &Frames) {
                          Callee->name() + "'");
         return;
       }
-      Frame NewF;
-      NewF.Fn = Callee;
-      NewF.Layout = &Image.layout(Callee);
-      NewF.Block = Callee->entry();
-      NewF.Slots.resize(NewF.Layout->NumSlots, 0);
+      // emplace_back can reallocate Frames: F (and opI, which reads it)
+      // must not be used past this point.
+      if (S.Frames.size() == S.Depth)
+        S.Frames.emplace_back();
+      const Frame &Caller = S.Frames[S.Depth - 1];
+      Frame &NewF = S.Frames[S.Depth];
+      const ModuleImage::FunctionLayout &Layout = Image.layout(Callee);
+      NewF.enter(Callee, Layout, I, T.Local.watermark());
       for (unsigned A = 0; A < Callee->numArgs(); ++A)
-        NewF.Slots[NewF.Layout->Slots.at(Callee->arg(A))] =
-            canonBits(Callee->arg(A)->type().kind(), opI(A + 1));
-      NewF.LocalWatermark = T.Local.watermark();
-      NewF.CallSite = I;
-      Frames.push_back(std::move(NewF));
+        NewF.Slots[Layout.Slots.at(Callee->arg(A))] =
+            canonBits(Callee->arg(A)->type().kind(),
+                      operandValue(I->operand(A + 1), Caller));
+      ++S.Depth;
       T.Cycles += C.CallOverhead;
       Team.Cnt.Calls++;
       continue;
@@ -697,12 +746,11 @@ void TeamExecutor::stepThread(Lane &T, std::vector<Frame> &Frames) {
       return;
     }
     case Opcode::NativeOp: {
-      std::vector<std::uint64_t> Args;
-      Args.reserve(I->numOperands());
+      NativeArgScratch.clear();
       for (unsigned A = 0; A < I->numOperands(); ++A)
-        Args.push_back(opI(A));
-      const NativeOpResult R =
-          Team.callNative(T, I->imm(), Args.data(), I->numOperands());
+        NativeArgScratch.push_back(opI(A));
+      const NativeOpResult R = Team.callNative(
+          T, I->imm(), NativeArgScratch.data(), I->numOperands());
       if (T.Status != LaneStatus::Running)
         return;
       if (!I->type().isVoid()) {

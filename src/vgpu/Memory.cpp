@@ -1,18 +1,41 @@
 #include "vgpu/Memory.hpp"
 
+#include <sys/mman.h>
+
+#include <cerrno>
 #include <cstring>
+#include <string>
 
 namespace codesign::vgpu {
 
-GlobalMemory::GlobalMemory(std::uint64_t SizeBytes) : Bytes(SizeBytes, 0) {
+GlobalMemory::GlobalMemory(std::uint64_t SizeBytes) : ArenaSize(SizeBytes) {
   // Offset 0 is reserved so that a global address with offset 0 never
   // collides with the null pointer encoding. Sizes at or below the guard
   // would underflow the free list, so they are rejected outright.
   CODESIGN_ASSERT(SizeBytes > 16,
                   "device global memory must be larger than the 16-byte "
                   "reserved null guard");
+  // DeviceAddr::make masks offsets to 46 bits: past that, a global address
+  // would silently alias a low one.
+  CODESIGN_ASSERT(SizeBytes <= DeviceAddr::OffsetMask + 1,
+                  "device global memory must not exceed 2^46 bytes, the "
+                  "reach of a device address's 46-bit offset field");
+  // Reserve, do not write: the OS commits each page, zeroed, on first
+  // touch.
+  void *P = ::mmap(nullptr, SizeBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (P == MAP_FAILED) {
+    const int Err = errno;
+    fatalError("cannot reserve " + std::to_string(SizeBytes) +
+                   " bytes of device global memory: mmap failed with errno " +
+                   std::to_string(Err) + " (" + std::strerror(Err) + ")",
+               __FILE__, __LINE__);
+  }
+  Base = static_cast<std::uint8_t *>(P);
   FreeBlocks[16] = SizeBytes - 16;
 }
+
+GlobalMemory::~GlobalMemory() { ::munmap(Base, ArenaSize); }
 
 Expected<std::uint64_t> GlobalMemory::allocate(std::uint64_t Size,
                                                std::uint64_t Align) {
@@ -44,7 +67,7 @@ Expected<std::uint64_t> GlobalMemory::allocate(std::uint64_t Size,
   return makeError("device global memory exhausted (requested ",
                    std::to_string(Size), " bytes aligned to ",
                    std::to_string(Align), ", ",
-                   std::to_string(Bytes.size() - InUse - 16),
+                   std::to_string(ArenaSize - InUse - 16),
                    " bytes unallocated)");
 }
 
@@ -73,27 +96,27 @@ void GlobalMemory::release(std::uint64_t Offset) {
 
 void GlobalMemory::write(std::uint64_t Offset,
                          std::span<const std::uint8_t> Data) {
-  CODESIGN_ASSERT(Offset + Data.size() <= Bytes.size(),
+  CODESIGN_ASSERT(Offset + Data.size() <= ArenaSize,
                   "global write out of bounds");
-  std::memcpy(Bytes.data() + Offset, Data.data(), Data.size());
+  std::memcpy(Base + Offset, Data.data(), Data.size());
 }
 
 void GlobalMemory::read(std::uint64_t Offset,
                         std::span<std::uint8_t> Out) const {
-  CODESIGN_ASSERT(Offset + Out.size() <= Bytes.size(),
+  CODESIGN_ASSERT(Offset + Out.size() <= ArenaSize,
                   "global read out of bounds");
-  std::memcpy(Out.data(), Bytes.data() + Offset, Out.size());
+  std::memcpy(Out.data(), Base + Offset, Out.size());
 }
 
 std::uint8_t *GlobalMemory::data(std::uint64_t Offset, std::uint64_t Size) {
-  CODESIGN_ASSERT(Offset + Size <= Bytes.size(), "global access out of bounds");
-  return Bytes.data() + Offset;
+  CODESIGN_ASSERT(Offset + Size <= ArenaSize, "global access out of bounds");
+  return Base + Offset;
 }
 
 const std::uint8_t *GlobalMemory::data(std::uint64_t Offset,
                                        std::uint64_t Size) const {
-  CODESIGN_ASSERT(Offset + Size <= Bytes.size(), "global access out of bounds");
-  return Bytes.data() + Offset;
+  CODESIGN_ASSERT(Offset + Size <= ArenaSize, "global access out of bounds");
+  return Base + Offset;
 }
 
 } // namespace codesign::vgpu

@@ -19,14 +19,23 @@ namespace codesign::vgpu {
 /// the rest serves host allocations (libomptarget-style buffers) and device
 /// `malloc` (the runtime's fallback when the shared stack is full,
 /// paper Section III-D).
+///
+/// The arena is reserved, not written: an anonymous private mapping whose
+/// pages the OS commits, zeroed, when they are first touched. Fresh memory
+/// reads as zero either way, so a device costs host memory only for the
+/// bytes its kernels and transfers reach.
 class GlobalMemory {
 public:
-  /// SizeBytes must exceed the 16-byte reserved null guard at offset 0;
-  /// smaller configurations are rejected with a fatal diagnostic.
+  /// SizeBytes must exceed the 16-byte reserved null guard at offset 0 and
+  /// fit the 46-bit offset field of a device address (at most 2^46 bytes);
+  /// other sizes, and a reservation the OS refuses, are fatal diagnostics.
   explicit GlobalMemory(std::uint64_t SizeBytes);
+  ~GlobalMemory();
+  GlobalMemory(const GlobalMemory &) = delete;
+  GlobalMemory &operator=(const GlobalMemory &) = delete;
 
   /// Total capacity in bytes.
-  [[nodiscard]] std::uint64_t capacity() const { return Bytes.size(); }
+  [[nodiscard]] std::uint64_t capacity() const { return ArenaSize; }
 
   /// Allocate Size bytes with the given alignment (a power of two);
   /// returns the offset, or a recoverable error on exhaustion so callers
@@ -50,7 +59,8 @@ public:
                                          std::uint64_t Size) const;
 
 private:
-  std::vector<std::uint8_t> Bytes;
+  std::uint8_t *Base = nullptr;
+  std::uint64_t ArenaSize = 0;
   /// Guards the allocator state (free/live lists); the byte arena itself is
   /// accessed lock-free under the device memory model (disjoint or atomic).
   mutable std::mutex Mutex;

@@ -1,9 +1,21 @@
 #include "vgpu/TeamModel.hpp"
 
+#include <utility>
+
 #include "rt/RuntimeABI.hpp"
 #include "vgpu/Interpreter.hpp"
 
 namespace codesign::vgpu {
+
+namespace {
+
+/// The lane array and shared arena of the last team this host thread
+/// retired. Retained memory is bounded by the largest team the thread has
+/// run.
+thread_local std::vector<Lane> SpareLanes;
+thread_local std::vector<std::uint8_t> SpareSharedArena;
+
+} // namespace
 
 TeamModel::TeamModel(const DeviceConfig &Config, GlobalMemory &GM,
                      const NativeRegistry &Registry, const ModuleImage &Image,
@@ -11,9 +23,13 @@ TeamModel::TeamModel(const DeviceConfig &Config, GlobalMemory &GM,
                      std::uint32_t NumThreads, LaunchMetrics &Metrics,
                      LaunchProfile *Profile)
     : Config(Config), TeamId(TeamId), NumTeams(NumTeams),
-      NumThreads(NumThreads), GMBase(GM.data(0, 0)), GMCap(GM.capacity()),
-      GM(GM), Registry(Registry), Metrics(Metrics), Profile(Profile) {
-  SharedArena.resize(std::max<std::uint64_t>(Image.sharedStaticSize(), 1), 0);
+      NumThreads(NumThreads), Lanes(std::exchange(SpareLanes, {})),
+      GMBase(GM.data(0, 0)), GMCap(GM.capacity()), GM(GM),
+      Registry(Registry), Metrics(Metrics), Profile(Profile),
+      SharedArena(std::exchange(SpareSharedArena, {})) {
+  // initTeamShared rewrites every byte it is given; bytes past them are
+  // zeroed again as the arena grows.
+  SharedArena.resize(std::max<std::uint64_t>(Image.sharedStaticSize(), 1));
   Image.initTeamShared(SharedArena);
   if (Config.DetectRaces) {
     // The conditional-write dummy absorbs every thread's non-selected
@@ -27,9 +43,15 @@ TeamModel::TeamModel(const DeviceConfig &Config, GlobalMemory &GM,
       }
     }
   }
+  Lanes.clear();
   Lanes.reserve(NumThreads);
   for (std::uint32_t T = 0; T < NumThreads; ++T)
     Lanes.emplace_back(T, Config.LocalMemPerThread);
+}
+
+TeamModel::~TeamModel() {
+  SpareLanes = std::move(Lanes);
+  SpareSharedArena = std::move(SharedArena);
 }
 
 OpClass classifyOpcode(ir::Opcode Op) {
@@ -255,13 +277,9 @@ void TeamModel::deviceFree(std::uint64_t AddrBits) {
     GM.release(A.offset());
 }
 
-std::uint8_t *TeamModel::pinSharedArena() {
-  // Resolution is unchanged: with the arena at the cap, its grow-on-demand
-  // path is simply never taken.
-  SharedArena.resize(
-      std::max<std::uint64_t>(Config.SharedMemPerTeam, SharedArena.size()),
-      0);
-  return SharedArena.data();
+std::span<std::uint8_t> TeamModel::sharedWindow() {
+  SharedArena.reserve(Config.SharedMemPerTeam);
+  return SharedArena;
 }
 
 //===----------------------------------------------------------------------===//

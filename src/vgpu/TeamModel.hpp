@@ -18,6 +18,10 @@
 //   - the NativeCtx that registered native ops run against;
 //   - the canonical value encoding and the global-memory atomics.
 //
+// A team's lane array and shared arena are recycled across the teams one
+// host thread runs (see the TeamModel constructor): set-up resets them to
+// exactly what a freshly built team holds, without reallocating.
+//
 // The per-access helpers are inline and non-virtual, because the bytecode
 // dispatch loop calls them for every instruction.
 //
@@ -29,6 +33,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -170,11 +175,18 @@ struct NativeOpResult {
 /// Metrics/Profile are this team's private shards.
 class TeamModel {
 public:
+  /// Takes the host thread's spare lane array and shared arena (a team
+  /// nested on the same thread finds them taken and starts empty) and
+  /// resets them: NumThreads fresh lanes, and sharedStaticSize() bytes of
+  /// shared memory holding the static initializers.
   TeamModel(const DeviceConfig &Config, GlobalMemory &GM,
             const NativeRegistry &Registry, const ModuleImage &Image,
             std::uint32_t TeamId, std::uint32_t NumTeams,
             std::uint32_t NumThreads, LaunchMetrics &Metrics,
             LaunchProfile *Profile);
+  /// Hands the lane array and shared arena back to the host thread, so the
+  /// next team reuses their storage.
+  ~TeamModel();
   TeamModel(const TeamModel &) = delete;
   TeamModel &operator=(const TeamModel &) = delete;
 
@@ -219,9 +231,13 @@ public:
   /// pointer the kernel can test, as in CUDA, never a host-side abort.
   std::uint64_t deviceMalloc(std::uint64_t Size);
   void deviceFree(std::uint64_t AddrBits);
-  /// Grow the shared arena to the device cap now and return its base, for
-  /// executors that address shared memory through a raw window.
-  std::uint8_t *pinSharedArena();
+  /// The shared arena as a raw window, for executors that address shared
+  /// memory directly. Its base stays put for the rest of the team: growth
+  /// never passes SharedMemPerTeam, which the arena reserves here (once per
+  /// host thread, since the recycled arena keeps the reservation). Its size
+  /// grows when an access resolves past it, so republish the window after
+  /// every call that can resolve shared memory.
+  std::span<std::uint8_t> sharedWindow();
 
   /// Run registered native op Id for lane L over Args.
   NativeOpResult callNative(Lane &L, std::int64_t Id,

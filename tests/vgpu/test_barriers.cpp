@@ -13,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "ir/IRBuilder.hpp"
 #include "ir/Verifier.hpp"
@@ -285,6 +288,127 @@ void stateMachinePattern(std::string_view Backend) {
     }
 }
 
+/// The shared static's initializer in recycledTeamState's kernel.
+constexpr std::int64_t RecycleInit = 0x5eed;
+
+/// Every launch of one run of recycledTeamState's kernel, in order.
+std::vector<LaunchResult> runRecycleLaunches(
+    std::string_view Backend, std::uint32_t HostThreads,
+    std::vector<std::vector<std::uint8_t>> &Buffers) {
+  // Each lane records three reads into out[(bid * dim + tid) * 3 + 0..2]:
+  // the shared static `init`, a shared word past the statics, and its first
+  // alloca'd word. A fresh team reads RecycleInit, 0 and 0. After a barrier
+  // the lane overwrites all three with a team- and lane-specific marker,
+  // which no later team that inherits this team's storage may see.
+  Module M;
+  GlobalVariable *Init = M.createGlobal("init", AddrSpace::Shared, 8);
+  Init->setScalarInit(static_cast<std::uint64_t>(RecycleInit), 8);
+  Function *K = M.createFunction("recycle", Type::voidTy(), {Type::ptr()});
+  K->addAttr(FnAttr::Kernel);
+  IRBuilder B(M);
+  B.setInsertPoint(K->createBlock("entry"));
+  Value *Local = B.allocaBytes(8);
+  Value *Tid = B.zext(B.threadId(), Type::i64());
+  Value *Bid = B.zext(B.blockId(), Type::i64());
+  // Shared word 1 + tid + 2 * (teams - bid): every team grows the shared
+  // region further than the next one does, over the words it wrote.
+  Value *Word = B.add(B.add(B.i64(1), Tid),
+                      B.mul(B.i64(2), B.sub(B.zext(B.gridDim(), Type::i64()),
+                                            Bid)));
+  Value *Far = B.gep(Init, B.mul(Word, B.i64(8)));
+  Value *Lane = B.add(B.mul(Bid, B.zext(B.blockDim(), Type::i64())), Tid);
+  Value *Out = B.gep(K->arg(0), B.mul(Lane, B.i64(24)));
+  B.store(B.load(Type::i64(), Init), Out);
+  B.store(B.load(Type::i64(), Far), B.gep(Out, 8));
+  B.store(B.load(Type::i64(), Local), B.gep(Out, 16));
+  B.barrier();
+  Value *Marker = B.add(B.mul(Bid, B.i64(1000)), B.add(Tid, B.i64(1)));
+  B.store(Marker, Init);
+  B.store(Marker, Far);
+  B.store(Marker, Local);
+  B.retVoid();
+  EXPECT_TRUE(verifyModule(M).empty());
+
+  DeviceConfig Config;
+  Config.HostThreads = HostThreads;
+  Config.CollectProfile = true;
+  VirtualGPU GPU(Config);
+  pin(GPU, Backend);
+  auto Image = GPU.loadImage(M);
+  // The second launch's teams have fewer threads than the first's, the
+  // third's more than the second's. Each launch has more teams than a
+  // four-worker pool, so pool threads run several teams each as well.
+  const std::pair<std::uint32_t, std::uint32_t> Shapes[] = {
+      {8, 8}, {6, 4}, {9, 7}};
+  std::vector<LaunchResult> Results;
+  for (const auto &[Teams, T] : Shapes) {
+    const std::uint64_t Bytes = std::uint64_t(Teams) * T * 24;
+    const DeviceAddr Buf = GPU.allocate(Bytes);
+    std::uint64_t Args[] = {Buf.Bits};
+    Results.push_back(GPU.launch(*Image, "recycle", Args, Teams, T));
+    Buffers.emplace_back(Bytes);
+    GPU.read(Buf, Buffers.back());
+  }
+  return Results;
+}
+
+void expectSameLaunch(const LaunchResult &A, const LaunchResult &B,
+                      const std::string &What) {
+  EXPECT_EQ(A.Metrics.KernelCycles, B.Metrics.KernelCycles) << What;
+  EXPECT_EQ(A.Metrics.DynamicInstructions, B.Metrics.DynamicInstructions)
+      << What;
+  EXPECT_EQ(A.Metrics.SharedLoads, B.Metrics.SharedLoads) << What;
+  EXPECT_EQ(A.Metrics.SharedStores, B.Metrics.SharedStores) << What;
+  EXPECT_EQ(A.Metrics.LocalAccesses, B.Metrics.LocalAccesses) << What;
+  EXPECT_EQ(A.Metrics.Barriers, B.Metrics.Barriers) << What;
+  ASSERT_TRUE(A.Profile.Collected && B.Profile.Collected) << What;
+  EXPECT_EQ(A.Profile.OpCounts, B.Profile.OpCounts) << What;
+  EXPECT_EQ(A.Profile.SharedBytesRead, B.Profile.SharedBytesRead) << What;
+  EXPECT_EQ(A.Profile.SharedBytesWritten, B.Profile.SharedBytesWritten)
+      << What;
+  EXPECT_EQ(A.Profile.GlobalBytesWritten, B.Profile.GlobalBytesWritten)
+      << What;
+  EXPECT_EQ(A.Profile.BarrierWaitCycles, B.Profile.BarrierWaitCycles) << What;
+  EXPECT_EQ(A.Profile.Teams, B.Profile.Teams) << What;
+  EXPECT_EQ(A.Profile.TeamCyclesTotal, B.Profile.TeamCyclesTotal) << What;
+}
+
+void recycledTeamState(std::string_view Backend) {
+  // Lane arrays, shared arenas and frame stacks are recycled across the
+  // teams one host thread runs. With HostThreads = 1 the caller runs every
+  // team of every launch and inherits all of it; the default pool runs
+  // several teams per worker. Either way each team must see fresh state.
+  std::vector<std::vector<std::uint8_t>> Serial, Pooled;
+  const std::vector<LaunchResult> S = runRecycleLaunches(Backend, 1, Serial);
+  const std::vector<LaunchResult> P = runRecycleLaunches(Backend, 0, Pooled);
+  ASSERT_EQ(S.size(), P.size());
+  for (std::size_t L = 0; L < S.size(); ++L) {
+    ASSERT_TRUE(S[L].Ok) << S[L].Error;
+    ASSERT_TRUE(P[L].Ok) << P[L].Error;
+    const std::string What = "launch " + std::to_string(L);
+    for (std::size_t I = 0; I < Serial[L].size() / 24; ++I) {
+      std::int64_t Seen[3];
+      std::memcpy(Seen, Serial[L].data() + I * 24, 24);
+      EXPECT_EQ(Seen[0], RecycleInit) << What << ", lane " << I;
+      EXPECT_EQ(Seen[1], 0) << What << ", lane " << I << ": shared";
+      EXPECT_EQ(Seen[2], 0) << What << ", lane " << I << ": local";
+    }
+    EXPECT_EQ(Serial[L], Pooled[L]) << What;
+    expectSameLaunch(S[L], P[L], What + ", serial vs. pooled");
+  }
+  // The interpreting backends also agree with the tree walker on cycles
+  // and profiles (the native backend charges no ALU or memory cycles).
+  if (!chargesCycles(Backend) || Backend == "tree")
+    return;
+  std::vector<std::vector<std::uint8_t>> TreeBuffers;
+  const std::vector<LaunchResult> Tree =
+      runRecycleLaunches("tree", 1, TreeBuffers);
+  EXPECT_EQ(TreeBuffers, Serial);
+  for (std::size_t L = 0; L < S.size(); ++L)
+    expectSameLaunch(Tree[L], S[L], "launch " + std::to_string(L) +
+                                        ", tree vs. " + std::string(Backend));
+}
+
 TEST(Barriers, BroadcastThroughShared) { broadcastThroughShared({}); }
 TEST(Barriers, SharedStateIsPerTeam) { sharedStateIsPerTeam({}); }
 TEST(Barriers, ClockSynchronizesAtRendezvous) {
@@ -311,6 +435,9 @@ TEST_P(BarriersOnBackend, AlignedBarrierMisalignmentDetectedInDebug) {
 }
 TEST_P(BarriersOnBackend, StateMachinePattern) {
   stateMachinePattern(GetParam());
+}
+TEST_P(BarriersOnBackend, RecycledTeamStateNeverLeaks) {
+  recycledTeamState(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BarriersOnBackend,

@@ -1,9 +1,31 @@
 #include "vgpu/Memory.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
+#include <fstream>
+#include <memory>
+
+#include "vgpu/VirtualGPU.hpp"
 
 namespace codesign::vgpu {
 namespace {
+
+/// Field Index (0 = size, 1 = resident) of /proc/self/statm, in bytes.
+std::uint64_t statmBytes(int Index) {
+  std::ifstream Statm("/proc/self/statm");
+  std::uint64_t Pages = 0;
+  for (int I = 0; I <= Index; ++I)
+    Statm >> Pages;
+  return Pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// Resident-set growth allowed while a test builds its arenas: far below
+/// what committing them would take.
+constexpr std::uint64_t RssSlack = 64ULL << 20;
 
 TEST(DeviceAddr, EncodingRoundTrips) {
   DeviceAddr A = DeviceAddr::make(MemSpace::Shared, 0x1234, 0);
@@ -120,6 +142,68 @@ TEST(GlobalMemory, TinyArenaRejected) {
   // list into a near-2^64-byte block.
   EXPECT_DEATH(GlobalMemory GM(16), "16-byte");
   EXPECT_DEATH(GlobalMemory GM(0), "16-byte");
+}
+
+TEST(GlobalMemory, ArenaPastAddressReachRejected) {
+  // DeviceAddr::make masks offsets to 46 bits, so a larger arena would let
+  // high offsets alias low addresses. The size is refused before mapping.
+  EXPECT_DEATH(GlobalMemory GM((std::uint64_t(1) << 46) + 1), "2\\^46");
+  EXPECT_DEATH(GlobalMemory GM(~std::uint64_t(0)), "2\\^46");
+}
+
+TEST(GlobalMemory, RefusedReservationIsFatal) {
+  // Cap the death-test child's address space a little above what it maps
+  // already, so reserving 1 GiB must fail: a diagnostic naming the size and
+  // errno, not an exception.
+  EXPECT_DEATH(
+      {
+        rlimit Limit{};
+        ::getrlimit(RLIMIT_AS, &Limit);
+        Limit.rlim_cur =
+            std::min<rlim_t>(Limit.rlim_max, statmBytes(0) + RssSlack);
+        ::setrlimit(RLIMIT_AS, &Limit);
+        GlobalMemory GM(std::uint64_t(1) << 30);
+      },
+      "cannot reserve 1073741824 bytes .*errno");
+}
+
+TEST(GlobalMemory, GiBArenaCostsOnlyWhatItTouches) {
+  const std::uint64_t Before = statmBytes(1);
+  GlobalMemory GM(std::uint64_t(1) << 30);
+  const std::array<std::uint8_t, 8> Zero{};
+  std::array<std::uint8_t, 8> Word{};
+  Word.fill(0xAB);
+  GM.read(16, Word);
+  EXPECT_EQ(Word, Zero) << "fresh memory reads as zero at the low end";
+  Word.fill(0xAB);
+  GM.read(GM.capacity() - 8, Word);
+  EXPECT_EQ(Word, Zero) << "and at the high end";
+  const std::array<std::uint8_t, 8> Pattern{1, 2, 3, 4, 5, 6, 7, 8};
+  GM.write(GM.capacity() - 8, Pattern);
+  GM.read(GM.capacity() - 8, Word);
+  EXPECT_EQ(Word, Pattern);
+  EXPECT_LT(statmBytes(1), Before + RssSlack)
+      << "a 1 GiB arena must commit only the pages it touched";
+}
+
+TEST(GlobalMemory, DefaultDevicesCostOnlyWhatTheyTouch) {
+  // Eight default devices alive at once (the proxy-app suite builds seven),
+  // each holding a small written buffer.
+  const std::uint64_t Before = statmBytes(1);
+  std::vector<std::unique_ptr<VirtualGPU>> Devices;
+  const std::vector<std::uint8_t> In(4096, 0x5A);
+  for (int I = 0; I < 8; ++I) {
+    auto GPU = std::make_unique<VirtualGPU>();
+    ASSERT_EQ(GPU->config().GlobalMemBytes, DeviceConfig{}.GlobalMemBytes);
+    const DeviceAddr Buf = GPU->allocate(In.size());
+    GPU->write(Buf, In);
+    std::vector<std::uint8_t> Out(In.size());
+    GPU->read(Buf, Out);
+    EXPECT_EQ(Out, In);
+    Devices.push_back(std::move(GPU));
+  }
+  EXPECT_LT(statmBytes(1), Before + RssSlack)
+      << "building a device must not commit its whole arena";
 }
 
 TEST(BumpArena, WatermarkDiscipline) {
