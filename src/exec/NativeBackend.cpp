@@ -522,7 +522,8 @@ public:
       auto &Slots = H.SlotStore[I];
       Slots.assign(std::max<std::uint32_t>(BK.NumSlots, 1), 0);
       for (unsigned A = 0; A < Kernel->numArgs(); ++A)
-        Slots[A] = vgpu::canonBits(Kernel->arg(A)->type().kind(), Args[A]);
+        Slots[A] =
+            ir::eval::canonBits(Kernel->arg(A)->type().kind(), Args[A]);
       abi::cg_lane &L = H.Lanes[I];
       L = abi::cg_lane{};
       L.team = &H.T;

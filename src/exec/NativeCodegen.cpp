@@ -1,11 +1,12 @@
 //===- exec/NativeCodegen.cpp - IR -> standalone C++ emission --------------===//
 //
 // Emits one self-contained C++ translation unit per ir::Module. The
-// generated code mirrors the tree interpreter instruction by instruction —
-// the same canonical 64-bit value encoding, wrapping arithmetic and global
-// atomics (vgpu/IntOps.hpp, embedded verbatim), and the same trap
-// conditions and messages — so its outputs are bit-identical to the
-// interpreting backends on any input. Speed comes from the host compiler,
+// generated code mirrors the tree interpreter instruction by instruction:
+// every value operation is one call into ir/Eval.hpp (embedded verbatim)
+// with a constant opcode and kind, which the host compiler folds, and the
+// memory paths keep the same global atomics and the same trap conditions
+// and messages, so its outputs are bit-identical to the interpreting
+// backends on any input. Speed comes from the host compiler,
 // not from semantic shortcuts: values live in plain uint64 slots, control
 // flow is gotos, and only native ops, device mallocs, barrier suspension
 // and address resolution outside the published memory windows call back
@@ -20,7 +21,7 @@
 //
 // Layout of a generated TU:
 //   includes
-//   vgpu/IntOps.hpp          (embedded verbatim at build time)
+//   ir/Eval.hpp              (embedded verbatim at build time)
 //   exec/NativeABI.inc       (embedded verbatim; host structs, same bytes)
 //   prelude                  (trap and resolve fast path)
 //   static body functions    (cg_f<i>)
@@ -37,7 +38,6 @@
 #include "NativeEmbedded.hpp"
 #include "ir/Function.hpp"
 #include "ir/Instruction.hpp"
-#include "vgpu/TeamModel.hpp"
 
 namespace codesign::exec {
 
@@ -162,12 +162,9 @@ private:
     case ValueKind::Argument:
       return Arr + "[" + std::to_string(Slots.at(V)) + "]";
     case ValueKind::ConstantInt:
-      return hexU64(vgpu::canonBits(
-          V->type().kind(),
-          static_cast<std::uint64_t>(ir::cast<ir::ConstantInt>(V)->value())));
+      return hexU64(ir::cast<ir::ConstantInt>(V)->bits());
     case ValueKind::ConstantFP:
-      return hexU64(vgpu::encodeF(V->type().kind(),
-                                  ir::cast<ir::ConstantFP>(V)->value()));
+      return hexU64(ir::cast<ir::ConstantFP>(V)->bits());
     case ValueKind::ConstantNull:
     case ValueKind::Undef:
       return "0ULL";
@@ -185,40 +182,24 @@ private:
     return "0ULL";
   }
 
-  /// vgpu::canonBits as an expression over E.
+  /// Constant arguments of an ir/Eval.hpp call, with the mnemonic as a
+  /// comment.
+  [[nodiscard]] static std::string opArg(Opcode Op) {
+    return "Opcode(" + std::to_string(static_cast<unsigned>(Op)) + ") /*" +
+           opcodeName(Op) + "*/";
+  }
+  [[nodiscard]] static std::string predArg(CmpPred P) {
+    return "CmpPred(" + std::to_string(static_cast<unsigned>(P)) + ") /*" +
+           cmpPredName(P) + "*/";
+  }
+  [[nodiscard]] static std::string kindArg(Type Ty) {
+    return "TypeKind(" + std::to_string(static_cast<unsigned>(Ty.kind())) +
+           ") /*" + std::string(Ty.name()) + "*/";
+  }
+
+  /// eval::canonBits of E as a value of type Ty.
   [[nodiscard]] static std::string canonExpr(Type Ty, const std::string &E) {
-    switch (Ty.kind()) {
-    case TypeKind::I1:
-      return "((" + E + ") & 1ULL)";
-    case TypeKind::I32:
-      return "intops::sext32(" + E + ")";
-    default:
-      return "(" + E + ")";
-    }
-  }
-
-  /// vgpu::zextBits as an expression over E.
-  [[nodiscard]] static std::string zextExpr(Type Ty, const std::string &E) {
-    switch (Ty.kind()) {
-    case TypeKind::I1:
-      return "((" + E + ") & 1ULL)";
-    case TypeKind::I32:
-      return "((" + E + ") & 0xffffffffULL)";
-    default:
-      return "(" + E + ")";
-    }
-  }
-
-  [[nodiscard]] static std::string decfCall(Type Ty, const std::string &E) {
-    return (Ty.kind() == TypeKind::F32 ? "intops::decodeF32("
-                                       : "intops::decodeF64(") +
-           E + ")";
-  }
-
-  [[nodiscard]] static std::string encfCall(Type Ty, const std::string &E) {
-    return (Ty.kind() == TypeKind::F32 ? "intops::encodeF32("
-                                       : "intops::encodeF64(") +
-           E + ")";
+    return "eval::canonBits(" + kindArg(Ty) + ", " + E + ")";
   }
 
   [[nodiscard]] std::string slotRef(const Value *V) const {
@@ -238,14 +219,16 @@ private:
   void emitHeader() {
     S += "// Generated by codesign exec::NativeBackend. Do not edit.\n";
     S += "#include <cstdint>\n#include <cstring>\n\n";
-    // vgpu/IntOps.hpp verbatim, minus the include guard (we are the main
-    // file here and GCC warns about #pragma once in it).
-    std::string IntOps = embedded::IntOpsText;
-    const std::size_t Pragma = IntOps.find("#pragma once");
+    // ir/Eval.hpp verbatim, minus the include guard (we are the main file
+    // here and GCC warns about #pragma once in it).
+    std::string Eval = embedded::EvalText;
+    const std::size_t Pragma = Eval.find("#pragma once");
     if (Pragma != std::string::npos)
-      IntOps.erase(Pragma, std::strlen("#pragma once"));
-    S += IntOps;
-    S += "\nnamespace intops = codesign::vgpu::intops;\n\n";
+      Eval.erase(Pragma, std::strlen("#pragma once"));
+    S += Eval;
+    S += "\nnamespace eval = codesign::ir::eval;\n"
+         "using codesign::ir::AtomicOp;\nusing codesign::ir::CmpPred;\n"
+         "using codesign::ir::Opcode;\nusing codesign::ir::TypeKind;\n\n";
     S += embedded::AbiText;
     S += R"CGPRE(
 static constexpr std::uint64_t CG_OFF_MASK = (1ULL << 46) - 1ULL;
@@ -407,7 +390,6 @@ static inline std::uint8_t *cg_resolve(cg_lane *L, std::uint64_t A,
   //--- Instruction emission -------------------------------------------------
 
   void emitInstruction(const Instruction *I);
-  void emitIntBinop(const Instruction *I);
   void emitAtomicRMW(const Instruction *I);
   void emitCmpXchg(const Instruction *I);
   void emitCall(const Instruction *I);
@@ -437,68 +419,6 @@ static inline std::uint8_t *cg_resolve(cg_lane *L, std::uint64_t A,
   void emitLaneEntry(const Function &Fn);
 };
 
-void Emitter::emitIntBinop(const Instruction *I) {
-  const Type Ty = I->type();
-  const std::string A = val(I->operand(0));
-  const std::string B = val(I->operand(1));
-  const std::string UA = zextExpr(Ty, A);
-  const std::string UB = zextExpr(Ty, B);
-  const std::string ShMask = Ty.kind() == TypeKind::I32 ? "31ULL" : "63ULL";
-  switch (I->opcode()) {
-  case Opcode::Add:
-    line(setRes(I, canonExpr(Ty, "intops::addWrap(" + A + ", " + B + ")")));
-    return;
-  case Opcode::Sub:
-    line(setRes(I, canonExpr(Ty, "intops::subWrap(" + A + ", " + B + ")")));
-    return;
-  case Opcode::Mul:
-    line(setRes(I, canonExpr(Ty, "intops::mulWrap(" + A + ", " + B + ")")));
-    return;
-  case Opcode::SDiv:
-  case Opcode::SRem:
-  case Opcode::UDiv:
-  case Opcode::URem: {
-    const bool Signed =
-        I->opcode() == Opcode::SDiv || I->opcode() == Opcode::SRem;
-    const bool IsDiv =
-        I->opcode() == Opcode::SDiv || I->opcode() == Opcode::UDiv;
-    const std::string Fn = Signed ? (IsDiv ? "sdiv" : "srem")
-                                  : (IsDiv ? "udiv" : "urem");
-    const std::string &LhsE = Signed ? A : UA;
-    const std::string &RhsE = Signed ? B : UB;
-    line("{ std::uint64_t cg_r = 0;");
-    line("  if (!intops::" + Fn + "(" + LhsE + ", " + RhsE + ", cg_r)) " +
-         trapStmt(IsDiv ? "integer division by zero"
-                        : "integer remainder by zero"));
-    line("  " + setRes(I, canonExpr(Ty, "cg_r")) + " }");
-    return;
-  }
-  case Opcode::And:
-    line(setRes(I, canonExpr(Ty, "(" + A + ") & (" + B + ")")));
-    return;
-  case Opcode::Or:
-    line(setRes(I, canonExpr(Ty, "(" + A + ") | (" + B + ")")));
-    return;
-  case Opcode::Xor:
-    line(setRes(I, canonExpr(Ty, "(" + A + ") ^ (" + B + ")")));
-    return;
-  case Opcode::Shl:
-    line(setRes(I, canonExpr(Ty, UA + " << (" + UB + " & " + ShMask + ")")));
-    return;
-  case Opcode::LShr:
-    line(setRes(I, canonExpr(Ty, UA + " >> (" + UB + " & " + ShMask + ")")));
-    return;
-  case Opcode::AShr:
-    line(setRes(I, canonExpr(Ty, "intops::ashr(" + A +
-                                     ", static_cast<unsigned>(" + UB + " & " +
-                                     ShMask + "))")));
-    return;
-  default:
-    line(trapStmt("native backend limit: unsupported opcode"));
-    return;
-  }
-}
-
 void Emitter::emitAtomicRMW(const Instruction *I) {
   const Type Ty = I->type();
   const unsigned Size = Ty.sizeInBytes();
@@ -506,38 +426,18 @@ void Emitter::emitAtomicRMW(const Instruction *I) {
   line("{ const std::uint64_t cg_a = " + val(I->operand(0)) + ";");
   line("  std::uint8_t *const cg_p = cg_resolve(L, cg_a, " + SizeS + ");");
   line("  if (!cg_p) { " + RetDflt + " }");
-  line("  const std::int64_t cg_val = static_cast<std::int64_t>(" +
-       val(I->operand(1)) + ");");
-  const std::string OldC =
-      Ty.isInteger() ? canonExpr(Ty, "cg_old") : std::string("(cg_old)");
-  line("  const auto cg_new = [&](std::uint64_t cg_old) -> std::uint64_t {");
-  line("    const std::uint64_t cg_oldc = " + OldC + ";");
-  line("    const std::int64_t cg_olds = "
-       "static_cast<std::int64_t>(cg_oldc); (void)cg_olds;");
-  line("    std::int64_t cg_n = 0;");
-  switch (I->atomicOp()) {
-  case AtomicOp::Add:
-    line("    cg_n = static_cast<std::int64_t>(intops::addWrap(cg_oldc, "
-         "static_cast<std::uint64_t>(cg_val)));");
-    break;
-  case AtomicOp::Max:
-    line("    cg_n = cg_olds > cg_val ? cg_olds : cg_val;");
-    break;
-  case AtomicOp::Min:
-    line("    cg_n = cg_olds < cg_val ? cg_olds : cg_val;");
-    break;
-  case AtomicOp::Exchange:
-    line("    cg_n = cg_val;");
-    break;
-  }
-  line("    return static_cast<std::uint64_t>(cg_n);");
+  line("  const std::uint64_t cg_val = " + val(I->operand(1)) + ";");
+  line("  const auto cg_new = [&](std::uint64_t cg_old) {");
+  line("    return eval::atomicResult(AtomicOp(" +
+       std::to_string(static_cast<unsigned>(I->atomicOp())) + "), " +
+       canonExpr(Ty, "cg_old") + ", cg_val);");
   line("  };");
   line("  std::uint64_t cg_raw = 0;");
   if (Size == 4 || Size == 8) {
     const std::string U = Size == 4 ? "std::uint32_t" : "std::uint64_t";
-    line("  if ((cg_a >> 62) == 1ULL && intops::atomicCapable(cg_p, " + SizeS +
+    line("  if ((cg_a >> 62) == 1ULL && eval::atomicCapable(cg_p, " + SizeS +
          ")) {");
-    line("    cg_raw = intops::atomicFetchModify<" + U + ">(cg_p, cg_new);");
+    line("    cg_raw = eval::atomicFetchModify<" + U + ">(cg_p, cg_new);");
     line("  } else {");
   } else {
     line("  {");
@@ -546,9 +446,7 @@ void Emitter::emitAtomicRMW(const Instruction *I) {
   line("    const std::uint64_t cg_nb = cg_new(cg_raw);");
   line("    std::memcpy(cg_p, &cg_nb, " + SizeS + ");");
   line("  }");
-  const std::string Result =
-      Ty.isInteger() ? canonExpr(Ty, "cg_raw") : std::string("cg_raw");
-  line("  " + setRes(I, Result) + " }");
+  line("  " + setRes(I, canonExpr(Ty, "cg_raw")) + " }");
 }
 
 void Emitter::emitCmpXchg(const Instruction *I) {
@@ -563,15 +461,14 @@ void Emitter::emitCmpXchg(const Instruction *I) {
   line("  std::uint64_t cg_raw = 0;");
   if (Size == 4 || Size == 8) {
     const std::string U = Size == 4 ? "std::uint32_t" : "std::uint64_t";
-    line("  if ((cg_a >> 62) == 1ULL && intops::atomicCapable(cg_p, " + SizeS +
+    line("  if ((cg_a >> 62) == 1ULL && eval::atomicCapable(cg_p, " + SizeS +
          ")) {");
-    line("    cg_raw = intops::atomicCas<" + U + ">(cg_p, cg_exp, cg_des);");
+    line("    cg_raw = eval::atomicCas<" + U + ">(cg_p, cg_exp, cg_des);");
     line("  } else {");
   } else {
     line("  {");
   }
-  const std::string OldC =
-      Ty.isInteger() ? canonExpr(Ty, "cg_raw") : std::string("cg_raw");
+  const std::string OldC = canonExpr(Ty, "cg_raw");
   line("    std::memcpy(&cg_raw, cg_p, " + SizeS + ");");
   line("    if (" + OldC + " == cg_exp) { std::memcpy(cg_p, &cg_des, " +
        SizeS + "); }");
@@ -635,6 +532,7 @@ void Emitter::emitNativeOp(const Instruction *I) {
 
 void Emitter::emitInstruction(const Instruction *I) {
   switch (I->opcode()) {
+  // Value operations: one ir/Eval.hpp call each.
   case Opcode::Add:
   case Opcode::Sub:
   case Opcode::Mul:
@@ -648,128 +546,44 @@ void Emitter::emitInstruction(const Instruction *I) {
   case Opcode::Shl:
   case Opcode::LShr:
   case Opcode::AShr:
-    emitIntBinop(I);
+    line("if (const char *cg_e = eval::intBinop(" + opArg(I->opcode()) + ", " +
+         kindArg(I->type()) + ", " + val(I->operand(0)) + ", " +
+         val(I->operand(1)) + ", " + slotRef(I) + ")) { cg_trap(L, cg_e); " +
+         RetDflt + " }");
     return;
   case Opcode::FAdd:
   case Opcode::FSub:
   case Opcode::FMul:
-  case Opcode::FDiv: {
-    const Type Ty = I->type();
-    const char Op = I->opcode() == Opcode::FAdd   ? '+'
-                    : I->opcode() == Opcode::FSub ? '-'
-                    : I->opcode() == Opcode::FMul ? '*'
-                                                  : '/';
-    line(setRes(I, encfCall(Ty, decfCall(Ty, val(I->operand(0))) + " " + Op +
-                                    " " +
-                                    decfCall(Ty, val(I->operand(1))))));
+  case Opcode::FDiv:
+    line(setRes(I, "eval::floatBinop(" + opArg(I->opcode()) + ", " +
+                       kindArg(I->type()) + ", " + val(I->operand(0)) +
+                       ", " + val(I->operand(1)) + ")"));
     return;
-  }
-  case Opcode::ICmp: {
-    const std::string A = val(I->operand(0));
-    const std::string B = val(I->operand(1));
-    const std::string SA = "static_cast<std::int64_t>(" + A + ")";
-    const std::string SB = "static_cast<std::int64_t>(" + B + ")";
-    std::string Cmp;
-    switch (I->pred()) {
-    case CmpPred::EQ:
-      Cmp = "(" + A + ") == (" + B + ")";
-      break;
-    case CmpPred::NE:
-      Cmp = "(" + A + ") != (" + B + ")";
-      break;
-    case CmpPred::SLT:
-      Cmp = SA + " < " + SB;
-      break;
-    case CmpPred::SLE:
-      Cmp = SA + " <= " + SB;
-      break;
-    case CmpPred::SGT:
-      Cmp = SA + " > " + SB;
-      break;
-    case CmpPred::SGE:
-      Cmp = SA + " >= " + SB;
-      break;
-    case CmpPred::ULT:
-      Cmp = "(" + A + ") < (" + B + ")";
-      break;
-    case CmpPred::ULE:
-      Cmp = "(" + A + ") <= (" + B + ")";
-      break;
-    case CmpPred::UGT:
-      Cmp = "(" + A + ") > (" + B + ")";
-      break;
-    case CmpPred::UGE:
-      Cmp = "(" + A + ") >= (" + B + ")";
-      break;
-    default:
-      line(trapStmt("native backend limit: unsupported compare"));
-      return;
-    }
-    line(setRes(I, "(" + Cmp + ") ? 1ULL : 0ULL"));
+  case Opcode::ICmp:
+    line(setRes(I, "eval::icmp(" + predArg(I->pred()) + ", " +
+                       val(I->operand(0)) + ", " + val(I->operand(1)) + ")"));
     return;
-  }
-  case Opcode::FCmp: {
-    const Type Ty = I->operand(0)->type();
-    const std::string A = decfCall(Ty, val(I->operand(0)));
-    const std::string B = decfCall(Ty, val(I->operand(1)));
-    std::string Op;
-    switch (I->pred()) {
-    case CmpPred::OEQ:
-      Op = "==";
-      break;
-    case CmpPred::ONE:
-      Op = "!=";
-      break;
-    case CmpPred::OLT:
-      Op = "<";
-      break;
-    case CmpPred::OLE:
-      Op = "<=";
-      break;
-    case CmpPred::OGT:
-      Op = ">";
-      break;
-    case CmpPred::OGE:
-      Op = ">=";
-      break;
-    default:
-      line(trapStmt("native backend limit: unsupported compare"));
-      return;
-    }
-    line(setRes(I, "(" + A + " " + Op + " " + B + ") ? 1ULL : 0ULL"));
+  case Opcode::FCmp:
+    line(setRes(I, "eval::fcmp(" + predArg(I->pred()) + ", " +
+                       kindArg(I->operand(0)->type()) + ", " +
+                       val(I->operand(0)) + ", " + val(I->operand(1)) + ")"));
     return;
-  }
   case Opcode::Select:
-    line(setRes(I, "(" + val(I->operand(0)) + ") ? (" + val(I->operand(1)) +
-                       ") : (" + val(I->operand(2)) + ")"));
+    line(setRes(I, "eval::select(" + val(I->operand(0)) + ", " +
+                       val(I->operand(1)) + ", " + val(I->operand(2)) + ")"));
     return;
   case Opcode::ZExt:
-    line(setRes(I, canonExpr(I->type(), zextExpr(I->operand(0)->type(),
-                                                 val(I->operand(0))))));
-    return;
   case Opcode::SExt:
   case Opcode::Trunc:
-    line(setRes(I, canonExpr(I->type(), val(I->operand(0)))));
-    return;
   case Opcode::SIToFP:
-    line(setRes(I, encfCall(I->type(),
-                            "static_cast<double>(static_cast<std::int64_t>(" +
-                                val(I->operand(0)) + "))")));
-    return;
   case Opcode::FPToSI:
-    line(setRes(
-        I, canonExpr(I->type(),
-                     "static_cast<std::uint64_t>(intops::fpToI64(" +
-                         decfCall(I->operand(0)->type(), val(I->operand(0))) +
-                         "))")));
-    return;
   case Opcode::FPCast:
-    line(setRes(I, encfCall(I->type(), decfCall(I->operand(0)->type(),
-                                                val(I->operand(0))))));
-    return;
   case Opcode::PtrToInt:
   case Opcode::IntToPtr:
-    line(setRes(I, val(I->operand(0))));
+    line(setRes(I, "eval::cast(" + opArg(I->opcode()) + ", " +
+                       kindArg(I->type()) + ", " +
+                       kindArg(I->operand(0)->type()) + ", " +
+                       val(I->operand(0)) + ")"));
     return;
   case Opcode::Alloca: {
     const std::string Size = std::to_string(I->imm()) + "ULL";
@@ -791,10 +605,7 @@ void Emitter::emitInstruction(const Instruction *I) {
     line("  if (!cg_p) { " + RetDflt + " }");
     line("  std::uint64_t cg_v = 0; std::memcpy(&cg_v, cg_p, " + SizeS +
          ");");
-    line("  " +
-         setRes(I, Ty.isInteger() ? canonExpr(Ty, "cg_v")
-                                  : std::string("cg_v")) +
-         " }");
+    line("  " + setRes(I, canonExpr(Ty, "cg_v")) + " }");
     return;
   }
   case Opcode::Store: {

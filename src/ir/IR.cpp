@@ -581,10 +581,8 @@ void Module::eraseGlobal(GlobalVariable *G) {
 
 ConstantInt *Module::constInt(Type Ty, std::int64_t V) {
   CODESIGN_ASSERT(Ty.isInteger(), "constInt requires integer type");
-  if (Ty.isI1())
-    V = V ? 1 : 0;
-  else if (Ty.kind() == TypeKind::I32)
-    V = static_cast<std::int32_t>(V);
+  V = static_cast<std::int64_t>(
+      eval::canonBits(Ty.kind(), static_cast<std::uint64_t>(V)));
   auto Key = std::make_pair(static_cast<std::uint8_t>(Ty.kind()), V);
   auto It = IntConstants.find(Key);
   if (It != IntConstants.end())

@@ -4,7 +4,9 @@
 // covers the whole instruction set. GPU-specific operations (thread/block id
 // reads, aligned and unaligned barriers) are first-class opcodes so the
 // optimizer can reason about them directly — the moral equivalent of
-// openmp-opt knowing __kmpc_* semantics in the paper.
+// openmp-opt knowing __kmpc_* semantics in the paper. The tags (Opcode,
+// CmpPred, AtomicOp) are defined in ir/Eval.hpp beside what each value
+// operation computes.
 //
 //===----------------------------------------------------------------------===//
 #pragma once
@@ -13,102 +15,13 @@
 #include <string>
 #include <vector>
 
+#include "ir/Eval.hpp"
 #include "ir/Value.hpp"
 
 namespace codesign::ir {
 
 class BasicBlock;
 class Function;
-
-/// Every operation the IR supports.
-enum class Opcode : std::uint8_t {
-  // Integer arithmetic / bitwise.
-  Add,
-  Sub,
-  Mul,
-  SDiv,
-  UDiv,
-  SRem,
-  URem,
-  And,
-  Or,
-  Xor,
-  Shl,
-  LShr,
-  AShr,
-  // Floating point arithmetic.
-  FAdd,
-  FSub,
-  FMul,
-  FDiv,
-  // Comparison and selection.
-  ICmp,
-  FCmp,
-  Select,
-  // Conversions.
-  ZExt,
-  SExt,
-  Trunc,
-  SIToFP,
-  FPToSI,
-  FPCast,
-  PtrToInt,
-  IntToPtr,
-  // Memory.
-  Alloca,    // imm = size in bytes; yields a Local-space pointer
-  Load,      // op0 = pointer; result type = loaded type
-  Store,     // op0 = value, op1 = pointer
-  Gep,       // op0 = base pointer, op1 = byte offset (i64); yields pointer
-  AtomicRMW, // imm = AtomicOp; op0 = pointer, op1 = value; yields old value
-  CmpXchg,   // op0 = pointer, op1 = expected, op2 = desired; yields old value
-  Malloc,    // op0 = size (i64); yields Global-space pointer
-  Free,      // op0 = pointer from Malloc
-  // Control flow.
-  Br,          // block0 = target
-  CondBr,      // op0 = i1 condition; block0 = true, block1 = false
-  Ret,         // op0 = value (absent for void returns)
-  Unreachable, //
-  Phi,         // opN = incoming value, blockN = incoming block
-  Call,        // op0 = callee (Function or pointer value), op1.. = arguments
-  // GPU intrinsics (uniform values the paper's invariant propagation
-  // exploits, Section IV-B4).
-  ThreadId, // thread index within the team
-  BlockId,  // team index within the league
-  BlockDim, // threads per team
-  GridDim,  // teams per league
-  WarpSize, // hardware warp width
-  // Synchronization.
-  Barrier,        // unaligned team barrier; imm = barrier id
-  AlignedBarrier, // aligned team barrier (all threads at same instruction)
-  // Compiler/runtime metadata.
-  Assume,     // op0 = i1; informs the optimizer the condition holds
-  AssertFail, // op0 = i1; str = message. Debug-mode runtime check.
-  Trap,       // abort execution of the kernel
-  NativeOp,   // imm = registered host functor id; opN = arguments
-};
-
-/// Comparison predicates for ICmp (integer) and FCmp (ordered float).
-enum class CmpPred : std::uint8_t {
-  EQ,
-  NE,
-  SLT,
-  SLE,
-  SGT,
-  SGE,
-  ULT,
-  ULE,
-  UGT,
-  UGE,
-  OEQ,
-  ONE,
-  OLT,
-  OLE,
-  OGT,
-  OGE,
-};
-
-/// Operations for AtomicRMW.
-enum class AtomicOp : std::uint8_t { Add, Max, Min, Exchange };
 
 /// Side-effect summary flags for NativeOp instructions. Set by the frontend
 /// when it emits the operation, consumed by the optimizer. This mirrors how

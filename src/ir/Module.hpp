@@ -64,7 +64,9 @@ public:
 
   // --- Constants (uniqued per module) ----------------------------------------
 
-  /// Integer constant of the given type.
+  /// Integer constant of the given type, holding V in the canonical
+  /// encoding (ir/Eval.hpp canonBits): an i1 keeps V's low bit, an i32 its
+  /// sign-extended low 32 bits.
   ConstantInt *constInt(Type Ty, std::int64_t V);
   /// i1 constant.
   ConstantInt *constBool(bool V) { return constInt(Type::i1(), V ? 1 : 0); }

@@ -12,12 +12,10 @@
 #include <cstdint>
 #include <string_view>
 
+#include "ir/Eval.hpp" // TypeKind
 #include "support/Error.hpp"
 
 namespace codesign::ir {
-
-/// The scalar kinds supported by the IR.
-enum class TypeKind : std::uint8_t { Void, I1, I32, I64, F32, F64, Ptr };
 
 /// A value-semantic scalar type.
 class Type {

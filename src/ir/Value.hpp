@@ -129,6 +129,10 @@ public:
   }
   /// True when the value is zero.
   [[nodiscard]] bool isZero() const { return Val == 0; }
+  /// The canonical 64-bit encoding (ir/Eval.hpp).
+  [[nodiscard]] std::uint64_t bits() const {
+    return eval::canonBits(type().kind(), zext());
+  }
 
   static bool classof(const Value *V) {
     return V->kind() == ValueKind::ConstantInt;
@@ -147,6 +151,11 @@ public:
 
   /// The constant's value (f32 constants are stored widened).
   [[nodiscard]] double value() const { return Val; }
+  /// The canonical 64-bit encoding (ir/Eval.hpp): an f32 constant rounds to
+  /// float here, as it does wherever it is executed.
+  [[nodiscard]] std::uint64_t bits() const {
+    return eval::encodeF(type().kind(), Val);
+  }
 
   static bool classof(const Value *V) {
     return V->kind() == ValueKind::ConstantFP;

@@ -1,5 +1,14 @@
 //===- opt/ConstantFold.cpp - Constant folding and instsimplify -----------===//
+//
+// A value operation whose operands are all constants folds to what the
+// device computes: the folder evaluates it with ir/Eval.hpp, the evaluator
+// every execution backend runs, so folding never changes a kernel's
+// results. The identity rules (x+0, a==a, null checks, select, gep, phi)
+// need no evaluation.
+//
+//===----------------------------------------------------------------------===//
 #include <cstring>
+#include <optional>
 
 #include "ir/IRBuilder.hpp"
 #include "opt/Pipeline.hpp"
@@ -10,112 +19,49 @@ using namespace ir;
 
 namespace {
 
-/// Fold an integer binop on constants. Returns nullptr when not foldable
-/// (division by zero stays for the runtime to trap on).
-Value *foldIntBinop(Module &M, const Instruction &I, const ConstantInt *A,
-                    const ConstantInt *B) {
-  const Type Ty = I.type();
-  const std::int64_t X = A->value(), Y = B->value();
-  const std::uint64_t UX =
-      Ty.kind() == TypeKind::I32 ? (A->zext() & 0xFFFFFFFFULL) : A->zext();
-  const std::uint64_t UY =
-      Ty.kind() == TypeKind::I32 ? (B->zext() & 0xFFFFFFFFULL) : B->zext();
-  const unsigned ShMask = Ty.kind() == TypeKind::I32 ? 31 : 63;
-  std::int64_t R = 0;
-  switch (I.opcode()) {
-  case Opcode::Add:
-    R = X + Y;
-    break;
-  case Opcode::Sub:
-    R = X - Y;
-    break;
-  case Opcode::Mul:
-    R = X * Y;
-    break;
-  case Opcode::SDiv:
-    if (Y == 0)
-      return nullptr;
-    R = X / Y;
-    break;
-  case Opcode::UDiv:
-    if (UY == 0)
-      return nullptr;
-    R = static_cast<std::int64_t>(UX / UY);
-    break;
-  case Opcode::SRem:
-    if (Y == 0)
-      return nullptr;
-    R = X % Y;
-    break;
-  case Opcode::URem:
-    if (UY == 0)
-      return nullptr;
-    R = static_cast<std::int64_t>(UX % UY);
-    break;
-  case Opcode::And:
-    R = X & Y;
-    break;
-  case Opcode::Or:
-    R = X | Y;
-    break;
-  case Opcode::Xor:
-    R = X ^ Y;
-    break;
-  case Opcode::Shl:
-    R = static_cast<std::int64_t>(UX << (UY & ShMask));
-    break;
-  case Opcode::LShr:
-    R = static_cast<std::int64_t>(UX >> (UY & ShMask));
-    break;
-  case Opcode::AShr:
-    R = X >> static_cast<std::int64_t>(UY & ShMask);
-    break;
-  default:
-    return nullptr;
-  }
-  return M.constInt(Ty, R);
+/// Canonical bits of a constant operand (the null pointer is 0), or
+/// nothing when V is not a constant. Undef is left alone.
+std::optional<std::uint64_t> constantBits(const Value *V) {
+  if (const auto *C = dynCast<ConstantInt>(V))
+    return C->bits();
+  if (const auto *C = dynCast<ConstantFP>(V))
+    return C->bits();
+  if (isa<ConstantNull>(V))
+    return 0;
+  return std::nullopt;
 }
 
-Value *foldICmpConst(Module &M, CmpPred P, const ConstantInt *A,
-                     const ConstantInt *B) {
-  const std::int64_t X = A->value(), Y = B->value();
-  const std::uint64_t UX = A->zext(), UY = B->zext();
-  bool R = false;
-  switch (P) {
-  case CmpPred::EQ:
-    R = X == Y;
-    break;
-  case CmpPred::NE:
-    R = X != Y;
-    break;
-  case CmpPred::SLT:
-    R = X < Y;
-    break;
-  case CmpPred::SLE:
-    R = X <= Y;
-    break;
-  case CmpPred::SGT:
-    R = X > Y;
-    break;
-  case CmpPred::SGE:
-    R = X >= Y;
-    break;
-  case CmpPred::ULT:
-    R = UX < UY;
-    break;
-  case CmpPred::ULE:
-    R = UX <= UY;
-    break;
-  case CmpPred::UGT:
-    R = UX > UY;
-    break;
-  case CmpPred::UGE:
-    R = UX >= UY;
-    break;
-  default:
+/// The constant of type Ty with canonical bits Bits, or null when Ty has no
+/// such constant (a pointer other than null).
+Value *constantOf(Module &M, Type Ty, std::uint64_t Bits) {
+  if (Ty.isInteger())
+    return M.constInt(Ty, static_cast<std::int64_t>(Bits));
+  if (Ty.isFloat())
+    return M.constFP(Ty, eval::decodeF(Ty.kind(), Bits));
+  if (Ty.isPointer() && Bits == 0)
+    return M.nullPtr();
+  return nullptr;
+}
+
+/// Fold a value operation whose operands are all constants to the constant
+/// it computes on the device (ir/Eval.hpp). Returns null when an operand is
+/// not constant, or when the operation traps: a division or remainder by
+/// zero stays for the runtime to trap on.
+Value *foldValueOp(Module &M, const Instruction &I) {
+  if (I.numOperands() == 0 || I.numOperands() > 3)
     return nullptr;
+  std::uint64_t Ops[3] = {};
+  for (unsigned K = 0; K < I.numOperands(); ++K) {
+    const std::optional<std::uint64_t> Bits = constantBits(I.operand(K));
+    if (!Bits)
+      return nullptr;
+    Ops[K] = *Bits;
   }
-  return M.constBool(R);
+  std::uint64_t R = 0;
+  if (eval::evaluate(I.opcode(), I.pred(), I.type().kind(),
+                     I.operand(0)->type().kind(), Ops, R))
+    return nullptr;
+  return constantOf(M, I.type(), R);
 }
 
 /// True when V is statically known to be a nonzero "address" (function
@@ -152,29 +98,13 @@ Value *foldConstGlobalLoad(Module &M, const Instruction &Load) {
   const unsigned Size = Ty.sizeInBytes();
   if (Off < 0 || static_cast<std::uint64_t>(Off) + Size > G->sizeBytes())
     return nullptr;
+  if (Ty.isPointer())
+    return nullptr; // pointer loads from initializers are not supported
   std::uint64_t Raw = 0;
   if (!G->initializer().empty())
     std::memcpy(&Raw, G->initializer().data() + Off, Size);
-  if (Ty.isInteger()) {
-    std::int64_t V = static_cast<std::int64_t>(Raw);
-    if (Ty.kind() == TypeKind::I32)
-      V = static_cast<std::int32_t>(Raw);
-    if (Ty.isI1())
-      V &= 1;
-    return M.constInt(Ty, V);
-  }
-  if (Ty.kind() == TypeKind::F64) {
-    double D;
-    std::memcpy(&D, &Raw, 8);
-    return M.constFP(Ty, D);
-  }
-  if (Ty.kind() == TypeKind::F32) {
-    float FV;
-    std::uint32_t Bits32 = static_cast<std::uint32_t>(Raw);
-    std::memcpy(&FV, &Bits32, 4);
-    return M.constFP(Ty, FV);
-  }
-  return nullptr; // pointer loads from initializers are not supported
+  // The canonical value TeamModel::load reads from these bytes.
+  return constantOf(M, Ty, eval::canonBits(Ty.kind(), Raw));
 }
 
 /// Try to simplify one instruction; returns the replacement or null.
@@ -200,7 +130,7 @@ Value *simplify(Module &M, Instruction &I, bool &Mutated) {
   case Opcode::LShr:
   case Opcode::AShr: {
     if (CA && CB)
-      return foldIntBinop(M, I, CA, CB);
+      return foldValueOp(M, I);
     // Identities.
     Value *A = I.operand(0), *B = I.operand(1);
     switch (I.opcode()) {
@@ -256,8 +186,8 @@ Value *simplify(Module &M, Instruction &I, bool &Mutated) {
     return nullptr;
   }
   case Opcode::ICmp: {
-    if (CA && CB)
-      return foldICmpConst(M, I.pred(), CA, CB);
+    if (Value *C = foldValueOp(M, I))
+      return C;
     Value *A = I.operand(0), *B = I.operand(1);
     if (A == B) {
       switch (I.pred()) {
@@ -301,113 +231,28 @@ Value *simplify(Module &M, Instruction &I, bool &Mutated) {
         if (I.pred() == CmpPred::NE)
           return M.constBool(true);
       }
-      if (ANull && BNull)
-        return M.constBool(I.pred() == CmpPred::EQ);
     }
     return nullptr;
   }
-  case Opcode::FCmp: {
-    const auto *FA = dynCast<ConstantFP>(I.operand(0));
-    const auto *FB = dynCast<ConstantFP>(I.operand(1));
-    if (!FA || !FB)
-      return nullptr;
-    const double X = FA->value(), Y = FB->value();
-    bool R = false;
-    switch (I.pred()) {
-    case CmpPred::OEQ:
-      R = X == Y;
-      break;
-    case CmpPred::ONE:
-      R = X != Y;
-      break;
-    case CmpPred::OLT:
-      R = X < Y;
-      break;
-    case CmpPred::OLE:
-      R = X <= Y;
-      break;
-    case CmpPred::OGT:
-      R = X > Y;
-      break;
-    case CmpPred::OGE:
-      R = X >= Y;
-      break;
-    default:
-      return nullptr;
-    }
-    return M.constBool(R);
-  }
+  case Opcode::FCmp:
   case Opcode::FAdd:
   case Opcode::FSub:
   case Opcode::FMul:
-  case Opcode::FDiv: {
-    const auto *FA = dynCast<ConstantFP>(I.operand(0));
-    const auto *FB = dynCast<ConstantFP>(I.operand(1));
-    if (!FA || !FB)
-      return nullptr;
-    const double X = FA->value(), Y = FB->value();
-    double R = 0;
-    switch (I.opcode()) {
-    case Opcode::FAdd:
-      R = X + Y;
-      break;
-    case Opcode::FSub:
-      R = X - Y;
-      break;
-    case Opcode::FMul:
-      R = X * Y;
-      break;
-    case Opcode::FDiv:
-      R = X / Y;
-      break;
-    default:
-      break;
-    }
-    return M.constFP(I.type(), R);
-  }
+  case Opcode::FDiv:
+  case Opcode::ZExt:
+  case Opcode::SExt:
+  case Opcode::Trunc:
+  case Opcode::SIToFP:
+  case Opcode::FPToSI:
+  case Opcode::FPCast:
+  case Opcode::PtrToInt:
+  case Opcode::IntToPtr:
+    return foldValueOp(M, I);
   case Opcode::Select: {
     if (CA)
       return CA->isZero() ? I.operand(2) : I.operand(1);
     if (I.operand(1) == I.operand(2))
       return I.operand(1);
-    return nullptr;
-  }
-  case Opcode::ZExt: {
-    if (CA) {
-      std::uint64_t Raw = CA->zext();
-      switch (I.operand(0)->type().kind()) {
-      case TypeKind::I1:
-        Raw &= 1;
-        break;
-      case TypeKind::I32:
-        Raw &= 0xFFFFFFFFULL;
-        break;
-      default:
-        break;
-      }
-      return M.constInt(I.type(), static_cast<std::int64_t>(Raw));
-    }
-    return nullptr;
-  }
-  case Opcode::SExt:
-  case Opcode::Trunc: {
-    if (CA)
-      return M.constInt(I.type(), CA->value());
-    return nullptr;
-  }
-  case Opcode::SIToFP: {
-    if (CA)
-      return M.constFP(I.type(), static_cast<double>(CA->value()));
-    return nullptr;
-  }
-  case Opcode::FPToSI: {
-    if (const auto *FA = dynCast<ConstantFP>(I.operand(0)))
-      return M.constInt(I.type(), static_cast<std::int64_t>(FA->value()));
-    return nullptr;
-  }
-  case Opcode::PtrToInt: {
-    if (isa<ConstantNull>(I.operand(0)))
-      return M.constI64(0);
     return nullptr;
   }
   case Opcode::Gep: {

@@ -14,54 +14,10 @@ using ir::Function;
 using ir::GlobalVariable;
 using ir::Instruction;
 using ir::Opcode;
-using ir::Type;
-using ir::TypeKind;
 using ir::Value;
 using ir::ValueKind;
 
 namespace {
-
-/// Direct opcode translation for the 1:1 part of the instruction set.
-BCOp directOp(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add:
-    return BCOp::Add;
-  case Opcode::Sub:
-    return BCOp::Sub;
-  case Opcode::Mul:
-    return BCOp::Mul;
-  case Opcode::SDiv:
-    return BCOp::SDiv;
-  case Opcode::UDiv:
-    return BCOp::UDiv;
-  case Opcode::SRem:
-    return BCOp::SRem;
-  case Opcode::URem:
-    return BCOp::URem;
-  case Opcode::And:
-    return BCOp::And;
-  case Opcode::Or:
-    return BCOp::Or;
-  case Opcode::Xor:
-    return BCOp::Xor;
-  case Opcode::Shl:
-    return BCOp::Shl;
-  case Opcode::LShr:
-    return BCOp::LShr;
-  case Opcode::AShr:
-    return BCOp::AShr;
-  case Opcode::FAdd:
-    return BCOp::FAdd;
-  case Opcode::FSub:
-    return BCOp::FSub;
-  case Opcode::FMul:
-    return BCOp::FMul;
-  case Opcode::FDiv:
-    return BCOp::FDiv;
-  default:
-    CODESIGN_UNREACHABLE("not a direct binop");
-  }
-}
 
 /// Number of leading phis of a block (the en-bloc prefix the tree
 /// interpreter executes as a parallel assignment).
@@ -133,11 +89,9 @@ private:
     case ValueKind::Argument:
       return Slots.at(V);
     case ValueKind::ConstantInt:
-      return lit(canonBits(V->type().kind(),
-                            ir::cast<ir::ConstantInt>(V)->zext()));
+      return lit(ir::cast<ir::ConstantInt>(V)->bits());
     case ValueKind::ConstantFP:
-      return lit(
-          encodeF(V->type().kind(), ir::cast<ir::ConstantFP>(V)->value()));
+      return lit(ir::cast<ir::ConstantFP>(V)->bits());
     case ValueKind::ConstantNull:
     case ValueKind::Undef:
       return lit(0);
@@ -281,55 +235,28 @@ private:
     case Opcode::FAdd:
     case Opcode::FSub:
     case Opcode::FMul:
-    case Opcode::FDiv: {
-      BCInst Inst = base(I, directOp(I->opcode()));
-      Inst.A = ref(I->operand(0));
-      Inst.B = ref(I->operand(1));
-      emit(Inst);
-      return;
-    }
+    case Opcode::FDiv:
     case Opcode::ICmp:
-    case Opcode::FCmp: {
-      BCInst Inst = base(
-          I, I->opcode() == Opcode::ICmp ? BCOp::ICmp : BCOp::FCmp);
-      Inst.Pred = static_cast<std::uint8_t>(I->pred());
-      Inst.SrcTyKind =
-          static_cast<std::uint8_t>(I->operand(0)->type().kind());
-      Inst.A = ref(I->operand(0));
-      Inst.B = ref(I->operand(1));
-      emit(Inst);
-      return;
-    }
-    case Opcode::Select: {
-      BCInst Inst = base(I, BCOp::Select);
-      Inst.A = ref(I->operand(0));
-      Inst.B = ref(I->operand(1));
-      Inst.C = ref(I->operand(2));
-      emit(Inst);
-      return;
-    }
+    case Opcode::FCmp:
+    case Opcode::Select:
     case Opcode::ZExt:
     case Opcode::SExt:
     case Opcode::Trunc:
     case Opcode::SIToFP:
     case Opcode::FPToSI:
-    case Opcode::FPCast: {
-      static constexpr BCOp Map[] = {BCOp::ZExt,   BCOp::SExt,
-                                     BCOp::Trunc,  BCOp::SIToFP,
-                                     BCOp::FPToSI, BCOp::FPCast};
-      BCInst Inst =
-          base(I, Map[static_cast<int>(I->opcode()) -
-                      static_cast<int>(Opcode::ZExt)]);
+    case Opcode::FPCast:
+    case Opcode::PtrToInt:
+    case Opcode::IntToPtr: {
+      // Value operations keep their IR number (see irOpcode).
+      BCInst Inst = base(I, static_cast<BCOp>(I->opcode()));
+      Inst.Pred = static_cast<std::uint8_t>(I->pred());
       Inst.SrcTyKind =
           static_cast<std::uint8_t>(I->operand(0)->type().kind());
       Inst.A = ref(I->operand(0));
-      emit(Inst);
-      return;
-    }
-    case Opcode::PtrToInt:
-    case Opcode::IntToPtr: {
-      BCInst Inst = base(I, BCOp::PtrCast);
-      Inst.A = ref(I->operand(0));
+      if (I->numOperands() > 1)
+        Inst.B = ref(I->operand(1));
+      if (I->numOperands() > 2)
+        Inst.C = ref(I->operand(2));
       emit(Inst);
       return;
     }

@@ -27,8 +27,10 @@
 
 namespace codesign::vgpu {
 
-/// Bytecode operations: one per ir::Opcode (PtrCast covers both pointer
-/// casts, phis become trampolines); the tail adds those trampolines.
+/// Bytecode operations: one per ir::Opcode (phis become trampolines); the
+/// tail adds those trampolines. The value operations (Add .. IntToPtr)
+/// keep their ir::Opcode numbers, so each converts with a cast (irOpcode)
+/// and evaluates through ir/Eval.hpp.
 enum class BCOp : std::uint8_t {
   // Integer arithmetic / bitwise (operands in the canonical encoding).
   Add,
@@ -60,7 +62,8 @@ enum class BCOp : std::uint8_t {
   SIToFP,
   FPToSI,
   FPCast,
-  PtrCast, // PtrToInt / IntToPtr: a canonical-encoding move
+  PtrToInt,
+  IntToPtr,
   // Memory.
   Alloca,
   Load,
@@ -98,6 +101,15 @@ enum class BCOp : std::uint8_t {
   // mid-block phi (Imm distinguishes; both trap like the tree walker).
   PhiTrap,
 };
+
+static_assert(static_cast<int>(BCOp::IntToPtr) ==
+                  static_cast<int>(ir::Opcode::IntToPtr),
+              "BCOp's value operations keep their ir::Opcode numbers");
+
+/// The ir::Opcode of a value operation (Add .. IntToPtr).
+[[nodiscard]] constexpr ir::Opcode irOpcode(BCOp Op) {
+  return static_cast<ir::Opcode>(Op);
+}
 
 /// Operand references index a frame's unified value array: indices below
 /// NumSlots are argument/instruction slots, indices NumSlots + k read entry

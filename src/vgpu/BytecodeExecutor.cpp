@@ -3,8 +3,9 @@
 // A register-machine VM over vgpu/Bytecode.hpp programs. It supplies only
 // the "advance this lane until it blocks" half of team execution; the
 // scheduler, the barrier rendezvous, memory resolution and accounting, the
-// race shadow, native ops and the value encoding are the team model's
-// (TeamModel.hpp), shared with the tree walker and the native backend. The
+// race shadow and native ops are the team model's (TeamModel.hpp), and
+// what each value operation computes is ir/Eval.hpp's, both shared with
+// the tree walker and the native backend. The
 // per-instruction accounting order (budget check, dynamic-instruction
 // counter, op-class histogram) and the trap messages match the tree
 // walker's; the differential tests pin every proxy app's outputs, metrics
@@ -28,38 +29,6 @@ namespace {
 
 /// The ir::TypeKind a BCInst type field encodes.
 TypeKind kindOf(std::uint8_t K) { return static_cast<TypeKind>(K); }
-
-/// Integer compare on canonical operand bits. Canonical sign-extension is
-/// an order-preserving embedding for the unsigned predicates as well, so
-/// raw compares suffice (same argument as the tree interpreter's ICmp).
-bool evalICmp(CmpPred Pred, std::uint64_t UA, std::uint64_t UB) {
-  const std::int64_t A = static_cast<std::int64_t>(UA);
-  const std::int64_t B = static_cast<std::int64_t>(UB);
-  switch (Pred) {
-  case CmpPred::EQ:
-    return UA == UB;
-  case CmpPred::NE:
-    return UA != UB;
-  case CmpPred::SLT:
-    return A < B;
-  case CmpPred::SLE:
-    return A <= B;
-  case CmpPred::SGT:
-    return A > B;
-  case CmpPred::SGE:
-    return A >= B;
-  case CmpPred::ULT:
-    return UA < UB;
-  case CmpPred::ULE:
-    return UA <= UB;
-  case CmpPred::UGT:
-    return UA > UB;
-  case CmpPred::UGE:
-    return UA >= UB;
-  default:
-    CODESIGN_UNREACHABLE("float predicate on icmp");
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Execution state
@@ -143,7 +112,8 @@ public:
       F.enter(*KernelBC, Pools[KernelBC->Index], /*ResumePC=*/0, BCNoSlot,
               /*RetTy=*/0, /*Watermark=*/0);
       for (unsigned A = 0; A < KernelBC->NumArgs; ++A)
-        F.Slots[A] = canonBits(kindOf(KernelBC->ArgTyKinds[A]), Args[A]);
+        F.Slots[A] =
+            eval::canonBits(kindOf(KernelBC->ArgTyKinds[A]), Args[A]);
       S.Depth = 1;
     }
   }
@@ -166,6 +136,25 @@ private:
   //--- The dispatch loop ------------------------------------------------------
 
   void stepThread(Lane &T);
+
+  /// Value operation Op of I in frame F, evaluated by ir/Eval.hpp. Each
+  /// opcode has its own case and instantiation, so the evaluator and its
+  /// cycle charge fold down to the one operation: no second dispatch on
+  /// the opcode. A division or remainder by zero traps T; the dispatch
+  /// loop then stops, since T no longer runs.
+  template <BCOp Op>
+  [[gnu::always_inline]] void valueOp(Lane &T, BCFrame &F, const BCInst &I) {
+    const std::uint64_t Ops[3] = {F.Slots[I.A], F.Slots[I.B], F.Slots[I.C]};
+    std::uint64_t R = 0;
+    if (const char *Trap = eval::evaluate(
+            irOpcode(Op), static_cast<CmpPred>(I.Pred), kindOf(I.TyKind),
+            kindOf(I.SrcTyKind), Ops, R)) {
+      Team.trap(T, Trap);
+      return;
+    }
+    F.Slots[I.Dst] = R;
+    T.Cycles += valueCycles(Config.Costs, irOpcode(Op));
+  }
 
   TeamModel Team;
   const DeviceConfig &Config;
@@ -233,201 +222,91 @@ void BCTeamExecutor::stepThread(Lane &T) {
     Cnt.Ops[I.Cls]++;
 
     switch (I.Op) {
-    //--- Integer arithmetic ---------------------------------------------------
+    //--- Value operations (ir/Eval.hpp), one instantiation each ---------------
     case BCOp::Add:
+      valueOp<BCOp::Add>(T, F, I);
+      break;
     case BCOp::Sub:
+      valueOp<BCOp::Sub>(T, F, I);
+      break;
     case BCOp::Mul:
+      valueOp<BCOp::Mul>(T, F, I);
+      break;
     case BCOp::SDiv:
+      valueOp<BCOp::SDiv>(T, F, I);
+      break;
     case BCOp::UDiv:
+      valueOp<BCOp::UDiv>(T, F, I);
+      break;
     case BCOp::SRem:
+      valueOp<BCOp::SRem>(T, F, I);
+      break;
     case BCOp::URem:
+      valueOp<BCOp::URem>(T, F, I);
+      break;
     case BCOp::And:
+      valueOp<BCOp::And>(T, F, I);
+      break;
     case BCOp::Or:
+      valueOp<BCOp::Or>(T, F, I);
+      break;
     case BCOp::Xor:
+      valueOp<BCOp::Xor>(T, F, I);
+      break;
     case BCOp::Shl:
+      valueOp<BCOp::Shl>(T, F, I);
+      break;
     case BCOp::LShr:
-    case BCOp::AShr: {
-      const std::uint64_t A = Ref(I.A);
-      const std::uint64_t B = Ref(I.B);
-      const std::uint64_t UA = zextBits(kindOf(I.TyKind), A);
-      const std::uint64_t UB = zextBits(kindOf(I.TyKind), B);
-      std::uint64_t R = 0;
-      std::uint32_t Cost = C.Alu;
-      const unsigned ShMask =
-          kindOf(I.TyKind) == TypeKind::I32 ? 31 : 63;
-      switch (I.Op) {
-      case BCOp::Add:
-        R = intops::addWrap(A, B);
-        break;
-      case BCOp::Sub:
-        R = intops::subWrap(A, B);
-        break;
-      case BCOp::Mul:
-        R = intops::mulWrap(A, B);
-        Cost = C.Mul;
-        break;
-      case BCOp::SDiv:
-        if (!intops::sdiv(A, B, R)) {
-          Team.trap(T, "integer division by zero");
-          return;
-        }
-        Cost = C.Div;
-        break;
-      case BCOp::UDiv:
-        if (!intops::udiv(UA, UB, R)) {
-          Team.trap(T, "integer division by zero");
-          return;
-        }
-        Cost = C.Div;
-        break;
-      case BCOp::SRem:
-        if (!intops::srem(A, B, R)) {
-          Team.trap(T, "integer remainder by zero");
-          return;
-        }
-        Cost = C.Div;
-        break;
-      case BCOp::URem:
-        if (!intops::urem(UA, UB, R)) {
-          Team.trap(T, "integer remainder by zero");
-          return;
-        }
-        Cost = C.Div;
-        break;
-      case BCOp::And:
-        R = A & B;
-        break;
-      case BCOp::Or:
-        R = A | B;
-        break;
-      case BCOp::Xor:
-        R = A ^ B;
-        break;
-      case BCOp::Shl:
-        R = UA << (UB & ShMask);
-        break;
-      case BCOp::LShr:
-        R = UA >> (UB & ShMask);
-        break;
-      case BCOp::AShr:
-        R = intops::ashr(A, static_cast<unsigned>(UB & ShMask));
-        break;
-      default:
-        CODESIGN_UNREACHABLE("not an int binop");
-      }
-      F.Slots[I.Dst] = canonBits(kindOf(I.TyKind), R);
-      T.Cycles += Cost;
+      valueOp<BCOp::LShr>(T, F, I);
       break;
-    }
-    //--- Float arithmetic ------------------------------------------------------
+    case BCOp::AShr:
+      valueOp<BCOp::AShr>(T, F, I);
+      break;
     case BCOp::FAdd:
+      valueOp<BCOp::FAdd>(T, F, I);
+      break;
     case BCOp::FSub:
+      valueOp<BCOp::FSub>(T, F, I);
+      break;
     case BCOp::FMul:
-    case BCOp::FDiv: {
-      const double A = decodeF(kindOf(I.TyKind), Ref(I.A));
-      const double B = decodeF(kindOf(I.TyKind), Ref(I.B));
-      double R = 0;
-      std::uint32_t Cost = C.FAlu;
-      switch (I.Op) {
-      case BCOp::FAdd:
-        R = A + B;
-        break;
-      case BCOp::FSub:
-        R = A - B;
-        break;
-      case BCOp::FMul:
-        R = A * B;
-        break;
-      case BCOp::FDiv:
-        R = A / B;
-        Cost = C.FDiv;
-        break;
-      default:
-        CODESIGN_UNREACHABLE("not a float binop");
-      }
-      F.Slots[I.Dst] = encodeF(kindOf(I.TyKind), R);
-      T.Cycles += Cost;
+      valueOp<BCOp::FMul>(T, F, I);
       break;
-    }
-    //--- Compare / select ------------------------------------------------------
-    case BCOp::ICmp: {
-      F.Slots[I.Dst] =
-          evalICmp(static_cast<CmpPred>(I.Pred), Ref(I.A), Ref(I.B)) ? 1 : 0;
-      T.Cycles += C.Alu;
+    case BCOp::FDiv:
+      valueOp<BCOp::FDiv>(T, F, I);
       break;
-    }
-    case BCOp::FCmp: {
-      const double A = decodeF(kindOf(I.SrcTyKind), Ref(I.A));
-      const double B = decodeF(kindOf(I.SrcTyKind), Ref(I.B));
-      bool R = false;
-      switch (static_cast<CmpPred>(I.Pred)) {
-      case CmpPred::OEQ:
-        R = A == B;
-        break;
-      case CmpPred::ONE:
-        R = A != B;
-        break;
-      case CmpPred::OLT:
-        R = A < B;
-        break;
-      case CmpPred::OLE:
-        R = A <= B;
-        break;
-      case CmpPred::OGT:
-        R = A > B;
-        break;
-      case CmpPred::OGE:
-        R = A >= B;
-        break;
-      default:
-        CODESIGN_UNREACHABLE("int predicate on fcmp");
-      }
-      F.Slots[I.Dst] = R ? 1 : 0;
-      T.Cycles += C.FAlu;
+    case BCOp::ICmp:
+      valueOp<BCOp::ICmp>(T, F, I);
       break;
-    }
-    case BCOp::Select: {
-      F.Slots[I.Dst] = Ref(I.A) ? Ref(I.B) : Ref(I.C);
-      T.Cycles += C.Alu;
+    case BCOp::FCmp:
+      valueOp<BCOp::FCmp>(T, F, I);
       break;
-    }
-    //--- Conversions -----------------------------------------------------------
-    case BCOp::ZExt: {
-      F.Slots[I.Dst] =
-          canonBits(kindOf(I.TyKind), zextBits(kindOf(I.SrcTyKind), Ref(I.A)));
-      T.Cycles += C.Alu;
+    case BCOp::Select:
+      valueOp<BCOp::Select>(T, F, I);
       break;
-    }
+    case BCOp::ZExt:
+      valueOp<BCOp::ZExt>(T, F, I);
+      break;
     case BCOp::SExt:
-    case BCOp::Trunc: {
-      F.Slots[I.Dst] = canonBits(kindOf(I.TyKind), Ref(I.A));
-      T.Cycles += C.Alu;
+      valueOp<BCOp::SExt>(T, F, I);
       break;
-    }
-    case BCOp::SIToFP: {
-      F.Slots[I.Dst] = encodeF(
-          kindOf(I.TyKind),
-          static_cast<double>(static_cast<std::int64_t>(Ref(I.A))));
-      T.Cycles += C.FAlu;
+    case BCOp::Trunc:
+      valueOp<BCOp::Trunc>(T, F, I);
       break;
-    }
-    case BCOp::FPToSI: {
-      const double D = decodeF(kindOf(I.SrcTyKind), Ref(I.A));
-      F.Slots[I.Dst] = canonBits(
-          kindOf(I.TyKind), static_cast<std::uint64_t>(intops::fpToI64(D)));
-      T.Cycles += C.FAlu;
+    case BCOp::SIToFP:
+      valueOp<BCOp::SIToFP>(T, F, I);
       break;
-    }
-    case BCOp::FPCast: {
-      F.Slots[I.Dst] = encodeF(kindOf(I.TyKind), decodeF(kindOf(I.SrcTyKind), Ref(I.A)));
-      T.Cycles += C.FAlu;
+    case BCOp::FPToSI:
+      valueOp<BCOp::FPToSI>(T, F, I);
       break;
-    }
-    case BCOp::PtrCast: {
-      F.Slots[I.Dst] = Ref(I.A);
-      T.Cycles += C.Alu;
+    case BCOp::FPCast:
+      valueOp<BCOp::FPCast>(T, F, I);
       break;
-    }
+    case BCOp::PtrToInt:
+      valueOp<BCOp::PtrToInt>(T, F, I);
+      break;
+    case BCOp::IntToPtr:
+      valueOp<BCOp::IntToPtr>(T, F, I);
+      break;
     //--- Memory ----------------------------------------------------------------
     case BCOp::Alloca: {
       const std::uint64_t Addr =
@@ -513,7 +392,7 @@ void BCTeamExecutor::stepThread(Lane &T) {
       }
       BCFrame &Caller = S.Frames[S.Depth - 1];
       if (CallerDst != BCNoSlot)
-        Caller.Slots[CallerDst] = canonBits(kindOf(RetTy), RetBits);
+        Caller.Slots[CallerDst] = eval::canonBits(kindOf(RetTy), RetBits);
       Caller.PC = RetPC;
       T.Cycles += C.Branch;
       continue;
@@ -564,7 +443,7 @@ void BCTeamExecutor::stepThread(Lane &T) {
       NewF.enter(*CalleeBC, Pools[CalleeBC->Index], RetPC, CallerDst,
                  CallerRetTy, T.Local.watermark());
       for (std::uint32_t A = 0; A < NumCallArgs; ++A)
-        NewF.Slots[A] = canonBits(kindOf(CalleeBC->ArgTyKinds[A]),
+        NewF.Slots[A] = eval::canonBits(kindOf(CalleeBC->ArgTyKinds[A]),
                                   Caller.Slots[Caller.BF->Extras[ArgBase + A]]);
       ++S.Depth;
       T.Cycles += C.CallOverhead;
@@ -636,7 +515,7 @@ void BCTeamExecutor::stepThread(Lane &T) {
       if (kindOf(I.TyKind) != TypeKind::Void) {
         CODESIGN_ASSERT(R.HasResult,
                         "native op did not produce its declared result");
-        F.Slots[I.Dst] = canonBits(kindOf(I.TyKind), R.Bits);
+        F.Slots[I.Dst] = eval::canonBits(kindOf(I.TyKind), R.Bits);
       }
       break;
     }

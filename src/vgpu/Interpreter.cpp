@@ -9,10 +9,8 @@
 namespace codesign::vgpu {
 
 using ir::BasicBlock;
-using ir::CmpPred;
 using ir::Opcode;
 using ir::Type;
-using ir::TypeKind;
 using ir::ValueKind;
 
 //===----------------------------------------------------------------------===//
@@ -194,7 +192,7 @@ public:
       F.enter(Kernel, Layout, /*Site=*/nullptr, /*Watermark=*/0);
       for (unsigned A = 0; A < Kernel->numArgs(); ++A)
         F.Slots[Layout.Slots.at(Kernel->arg(A))] =
-            canonBits(Kernel->arg(A)->type().kind(), Args[A]);
+            eval::canonBits(Kernel->arg(A)->type().kind(), Args[A]);
       S.Depth = 1;
     }
   }
@@ -220,11 +218,9 @@ private:
     case ValueKind::Argument:
       return F.Slots[F.Layout->Slots.at(V)];
     case ValueKind::ConstantInt:
-      return canonBits(V->type().kind(),
-                       static_cast<std::uint64_t>(
-                           ir::cast<ir::ConstantInt>(V)->value()));
+      return ir::cast<ir::ConstantInt>(V)->bits();
     case ValueKind::ConstantFP:
-      return encodeF(V->type().kind(), ir::cast<ir::ConstantFP>(V)->value());
+      return ir::cast<ir::ConstantFP>(V)->bits();
     case ValueKind::ConstantNull:
       return 0;
     case ValueKind::Undef:
@@ -302,7 +298,7 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
     auto opI = [&](unsigned Idx) { return operandValue(I->operand(Idx), F); };
 
     switch (I->opcode()) {
-    //--- Integer arithmetic ---------------------------------------------------
+    //--- Value operations (ir/Eval.hpp) ----------------------------------------
     case Opcode::Add:
     case Opcode::Sub:
     case Opcode::Mul:
@@ -315,240 +311,34 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
     case Opcode::Xor:
     case Opcode::Shl:
     case Opcode::LShr:
-    case Opcode::AShr: {
-      const Type Ty = I->type();
-      // Canonical (sign-extended) and width-adjusted (zero-extended)
-      // operand views. All arithmetic runs through intops:: so signed
-      // overflow and INT64_MIN / -1 have the defined wrapping semantics
-      // shared with the bytecode tier (DESIGN.md section 5).
-      const std::uint64_t A = opI(0);
-      const std::uint64_t B = opI(1);
-      const std::uint64_t UA = zextBits(Ty.kind(), A);
-      const std::uint64_t UB = zextBits(Ty.kind(), B);
-      std::uint64_t R = 0;
-      std::uint32_t Cost = C.Alu;
-      const unsigned ShMask = Ty.kind() == TypeKind::I32 ? 31 : 63;
-      switch (I->opcode()) {
-      case Opcode::Add:
-        R = intops::addWrap(A, B);
-        break;
-      case Opcode::Sub:
-        R = intops::subWrap(A, B);
-        break;
-      case Opcode::Mul:
-        R = intops::mulWrap(A, B);
-        Cost = C.Mul;
-        break;
-      case Opcode::SDiv:
-        if (!intops::sdiv(A, B, R)) {
-          Team.trap(T, "integer division by zero");
-          return;
-        }
-        Cost = C.Div;
-        break;
-      case Opcode::UDiv:
-        if (!intops::udiv(UA, UB, R)) {
-          Team.trap(T, "integer division by zero");
-          return;
-        }
-        Cost = C.Div;
-        break;
-      case Opcode::SRem:
-        if (!intops::srem(A, B, R)) {
-          Team.trap(T, "integer remainder by zero");
-          return;
-        }
-        Cost = C.Div;
-        break;
-      case Opcode::URem:
-        if (!intops::urem(UA, UB, R)) {
-          Team.trap(T, "integer remainder by zero");
-          return;
-        }
-        Cost = C.Div;
-        break;
-      case Opcode::And:
-        R = A & B;
-        break;
-      case Opcode::Or:
-        R = A | B;
-        break;
-      case Opcode::Xor:
-        R = A ^ B;
-        break;
-      case Opcode::Shl:
-        R = UA << (UB & ShMask);
-        break;
-      case Opcode::LShr:
-        R = UA >> (UB & ShMask);
-        break;
-      case Opcode::AShr:
-        R = intops::ashr(A, static_cast<unsigned>(UB & ShMask));
-        break;
-      default:
-        CODESIGN_UNREACHABLE("not an int binop");
-      }
-      setResult(I, F, canonBits(Ty.kind(), R));
-      T.Cycles += Cost;
-      break;
-    }
-    //--- Float arithmetic ------------------------------------------------------
+    case Opcode::AShr:
     case Opcode::FAdd:
     case Opcode::FSub:
     case Opcode::FMul:
-    case Opcode::FDiv: {
-      const Type Ty = I->type();
-      const double A = decodeF(Ty.kind(), opI(0));
-      const double B = decodeF(Ty.kind(), opI(1));
-      double R = 0;
-      std::uint32_t Cost = C.FAlu;
-      switch (I->opcode()) {
-      case Opcode::FAdd:
-        R = A + B;
-        break;
-      case Opcode::FSub:
-        R = A - B;
-        break;
-      case Opcode::FMul:
-        R = A * B;
-        break;
-      case Opcode::FDiv:
-        R = A / B;
-        Cost = C.FDiv;
-        break;
-      default:
-        CODESIGN_UNREACHABLE("not a float binop");
-      }
-      setResult(I, F, encodeF(Ty.kind(), R));
-      T.Cycles += Cost;
-      break;
-    }
-    //--- Compare / select ------------------------------------------------------
-    case Opcode::ICmp: {
-      const std::int64_t A = static_cast<std::int64_t>(opI(0));
-      const std::int64_t B = static_cast<std::int64_t>(opI(1));
-      const std::uint64_t UA = opI(0), UB = opI(1);
-      bool R = false;
-      switch (I->pred()) {
-      case CmpPred::EQ:
-        R = UA == UB;
-        break;
-      case CmpPred::NE:
-        R = UA != UB;
-        break;
-      case CmpPred::SLT:
-        R = A < B;
-        break;
-      case CmpPred::SLE:
-        R = A <= B;
-        break;
-      case CmpPred::SGT:
-        R = A > B;
-        break;
-      case CmpPred::SGE:
-        R = A >= B;
-        break;
-      // Canonical sign-extension is an order-preserving embedding for the
-      // unsigned predicates as well (see tests), so raw compares suffice.
-      case CmpPred::ULT:
-        R = UA < UB;
-        break;
-      case CmpPred::ULE:
-        R = UA <= UB;
-        break;
-      case CmpPred::UGT:
-        R = UA > UB;
-        break;
-      case CmpPred::UGE:
-        R = UA >= UB;
-        break;
-      default:
-        CODESIGN_UNREACHABLE("float predicate on icmp");
-      }
-      setResult(I, F, R ? 1 : 0);
-      T.Cycles += C.Alu;
-      break;
-    }
-    case Opcode::FCmp: {
-      const Type Ty = I->operand(0)->type();
-      const double A = decodeF(Ty.kind(), opI(0));
-      const double B = decodeF(Ty.kind(), opI(1));
-      bool R = false;
-      switch (I->pred()) {
-      case CmpPred::OEQ:
-        R = A == B;
-        break;
-      case CmpPred::ONE:
-        R = A != B;
-        break;
-      case CmpPred::OLT:
-        R = A < B;
-        break;
-      case CmpPred::OLE:
-        R = A <= B;
-        break;
-      case CmpPred::OGT:
-        R = A > B;
-        break;
-      case CmpPred::OGE:
-        R = A >= B;
-        break;
-      default:
-        CODESIGN_UNREACHABLE("int predicate on fcmp");
-      }
-      setResult(I, F, R ? 1 : 0);
-      T.Cycles += C.FAlu;
-      break;
-    }
-    case Opcode::Select: {
-      setResult(I, F, opI(0) ? opI(1) : opI(2));
-      T.Cycles += C.Alu;
-      break;
-    }
-    //--- Conversions -------------------------------------------------------------
-    case Opcode::ZExt: {
-      setResult(I, F,
-                canonBits(I->type().kind(),
-                          zextBits(I->operand(0)->type().kind(), opI(0))));
-      T.Cycles += C.Alu;
-      break;
-    }
-    case Opcode::SExt: {
-      setResult(I, F, canonBits(I->type().kind(), opI(0)));
-      T.Cycles += C.Alu;
-      break;
-    }
-    case Opcode::Trunc: {
-      setResult(I, F, canonBits(I->type().kind(), opI(0)));
-      T.Cycles += C.Alu;
-      break;
-    }
-    case Opcode::SIToFP: {
-      setResult(I, F,
-                encodeF(I->type().kind(),
-                        static_cast<double>(static_cast<std::int64_t>(opI(0)))));
-      T.Cycles += C.FAlu;
-      break;
-    }
-    case Opcode::FPToSI: {
-      const double D = decodeF(I->operand(0)->type().kind(), opI(0));
-      setResult(I, F,
-                canonBits(I->type().kind(),
-                         static_cast<std::uint64_t>(intops::fpToI64(D))));
-      T.Cycles += C.FAlu;
-      break;
-    }
-    case Opcode::FPCast: {
-      setResult(I, F,
-                encodeF(I->type().kind(),
-                        decodeF(I->operand(0)->type().kind(), opI(0))));
-      T.Cycles += C.FAlu;
-      break;
-    }
+    case Opcode::FDiv:
+    case Opcode::ICmp:
+    case Opcode::FCmp:
+    case Opcode::Select:
+    case Opcode::ZExt:
+    case Opcode::SExt:
+    case Opcode::Trunc:
+    case Opcode::SIToFP:
+    case Opcode::FPToSI:
+    case Opcode::FPCast:
     case Opcode::PtrToInt:
     case Opcode::IntToPtr: {
-      setResult(I, F, opI(0));
-      T.Cycles += C.Alu;
+      std::uint64_t Ops[3] = {};
+      for (unsigned K = 0; K < I->numOperands() && K < 3; ++K)
+        Ops[K] = opI(K);
+      std::uint64_t R = 0;
+      if (const char *Trap = eval::evaluate(
+              I->opcode(), I->pred(), I->type().kind(),
+              I->operand(0)->type().kind(), Ops, R)) {
+        Team.trap(T, Trap);
+        return;
+      }
+      setResult(I, F, R);
+      T.Cycles += valueCycles(C, I->opcode());
       break;
     }
     //--- Memory ------------------------------------------------------------------
@@ -642,7 +432,7 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
       Frame &Caller = S.Frames[S.Depth - 1];
       if (CallSite && !CallSite->type().isVoid())
         Caller.Slots[Caller.Layout->Slots.at(CallSite)] =
-            canonBits(CallSite->type().kind(), RetBits);
+            eval::canonBits(CallSite->type().kind(), RetBits);
       Caller.InstIdx++; // resume after the call
       T.Cycles += C.Branch;
       continue;
@@ -686,7 +476,7 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
       NewF.enter(Callee, Layout, I, T.Local.watermark());
       for (unsigned A = 0; A < Callee->numArgs(); ++A)
         NewF.Slots[Layout.Slots.at(Callee->arg(A))] =
-            canonBits(Callee->arg(A)->type().kind(),
+            eval::canonBits(Callee->arg(A)->type().kind(),
                       operandValue(I->operand(A + 1), Caller));
       ++S.Depth;
       T.Cycles += C.CallOverhead;
@@ -756,7 +546,7 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
       if (!I->type().isVoid()) {
         CODESIGN_ASSERT(R.HasResult,
                         "native op did not produce its declared result");
-        setResult(I, F, canonBits(I->type().kind(), R.Bits));
+        setResult(I, F, eval::canonBits(I->type().kind(), R.Bits));
       }
       break;
     }

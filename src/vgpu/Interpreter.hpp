@@ -4,7 +4,8 @@
 // functions) and the tree-walking interpreter: each lane of a team walks
 // the IR instruction objects directly until it blocks at a team barrier,
 // finishes, or traps. Scheduling, the barrier rendezvous, memory and
-// accounting are the shared team model's (TeamModel.hpp), which is what
+// accounting are the shared team model's (TeamModel.hpp), and value
+// operations are ir/Eval.hpp's evaluators, which is what
 // reproduces the execution semantics the paper's runtime relies on —
 // including the generic-mode state machine, which is pure barrier
 // choreography between the main thread and the workers (paper Section

@@ -16,7 +16,8 @@
 //     one set of hot counters that is flushed into the team's shard once;
 //   - the shared-memory race shadow (DeviceConfig::DetectRaces);
 //   - the NativeCtx that registered native ops run against;
-//   - the canonical value encoding and the global-memory atomics.
+//   - the global-memory atomics, and the cycles each value operation
+//     costs. What a value operation computes is ir/Eval.hpp's.
 //
 // A team's lane array and shared arena are recycled across the teams one
 // host thread runs (see the TeamModel constructor): set-up resets them to
@@ -38,9 +39,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ir/Eval.hpp"
 #include "ir/Instruction.hpp"
 #include "vgpu/DeviceConfig.hpp"
-#include "vgpu/IntOps.hpp"
 #include "vgpu/Memory.hpp"
 #include "vgpu/Metrics.hpp"
 #include "vgpu/NativeRegistry.hpp"
@@ -49,66 +50,7 @@ namespace codesign::vgpu {
 
 class ModuleImage;
 using ir::TypeKind;
-
-//===----------------------------------------------------------------------===//
-// Canonical value encoding
-//===----------------------------------------------------------------------===//
-
-/// Canonical 64-bit bits of a value of kind K: i1 is 0/1, i32 is
-/// sign-extended; i64, pointers and float bit patterns are kept as they are.
-[[nodiscard]] inline std::uint64_t canonBits(TypeKind K, std::uint64_t Bits) {
-  switch (K) {
-  case TypeKind::I1:
-    return Bits & 1;
-  case TypeKind::I32:
-    return intops::sext32(Bits);
-  default:
-    return Bits;
-  }
-}
-
-/// The width-adjusted (zero-extended) view of canonical integer bits.
-[[nodiscard]] inline std::uint64_t zextBits(TypeKind K, std::uint64_t Bits) {
-  switch (K) {
-  case TypeKind::I1:
-    return Bits & 1;
-  case TypeKind::I32:
-    return Bits & 0xFFFFFFFFULL;
-  default:
-    return Bits;
-  }
-}
-
-/// The value of canonical float bits of kind K (f32 or f64).
-[[nodiscard]] inline double decodeF(TypeKind K, std::uint64_t Bits) {
-  return K == TypeKind::F32 ? intops::decodeF32(Bits)
-                            : intops::decodeF64(Bits);
-}
-
-/// Canonical bits of V as a float of kind K (f32 or f64).
-[[nodiscard]] inline std::uint64_t encodeF(TypeKind K, double V) {
-  return K == TypeKind::F32 ? intops::encodeF32(V) : intops::encodeF64(V);
-}
-
-/// New value of an atomic read-modify-write, from the canonical old value
-/// and the canonical operand.
-[[nodiscard]] inline std::uint64_t atomicResult(ir::AtomicOp Op,
-                                                std::uint64_t Old,
-                                                std::uint64_t V) {
-  const auto OldS = static_cast<std::int64_t>(Old);
-  const auto VS = static_cast<std::int64_t>(V);
-  switch (Op) {
-  case ir::AtomicOp::Add:
-    return intops::addWrap(Old, V);
-  case ir::AtomicOp::Max:
-    return static_cast<std::uint64_t>(std::max(OldS, VS));
-  case ir::AtomicOp::Min:
-    return static_cast<std::uint64_t>(std::min(OldS, VS));
-  case ir::AtomicOp::Exchange:
-    return V;
-  }
-  CODESIGN_UNREACHABLE("unknown atomic op");
-}
+namespace eval = ir::eval;
 
 //===----------------------------------------------------------------------===//
 // Lanes and counters
@@ -159,6 +101,33 @@ struct HotCounters {
 /// The op class an IR opcode counts under in the profile histogram
 /// (HotCounters::Ops).
 [[nodiscard]] OpClass classifyOpcode(ir::Opcode Op);
+
+/// Modeled cycles of value operation Op (Add .. IntToPtr) on every
+/// backend that charges them.
+[[nodiscard]] inline std::uint32_t valueCycles(const CostModel &C,
+                                               ir::Opcode Op) {
+  switch (Op) {
+  case ir::Opcode::Mul:
+    return C.Mul;
+  case ir::Opcode::SDiv:
+  case ir::Opcode::UDiv:
+  case ir::Opcode::SRem:
+  case ir::Opcode::URem:
+    return C.Div;
+  case ir::Opcode::FAdd:
+  case ir::Opcode::FSub:
+  case ir::Opcode::FMul:
+  case ir::Opcode::FCmp:
+  case ir::Opcode::SIToFP:
+  case ir::Opcode::FPToSI:
+  case ir::Opcode::FPCast:
+    return C.FAlu;
+  case ir::Opcode::FDiv:
+    return C.FDiv;
+  default:
+    return C.Alu;
+  }
+}
 
 /// Result of a registered native op.
 struct NativeOpResult {
@@ -411,7 +380,7 @@ inline std::uint64_t TeamModel::load(Lane &L, DeviceAddr A, TypeKind K,
   if (const std::uint8_t *P =
           access(L, A, Size, /*IsStore=*/false, /*Shadow=*/true))
     std::memcpy(&Raw, P, Size);
-  return canonBits(K, Raw);
+  return eval::canonBits(K, Raw);
 }
 
 inline void TeamModel::store(Lane &L, DeviceAddr A, unsigned Size,
@@ -427,13 +396,13 @@ inline std::uint64_t TeamModel::atomicRMW(Lane &L, DeviceAddr A, TypeKind K,
   if (!P)
     return 0;
   const auto NewBitsFor = [&](std::uint64_t RawOld) {
-    return atomicResult(Op, canonBits(K, RawOld), V);
+    return eval::atomicResult(Op, eval::canonBits(K, RawOld), V);
   };
   std::uint64_t Raw = 0;
-  if (A.space() == MemSpace::Global && intops::atomicCapable(P, Size)) {
+  if (A.space() == MemSpace::Global && eval::atomicCapable(P, Size)) {
     // Teams on other launch threads may hit the same word.
-    Raw = Size == 4 ? intops::atomicFetchModify<std::uint32_t>(P, NewBitsFor)
-                    : intops::atomicFetchModify<std::uint64_t>(P, NewBitsFor);
+    Raw = Size == 4 ? eval::atomicFetchModify<std::uint32_t>(P, NewBitsFor)
+                    : eval::atomicFetchModify<std::uint64_t>(P, NewBitsFor);
   } else {
     // Shared and local memory are team-private: a plain RMW is race-free.
     std::memcpy(&Raw, P, Size);
@@ -441,7 +410,7 @@ inline std::uint64_t TeamModel::atomicRMW(Lane &L, DeviceAddr A, TypeKind K,
     std::memcpy(P, &NewBits, Size);
   }
   chargeAccess(L, A.space(), /*IsStore=*/true, /*IsAtomic=*/true, Size);
-  return canonBits(K, Raw);
+  return eval::canonBits(K, Raw);
 }
 
 inline std::uint64_t TeamModel::cmpXchg(Lane &L, DeviceAddr A, TypeKind K,
@@ -451,16 +420,16 @@ inline std::uint64_t TeamModel::cmpXchg(Lane &L, DeviceAddr A, TypeKind K,
   if (!P)
     return 0;
   std::uint64_t Raw = 0;
-  if (A.space() == MemSpace::Global && intops::atomicCapable(P, Size)) {
-    Raw = Size == 4 ? intops::atomicCas<std::uint32_t>(P, Expected, Desired)
-                    : intops::atomicCas<std::uint64_t>(P, Expected, Desired);
+  if (A.space() == MemSpace::Global && eval::atomicCapable(P, Size)) {
+    Raw = Size == 4 ? eval::atomicCas<std::uint32_t>(P, Expected, Desired)
+                    : eval::atomicCas<std::uint64_t>(P, Expected, Desired);
   } else {
     std::memcpy(&Raw, P, Size);
-    if (canonBits(K, Raw) == Expected)
+    if (eval::canonBits(K, Raw) == Expected)
       std::memcpy(P, &Desired, Size);
   }
   chargeAccess(L, A.space(), /*IsStore=*/true, /*IsAtomic=*/true, Size);
-  return canonBits(K, Raw);
+  return eval::canonBits(K, Raw);
 }
 
 inline std::uint64_t TeamModel::allocLocal(Lane &L, std::uint64_t Size) {

@@ -125,9 +125,9 @@ TEST_F(ServiceTest, CompileThenLaunchRoundTrip) {
 
 TEST_F(ServiceTest, CompileStormDedupesToOneCompilation) {
   // The acceptance scenario: 8 client threads x 125 identical compile
-  // requests = 1000 concurrent requests for one key. The sharded
-  // single-flight cache must record exactly 1 miss; every other request is
-  // a hit or was coalesced onto the in-flight compilation.
+  // requests = 1000 concurrent requests for one key. The single-flight
+  // kernel cache (one lock) must record exactly 1 miss; every other request
+  // is a hit or was coalesced onto the in-flight compilation.
   constexpr unsigned Clients = 8, PerClient = 125;
   ServiceConfig Config;
   Config.Workers = 4;

@@ -6,12 +6,13 @@
 // back after failed launches too), metrics, profiles, and trap messages.
 // The trap-verdict cases run under the native backend too, which must stop
 // with the same message (it models no ALU cycles, so only the verdict is
-// compared there). The suite doubles as the evaluator-semantics
-// regression net for the IntOps.hpp wrapping arithmetic — the cases below
-// (INT64_MIN / -1, overflow wrap, shifts at the type width, i32
-// canonicalization, float-to-int saturation) are exactly the ones that
-// were UB before the shared helpers existed, so the whole file is also run
-// under -DCODESIGN_SANITIZE=undefined (ctest -L ubsan).
+// compared there). The suite doubles as a regression net for the
+// ir/Eval.hpp wrapping arithmetic — the cases below (INT64_MIN / -1,
+// overflow wrap, shifts at the type width, i32 canonicalization,
+// float-to-int saturation) are exactly the ones that were UB before the
+// shared evaluators existed, so the whole file is also run under
+// -DCODESIGN_SANITIZE=undefined (ctest -L ubsan).
+// tests/opt/test_value_semantics.cpp covers every value operation.
 //
 //===----------------------------------------------------------------------===//
 #include "vgpu/VirtualGPU.hpp"
