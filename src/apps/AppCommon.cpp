@@ -4,22 +4,11 @@
 #include <chrono>
 
 #include "frontend/Driver.hpp"
+#include "support/Hash.hpp"
 
 namespace codesign::apps {
 
 namespace {
-
-/// FNV-1a over a byte range; the outputs are folded through it in order to
-/// produce AppRunResult::OutputHash.
-std::uint64_t fnv1a(std::uint64_t H, const void *Data, std::size_t Size) {
-  const auto *P = static_cast<const unsigned char *>(Data);
-  for (std::size_t I = 0; I < Size; ++I) {
-    H ^= P[I];
-    H *= 0x100000001B3ULL;
-  }
-  return H;
-}
-constexpr std::uint64_t FnvSeed = 0xCBF29CE484222325ULL;
 
 bool matches(const AppOutput &O) {
   return std::equal(O.Data.begin(), O.Data.end(), O.Expected.begin(),
@@ -114,14 +103,16 @@ AppHarness::run(const BuildConfig &Build, const frontend::KernelSpec &Spec,
   Result.Metrics = LR->Metrics;
   Result.Profile = LR->Profile;
 
-  Result.OutputHash = FnvSeed;
+  // Each output's hash seeds the next one's, so the chain covers the
+  // outputs in order.
+  Result.OutputHash = 0;
   for (const AppOutput &O : Outputs) {
     if (auto Back = Host.updateFrom(O.Data.data()); !Back) {
       Result.Error = TransferError("readback", O, Back.error());
       return Result;
     }
-    Result.OutputHash =
-        fnv1a(Result.OutputHash, O.Data.data(), O.Data.size() * 8);
+    Result.OutputHash = xxh64(O.Data.data(), O.Data.size() * sizeof(double),
+                              Result.OutputHash);
   }
   Result.Ok = true;
   Result.Verified = std::all_of(Outputs.begin(), Outputs.end(), matches);

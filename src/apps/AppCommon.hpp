@@ -9,8 +9,9 @@
 //      into the runtime, replacing the previous build's module;
 //   2. zero every output buffer and upload it (updateTo);
 //   3. launch through HostRuntime::launch, timed into WallMicros;
-//   4. read every output back (updateFrom) and chain FNV-1a over them, in
-//      the app's output order, into OutputHash;
+//   4. read every output back (updateFrom) and chain XXH64 over them, in
+//      the app's output order, into OutputHash (support/Hash.hpp: each
+//      output's hash is seeded with the previous one's);
 //   5. compare every element of every output against the app's host
 //      reference.
 //
@@ -88,9 +89,10 @@ struct AppRunResult {
   /// are measurable.
   std::uint64_t WallMicros = 0;
   std::string Backend;
-  /// FNV-1a hash of the kernel's device-visible output buffers, read back
-  /// after the launch. The backend parity suite asserts this is
-  /// bit-identical across the tree, bytecode, and native engines.
+  /// XXH64 of the kernel's device-visible output buffers, read back after
+  /// the launch and chained in the app's output order. The backend parity
+  /// suite asserts this is bit-identical across the tree, bytecode, and
+  /// native engines; bench/results pins its value per figure row.
   std::uint64_t OutputHash = 0;
 };
 

@@ -6,7 +6,8 @@
 // backends serve. Shared objects are cached twice — in-process per module
 // content key (the frontend kernel-cache key when available, an IR-text
 // hash otherwise) and on disk per (source, compiler command) hash — so a
-// recompile or a rerun reuses the .so.
+// recompile or a rerun reuses the .so. A cached .so that dlopen refuses
+// (truncated, say) is compiled afresh once.
 //
 // Each team runs in the shared team model (vgpu/TeamModel.hpp), like the
 // interpreting backends: its scheduler advances one lane at a time by
@@ -33,6 +34,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -46,6 +48,7 @@
 #include "exec/NativeABI.hpp"
 #include "exec/NativeCodegen.hpp"
 #include "ir/Printer.hpp"
+#include "support/Hash.hpp"
 #include "vgpu/TeamModel.hpp"
 
 namespace codesign::exec {
@@ -59,15 +62,6 @@ using DriverFn = void (*)(void *);
 //===----------------------------------------------------------------------===//
 // Keys and small helpers
 //===----------------------------------------------------------------------===//
-
-std::uint64_t fnv1a(std::string_view S) {
-  std::uint64_t H = 1469598103934665603ULL;
-  for (const char C : S) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
 
 std::string hex64(std::uint64_t V) {
   char Buf[24];
@@ -83,7 +77,7 @@ std::string hex64(std::uint64_t V) {
 std::string moduleKey(const ir::Module &M) {
   if (!M.cacheKey().empty())
     return "ck|" + M.cacheKey();
-  return "tx|" + hex64(fnv1a(ir::printModule(M)));
+  return "tx|" + hex64(xxh64(ir::printModule(M)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -136,12 +130,50 @@ std::string readLogTail(const fs::path &Log) {
   return Text;
 }
 
+/// Compile Source into the shared object So. The source goes to a file
+/// private to this process, so concurrent processes compiling the same key
+/// never read each other's half-written source; it is deleted once the
+/// compile succeeds and kept, with the compiler log, when it fails.
+Expected<void> compileTo(const std::string &Source, const std::string &Cmd,
+                         const fs::path &So) {
+  std::error_code EC;
+  const std::string Stem = (So.parent_path() / So.stem()).string() + "." +
+                           std::to_string(::getpid());
+  const fs::path Src = Stem + ".cpp", TmpSo = Stem + ".tmp.so",
+                 Log = Stem + ".log";
+  {
+    std::ofstream Out(Src, std::ios::trunc);
+    Out << Source;
+    if (!Out)
+      return makeError("cannot write generated source '", Src.string(), "'");
+  }
+  const std::string Command = Cmd + " -o '" + TmpSo.string() + "' '" +
+                              Src.string() + "' 2> '" + Log.string() + "'";
+  const int Status = std::system(Command.c_str());
+  if (Status != 0) {
+    std::string Diag = readLogTail(Log);
+    fs::remove(TmpSo, EC);
+    return makeError("host compiler failed (", Command, "):\n", Diag);
+  }
+  fs::remove(Src, EC);
+  fs::remove(Log, EC);
+  // Atomic publish: concurrent processes compiling the same key race
+  // benignly — last rename wins with identical bytes.
+  fs::rename(TmpSo, So, EC);
+  if (EC && !fs::exists(So))
+    return makeError("cannot publish compiled module '", So.string(),
+                     "': ", EC.message());
+  return Expected<void>::success();
+}
+
 /// Compile Source to a shared object in the disk cache and dlopen it. The
 /// cache key covers the source bytes and the full compiler command, so a
 /// toolchain or flag change recompiles instead of reusing a stale object.
+/// An object dlopen refuses is removed and compiled afresh once; only a
+/// second refusal is an error.
 Expected<void *> compileAndLoad(const std::string &Source) {
   const std::string Cmd = compilerPath() + " " + compilerFlags();
-  const std::string Key = hex64(fnv1a(Source + '\0' + Cmd));
+  const std::string Key = hex64(xxh64(Cmd, xxh64(Source)));
   std::error_code EC;
   const fs::path Dir = cacheDir();
   fs::create_directories(Dir, EC);
@@ -149,42 +181,27 @@ Expected<void *> compileAndLoad(const std::string &Source) {
     return makeError("cannot create native cache directory '", Dir.string(),
                      "': ", EC.message());
   const fs::path So = Dir / ("cg_" + Key + ".so");
-  if (!fs::exists(So, EC)) {
-    const std::string Tag = std::to_string(::getpid());
-    const fs::path Src = Dir / ("cg_" + Key + ".cpp");
-    const fs::path TmpSo = Dir / ("cg_" + Key + "." + Tag + ".tmp.so");
-    const fs::path Log = Dir / ("cg_" + Key + "." + Tag + ".log");
-    {
-      std::ofstream Out(Src, std::ios::trunc);
-      Out << Source;
-      if (!Out)
-        return makeError("cannot write generated source '", Src.string(),
-                         "'");
+  std::optional<std::string> Refused; // why dlopen refused the first object
+  for (;;) {
+    if (!fs::exists(So, EC)) {
+      if (auto Built = compileTo(Source, Cmd, So); !Built) {
+        if (!Refused)
+          return Built.error();
+        return makeError("recompiling after dlopen('", So.string(),
+                         "') failed (", *Refused,
+                         "): ", Built.error().message());
+      }
     }
-    const std::string Command = Cmd + " -o '" + TmpSo.string() + "' '" +
-                                Src.string() + "' 2> '" + Log.string() + "'";
-    const int Status = std::system(Command.c_str());
-    if (Status != 0) {
-      std::string Diag = readLogTail(Log);
-      fs::remove(TmpSo, EC);
-      return makeError("host compiler failed (", Command,
-                       "):\n", Diag);
-    }
-    // Atomic publish: concurrent processes compiling the same key race
-    // benignly — last rename wins with identical bytes.
-    fs::rename(TmpSo, So, EC);
-    if (EC && !fs::exists(So))
-      return makeError("cannot publish compiled module '", So.string(),
-                       "': ", EC.message());
-    fs::remove(Log, EC);
-  }
-  void *Handle = ::dlopen(So.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (!Handle) {
+    if (void *Handle = ::dlopen(So.c_str(), RTLD_NOW | RTLD_LOCAL))
+      return Handle;
     const char *Err = ::dlerror();
-    return makeError("dlopen('", So.string(), "') failed: ",
-                     Err ? Err : "unknown error");
+    const std::string Why = Err ? Err : "unknown error";
+    if (Refused)
+      return makeError("dlopen('", So.string(), "') failed twice: first ",
+                       *Refused, "; after recompiling: ", Why);
+    Refused = Why;
+    fs::remove(So, EC);
   }
-  return Handle;
 }
 
 //===----------------------------------------------------------------------===//
