@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "analysis/Preserved.hpp"
 #include "ir/Function.hpp"
 
 namespace codesign::analysis {
@@ -27,8 +26,6 @@ using ir::Value;
 /// Per-function liveness information.
 class Liveness {
 public:
-  static constexpr AnalysisKind Kind = AnalysisKind::Liveness;
-
   explicit Liveness(const Function &F);
 
   /// The function this analysis was built for.
@@ -44,19 +41,6 @@ public:
 
   /// Maximum number of simultaneously live SSA values across the function.
   [[nodiscard]] unsigned maxLive() const { return MaxLive; }
-
-  /// Structural equality against another Liveness over the same function
-  /// (differential checking of cached results).
-  [[nodiscard]] bool equivalentTo(const Liveness &Other) const {
-    return &F == &Other.F && MaxLive == Other.MaxLive &&
-           LiveInMap == Other.LiveInMap && LiveOutMap == Other.LiveOutMap;
-  }
-
-  /// Invalidation hook: true when a pass reporting PA requires this
-  /// analysis to be recomputed.
-  [[nodiscard]] bool invalidatedBy(const PreservedAnalyses &PA) const {
-    return !PA.isPreserved(Kind);
-  }
 
 private:
   const Function &F;

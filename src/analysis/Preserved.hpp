@@ -4,7 +4,7 @@
 // cacheable analysis has an AnalysisKind, and every pass that changes IR
 // reports a PreservedAnalyses set describing which cached results survive
 // the change. Mirrors LLVM's PreservedAnalyses, sized for this project: a
-// fixed bitmask over the eight analyses the optimizer caches (paper §IV
+// fixed bitmask over the five analyses the optimizer caches (paper §IV
 // runs "multiple times" inside a pass manager precisely because analyses
 // are cached and invalidated, not recomputed per pass).
 //
@@ -16,23 +16,20 @@
 
 namespace codesign::analysis {
 
-/// Identity of one cacheable analysis. Function-scoped analyses are keyed
-/// by (Function, kind) in the AnalysisManager; CallGraph is module-scoped.
+/// Identity of one cacheable analysis, keyed by (Function, kind) in the
+/// AnalysisManager.
 enum class AnalysisKind : unsigned {
   Dominators,     ///< analysis::DominatorTree
   PostDominators, ///< analysis::PostDominatorTree
   Reachability,   ///< analysis::Reachability
-  Liveness,       ///< analysis::Liveness
-  Loops,          ///< analysis::LoopInfo
   Accesses,       ///< opt::AccessAnalysis (field-sensitive, §IV-B1)
   Divergence,     ///< analysis::DivergenceAnalysis (thread uniformity)
-  CallGraph,      ///< analysis::CallGraph (module-scoped)
 };
 
 /// Number of AnalysisKind values (array sizing).
-inline constexpr unsigned NumAnalysisKinds = 8;
+inline constexpr unsigned NumAnalysisKinds = 5;
 
-/// Stable dotted-counter-friendly name ("dominators", "callgraph", ...).
+/// Stable dotted-counter-friendly name ("dominators", "accesses", ...).
 constexpr std::string_view analysisName(AnalysisKind K) {
   switch (K) {
   case AnalysisKind::Dominators:
@@ -41,16 +38,10 @@ constexpr std::string_view analysisName(AnalysisKind K) {
     return "postdominators";
   case AnalysisKind::Reachability:
     return "reachability";
-  case AnalysisKind::Liveness:
-    return "liveness";
-  case AnalysisKind::Loops:
-    return "loops";
   case AnalysisKind::Accesses:
     return "accesses";
   case AnalysisKind::Divergence:
     return "divergence";
-  case AnalysisKind::CallGraph:
-    return "callgraph";
   }
   return "unknown";
 }
@@ -63,16 +54,15 @@ public:
   static PreservedAnalyses none() { return PreservedAnalyses(0); }
   /// Everything survives (the implicit claim of a no-change run).
   static PreservedAnalyses all() { return PreservedAnalyses(AllMask); }
-  /// The CFG-shape analyses survive: dominators, post-dominators,
-  /// reachability and loops. The claim of passes that rewrite values or
-  /// erase non-terminator instructions without touching block structure.
+  /// The CFG-shape analyses survive: dominators, post-dominators and
+  /// reachability. The claim of passes that rewrite values or erase
+  /// non-terminator instructions without touching block structure.
   /// Divergence is deliberately absent: it depends on values, not just on
   /// block shape, so value rewrites can change uniformity.
   static PreservedAnalyses cfg() {
     return PreservedAnalyses(bit(AnalysisKind::Dominators) |
                              bit(AnalysisKind::PostDominators) |
-                             bit(AnalysisKind::Reachability) |
-                             bit(AnalysisKind::Loops));
+                             bit(AnalysisKind::Reachability));
   }
 
   /// Mark one analysis as surviving.

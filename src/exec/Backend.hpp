@@ -13,9 +13,9 @@
 //   bindKernel     per-kernel legality checks + launchable handle
 //   runTeam        execute one team (called concurrently for distinct teams)
 //
-// Consumers (VirtualGPU, HostRuntime, Service, the bench harness) route
-// every launch through the registry instead of switching on an execution
-// tier enum.
+// A device (VirtualGPU) resolves its backend's registry name once, when it
+// is built or re-pointed, and launches through that backend instead of
+// switching on an execution tier enum.
 //
 //===----------------------------------------------------------------------===//
 #pragma once
@@ -87,17 +87,18 @@ public:
 
 /// Name-indexed registry of execution backends. The global() instance is
 /// constructed with the three built-in backends registered; tests may add
-/// their own.
+/// their own. A registration lives as long as the process, because devices
+/// keep the backend they resolved.
 class BackendRegistry {
 public:
   /// The process-wide registry (tree/bytecode/native pre-registered).
   static BackendRegistry &global();
 
-  /// Register a backend under its name(). Replaces an existing
-  /// registration of the same name (latest wins, for test doubles).
+  /// Register a backend under its name(), which must not be registered
+  /// yet.
   void add(std::unique_ptr<Backend> B);
 
-  /// Look up a backend by canonical name. Unknown names are a recoverable
+  /// Look up a backend by registry name. Unknown names are a recoverable
   /// error listing the registered backends.
   [[nodiscard]] Expected<Backend *> lookup(std::string_view Name) const;
 
@@ -109,13 +110,6 @@ private:
   std::vector<std::unique_ptr<Backend>> Backends;
 };
 
-/// Canonicalize a user-facing backend spelling ("tree"/"interp"/
-/// "interpreter", "bytecode"/"bc", "native") to its registry name.
-/// Unknown spellings are a recoverable error naming the valid choices —
-/// the CODESIGN_EXEC_BACKEND knob must reject typos instead of silently
-/// running the default backend.
-[[nodiscard]] Expected<std::string> canonicalBackendName(std::string_view V);
-
 /// Execute a launch through backend B: validate, compute occupancy,
 /// prepare/bind, fan teams out on the host ThreadPool and merge the
 /// per-team shards in team-ID order (bit-identical to a serial run).
@@ -123,13 +117,5 @@ private:
 launch(Backend &B, const LaunchEnv &Env, const vgpu::ModuleImage &Image,
        const ir::Function *Kernel, std::span<const std::uint64_t> Args,
        std::uint32_t NumTeams, std::uint32_t NumThreads);
-
-/// Convenience: canonicalize Name, look it up in the global registry and
-/// launch; resolution failures come back as LaunchResult errors.
-[[nodiscard]] vgpu::LaunchResult
-launch(std::string_view Name, const LaunchEnv &Env,
-       const vgpu::ModuleImage &Image, const ir::Function *Kernel,
-       std::span<const std::uint64_t> Args, std::uint32_t NumTeams,
-       std::uint32_t NumThreads);
 
 } // namespace codesign::exec

@@ -36,12 +36,9 @@ BackendRegistry &BackendRegistry::global() {
 void BackendRegistry::add(std::unique_ptr<Backend> B) {
   CODESIGN_ASSERT(B != nullptr, "null backend registration");
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (auto &Existing : Backends) {
-    if (Existing->name() == B->name()) {
-      Existing = std::move(B);
-      return;
-    }
-  }
+  for (const auto &Existing : Backends)
+    CODESIGN_ASSERT(Existing->name() != B->name(),
+                    "backend name registered twice");
   Backends.push_back(std::move(B));
 }
 
@@ -67,17 +64,6 @@ std::vector<std::string> BackendRegistry::names() const {
   for (const auto &B : Backends)
     Names.emplace_back(B->name());
   return Names;
-}
-
-Expected<std::string> canonicalBackendName(std::string_view V) {
-  if (V == "tree" || V == "interp" || V == "interpreter")
-    return std::string("tree");
-  if (V == "bytecode" || V == "bc")
-    return std::string("bytecode");
-  if (V == "native")
-    return std::string("native");
-  return Error("unknown execution backend '" + std::string(V) +
-               "' (valid: tree|interp|interpreter, bytecode|bc, native)");
 }
 
 //===----------------------------------------------------------------------===//
@@ -216,25 +202,6 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
   }
   Result.Ok = true;
   return Result;
-}
-
-LaunchResult launch(std::string_view Name, const LaunchEnv &Env,
-                    const vgpu::ModuleImage &Image, const ir::Function *Kernel,
-                    std::span<const std::uint64_t> Args,
-                    std::uint32_t NumTeams, std::uint32_t NumThreads) {
-  auto Canon = canonicalBackendName(Name);
-  if (!Canon) {
-    LaunchResult R;
-    R.Error = Canon.error().message();
-    return R;
-  }
-  auto B = BackendRegistry::global().lookup(*Canon);
-  if (!B) {
-    LaunchResult R;
-    R.Error = B.error().message();
-    return R;
-  }
-  return launch(**B, Env, Image, Kernel, Args, NumTeams, NumThreads);
 }
 
 } // namespace codesign::exec

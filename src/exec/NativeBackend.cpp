@@ -104,10 +104,6 @@ std::string compilerFlags() {
   // and get instrumented the same way the harness is.
   Flags += " -fsanitize=undefined -fno-sanitize-recover=undefined";
 #endif
-  if (const char *Extra = std::getenv("CODESIGN_NATIVE_CXXFLAGS")) {
-    Flags += ' ';
-    Flags += Extra;
-  }
   return Flags;
 }
 
@@ -241,22 +237,10 @@ __asm__(
     ".size cgFiberSwitch,.-cgFiberSwitch\n");
 #endif
 
-std::uint64_t stackBytes() {
-  if (const char *S = std::getenv("CODESIGN_NATIVE_STACK_BYTES")) {
-    const std::uint64_t V = std::strtoull(S, nullptr, 10);
-    if (V >= 16 * 1024)
-      return V;
-  }
-  return 256 * 1024;
-}
-
-/// A lane stack: deliberately uninitialized heap memory sized by
-/// CODESIGN_NATIVE_STACK_BYTES (default 256 KiB — generated frames are
-/// dense uint64 slot arrays, so this is generous).
-struct StackBuf {
-  std::unique_ptr<std::uint8_t[]> Mem;
-  std::uint64_t Size = 0;
-};
+/// A lane stack: deliberately uninitialized heap memory of StackBytes
+/// (generated frames are dense uint64 slot arrays, so this is generous).
+constexpr std::uint64_t StackBytes = 256 * 1024;
+using StackBuf = std::unique_ptr<std::uint8_t[]>;
 
 /// Lane stacks recycle through a thread-local free list: a launch keeps at
 /// most threads-per-team fibers live at once but runs thousands of teams,
@@ -265,22 +249,15 @@ struct StackBuf {
 thread_local std::vector<StackBuf> StackPool;
 
 StackBuf acquireStack() {
-  const std::uint64_t Want = stackBytes();
-  while (!StackPool.empty()) {
-    StackBuf B = std::move(StackPool.back());
-    StackPool.pop_back();
-    if (B.Size == Want)
-      return B;
-    // Sized by a stale CODESIGN_NATIVE_STACK_BYTES value: drop it.
-  }
-  StackBuf B;
-  B.Mem.reset(new std::uint8_t[Want]);
-  B.Size = Want;
+  if (StackPool.empty())
+    return StackBuf(new std::uint8_t[StackBytes]);
+  StackBuf B = std::move(StackPool.back());
+  StackPool.pop_back();
   return B;
 }
 
 void recycleStack(StackBuf &&B) {
-  if (B.Mem && StackPool.size() < 256)
+  if (B && StackPool.size() < 256)
     StackPool.push_back(std::move(B));
 }
 
@@ -353,13 +330,13 @@ void syncLane(HostTeam &H, abi::cg_lane &L, vgpu::Lane &TL) {
 
 std::uint64_t hostNativeOp(void *Host, abi::cg_lane *Lane, std::int64_t Id,
                            const std::uint64_t *Args, std::uint32_t N,
-                           std::uint32_t *HasResult) {
+                           std::uint32_t ResultKind) {
   HostTeam &H = *static_cast<HostTeam *>(Host);
   vgpu::Lane &TL = H.Team->Lanes[Lane->tid];
-  const vgpu::NativeOpResult R = H.Team->callNative(TL, Id, Args, N);
+  const std::uint64_t R = H.Team->callNative(
+      TL, Id, Args, N, static_cast<ir::TypeKind>(ResultKind));
   syncLane(H, *Lane, TL);
-  *HasResult = R.HasResult ? 1u : 0u;
-  return R.Bits;
+  return R;
 }
 
 std::uint64_t hostMalloc(void *Host, std::uint64_t Size) {
@@ -407,7 +384,7 @@ void resumeFiber(HostTeam &H, std::uint32_t I) {
     // slots below it (zeroed — their first-entry values are never read).
     // After the `ret`, rsp sits where a `call fiberMain` would have left
     // it, so the generated code's alignment assumptions hold.
-    std::uint8_t *Top = Fb.Stack.Mem.get() + Fb.Stack.Size;
+    std::uint8_t *Top = Fb.Stack.get() + StackBytes;
     std::uintptr_t Entry =
         (reinterpret_cast<std::uintptr_t>(Top) - 8) & ~std::uintptr_t(15);
     void (*Fn)() = &fiberMain;
@@ -416,8 +393,8 @@ void resumeFiber(HostTeam &H, std::uint32_t I) {
     std::memset(Fb.Sp, 0, 48);
 #else
     ::getcontext(&Fb.Ctx);
-    Fb.Ctx.uc_stack.ss_sp = Fb.Stack.Mem.get();
-    Fb.Ctx.uc_stack.ss_size = Fb.Stack.Size;
+    Fb.Ctx.uc_stack.ss_sp = Fb.Stack.get();
+    Fb.Ctx.uc_stack.ss_size = StackBytes;
     Fb.Ctx.uc_link = &H.SchedCtx;
     ::makecontext(&Fb.Ctx, &fiberMain, 0);
 #endif

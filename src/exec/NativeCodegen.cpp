@@ -517,16 +517,12 @@ void Emitter::emitNativeOp(const Instruction *I) {
   } else {
     line("  const std::uint64_t *cg_na = nullptr;");
   }
-  line("  std::uint32_t cg_has = 0u; (void)cg_has;");
   line("  const std::uint64_t cg_v = T->host_native_op(T->host, L, " +
        std::to_string(I->imm()) + "LL, cg_na, " + std::to_string(N) +
-       "u, &cg_has); (void)cg_v;");
+       "u, std::uint32_t(" + kindArg(I->type()) + ")); (void)cg_v;");
   line("  if (L->status != 0u) { " + RetDflt + " }");
-  if (!I->type().isVoid()) {
-    line("  if (!cg_has) " +
-         trapStmt("native op did not produce its declared result"));
-    line("  " + setRes(I, canonExpr(I->type(), "cg_v")));
-  }
+  if (!I->type().isVoid())
+    line("  " + setRes(I, "cg_v"));
   line("}");
 }
 

@@ -245,9 +245,9 @@ Expected<LaunchResult> HostRuntime::launch(const LaunchRequest &Request) {
     }
     }
   }
-  LaunchResult R = Device.launch(*Entry.Image, Entry.Kernel, Bits,
-                                 Request.Config.NumTeams,
-                                 Request.Config.NumThreads, Request.Backend);
+  LaunchResult R =
+      Device.launch(*Entry.Image, Entry.Kernel, Bits, Request.Config.NumTeams,
+                    Request.Config.NumThreads);
   // Unmap buffer arguments. From-motion follows the clause but is
   // suppressed when the kernel trapped (its output is not meaningful) and,
   // per present-table rules, when an outer mapping keeps the buffer

@@ -65,11 +65,6 @@ struct LaunchRequest {
   std::vector<KernelArg> Args;  ///< marshalled in order
   LaunchConfig Config;
   std::string Tenant;
-  /// Execution backend for this launch ("tree" | "bytecode" | "native",
-  /// or a registered alias). Empty selects the device's configured
-  /// backend (DeviceConfig::ExecBackend / CODESIGN_EXEC_BACKEND). Unknown
-  /// names fail the launch with an explicit error, never fall back.
-  std::string Backend;
 
   /// Convenience builder for the common case.
   static LaunchRequest make(std::string Kernel, std::vector<KernelArg> Args,

@@ -43,33 +43,6 @@ AnalysisManager::reachability(const ir::Function &F) {
   return *E.RA;
 }
 
-const analysis::Liveness &AnalysisManager::liveness(const ir::Function &F) {
-  FunctionEntry &E = Entries[&F];
-  if (E.LV) {
-    ++Hits[idx(AnalysisKind::Liveness)];
-  } else {
-    ++Misses[idx(AnalysisKind::Liveness)];
-    E.LV = std::make_unique<analysis::Liveness>(F);
-    E.BuiltEpoch = Epoch;
-  }
-  return *E.LV;
-}
-
-const analysis::LoopInfo &AnalysisManager::loops(const ir::Function &F) {
-  // Probe before calling dominators() so a loop-info hit does not also
-  // count a dominator hit.
-  if (const analysis::LoopInfo *Cached = Entries[&F].LI.get()) {
-    ++Hits[idx(AnalysisKind::Loops)];
-    return *Cached;
-  }
-  const analysis::DominatorTree &DT = dominators(F);
-  FunctionEntry &E = Entries[&F];
-  ++Misses[idx(AnalysisKind::Loops)];
-  E.LI = std::make_unique<analysis::LoopInfo>(F, DT);
-  E.BuiltEpoch = Epoch;
-  return *E.LI;
-}
-
 const analysis::DivergenceAnalysis &
 AnalysisManager::divergence(const ir::Function &F) {
   // Probe before calling postDominators() so a divergence hit does not
@@ -101,16 +74,6 @@ const AccessAnalysis &AnalysisManager::accesses(ir::Function &F,
   return *E.AA;
 }
 
-const analysis::CallGraph &AnalysisManager::callGraph() {
-  if (CG) {
-    ++Hits[idx(AnalysisKind::CallGraph)];
-  } else {
-    ++Misses[idx(AnalysisKind::CallGraph)];
-    CG = std::make_unique<analysis::CallGraph>(M);
-  }
-  return *CG;
-}
-
 bool AnalysisManager::invalidateEntry(FunctionEntry &E,
                                       const PreservedAnalyses &PA) {
   if (E.DT && E.DT->invalidatedBy(PA)) {
@@ -124,14 +87,6 @@ bool AnalysisManager::invalidateEntry(FunctionEntry &E,
   if (E.RA && E.RA->invalidatedBy(PA)) {
     countInvalidation(AnalysisKind::Reachability);
     E.RA.reset();
-  }
-  if (E.LV && E.LV->invalidatedBy(PA)) {
-    countInvalidation(AnalysisKind::Liveness);
-    E.LV.reset();
-  }
-  if (E.LI && E.LI->invalidatedBy(PA)) {
-    countInvalidation(AnalysisKind::Loops);
-    E.LI.reset();
   }
   if (E.DV && E.DV->invalidatedBy(PA)) {
     countInvalidation(AnalysisKind::Divergence);
@@ -150,10 +105,6 @@ void AnalysisManager::invalidate(const PreservedAnalyses &PA) {
   ++Epoch;
   for (auto It = Entries.begin(); It != Entries.end();)
     It = invalidateEntry(It->second, PA) ? Entries.erase(It) : std::next(It);
-  if (CG && CG->invalidatedBy(PA)) {
-    countInvalidation(AnalysisKind::CallGraph);
-    CG.reset();
-  }
 }
 
 void AnalysisManager::invalidate(const ir::Function &F,
@@ -164,10 +115,6 @@ void AnalysisManager::invalidate(const ir::Function &F,
   auto It = Entries.find(&F);
   if (It != Entries.end() && invalidateEntry(It->second, PA))
     Entries.erase(It);
-  if (CG && CG->invalidatedBy(PA)) {
-    countInvalidation(AnalysisKind::CallGraph);
-    CG.reset();
-  }
 }
 
 void AnalysisManager::invalidateAll() {
@@ -198,12 +145,7 @@ std::uint64_t AnalysisManager::totalInvalidations() const {
 std::vector<std::string> AnalysisManager::verifyCached() {
   std::vector<std::string> Stale;
   auto Report = [&](AnalysisKind K, const ir::Function *F) {
-    std::string Name(analysis::analysisName(K));
-    if (F) {
-      Name += ":";
-      Name += F->name();
-    }
-    Stale.push_back(std::move(Name));
+    Stale.push_back(std::string(analysis::analysisName(K)) + ":" + F->name());
   };
   for (auto &[F, E] : Entries) {
     if (E.DT && !E.DT->equivalentTo(analysis::DominatorTree(*F)))
@@ -212,10 +154,6 @@ std::vector<std::string> AnalysisManager::verifyCached() {
       Report(AnalysisKind::PostDominators, F);
     if (E.RA && !E.RA->equivalentTo(analysis::Reachability(*F)))
       Report(AnalysisKind::Reachability, F);
-    if (E.LV && !E.LV->equivalentTo(analysis::Liveness(*F)))
-      Report(AnalysisKind::Liveness, F);
-    if (E.LI && !E.LI->equivalentTo(analysis::LoopInfo(*F)))
-      Report(AnalysisKind::Loops, F);
     if (E.DV &&
         !E.DV->equivalentTo(
             analysis::DivergenceAnalysis(*F, analysis::PostDominatorTree(*F))))
@@ -223,8 +161,6 @@ std::vector<std::string> AnalysisManager::verifyCached() {
     if (E.AA && !E.AA->equivalentTo(AccessAnalysis(*E.MutF, E.AAAssumes)))
       Report(AnalysisKind::Accesses, F);
   }
-  if (CG && !CG->equivalentTo(analysis::CallGraph(M)))
-    Report(AnalysisKind::CallGraph, nullptr);
   return Stale;
 }
 

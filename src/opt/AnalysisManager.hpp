@@ -5,8 +5,8 @@
 // selectively invalidated rather than recomputed per pass. This is the
 // equivalent: one AnalysisManager lives for the duration of a pipeline run
 // and hands out cached DominatorTree / PostDominatorTree / Reachability /
-// Liveness / LoopInfo / AccessAnalysis results per function, plus one
-// module-scoped CallGraph. Every cache access is counted; a pass's
+// AccessAnalysis / DivergenceAnalysis results per function: the five
+// analyses the passes ask for. Every cache access is counted; a pass's
 // PreservedAnalyses claim drives eager invalidation (entries are erased,
 // never left dangling — a DCE'd function must not leave a stale key).
 //
@@ -24,11 +24,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/CallGraph.hpp"
 #include "analysis/Divergence.hpp"
 #include "analysis/Dominators.hpp"
-#include "analysis/Liveness.hpp"
-#include "analysis/LoopInfo.hpp"
 #include "analysis/PostDominators.hpp"
 #include "analysis/Preserved.hpp"
 #include "analysis/Reachability.hpp"
@@ -43,27 +40,24 @@ using analysis::PreservedAnalyses;
 /// Per-pipeline cache of analysis results over one module.
 class AnalysisManager {
 public:
-  explicit AnalysisManager(ir::Module &M) : M(M) {}
+  /// A cache over the functions of one module.
+  explicit AnalysisManager(ir::Module &) {}
 
   // Cached getters. References stay valid until the analysis is
   // invalidated; passes must not hold them across mutations they report.
   const analysis::DominatorTree &dominators(const ir::Function &F);
   const analysis::PostDominatorTree &postDominators(const ir::Function &F);
   const analysis::Reachability &reachability(const ir::Function &F);
-  const analysis::Liveness &liveness(const ir::Function &F);
-  const analysis::LoopInfo &loops(const ir::Function &F);
   const analysis::DivergenceAnalysis &divergence(const ir::Function &F);
   /// Field-sensitive access analysis. A cached result built with a
   /// different CollectAssumes flag counts as a miss and is replaced.
   const AccessAnalysis &accesses(ir::Function &F, bool CollectAssumes);
-  const analysis::CallGraph &callGraph();
 
   /// Module-wide invalidation from a pass's preservation claim: every
   /// analysis absent from PA is dropped for every function.
   void invalidate(const PreservedAnalyses &PA);
-  /// Function-scoped invalidation: F's non-preserved function analyses are
-  /// dropped; the module-scoped call graph is dropped too when not
-  /// preserved. Other functions' caches survive.
+  /// Function-scoped invalidation: F's non-preserved analyses are dropped.
+  /// Other functions' caches survive.
   void invalidate(const ir::Function &F, const PreservedAnalyses &PA);
   /// Drop everything.
   void invalidateAll();
@@ -86,9 +80,9 @@ public:
   [[nodiscard]] unsigned epoch() const { return Epoch; }
 
   /// Differential verification: recompute every cached result from scratch
-  /// and compare with equivalentTo(). Returns "<analysis>:<function>" (or
-  /// "callgraph") for every stale entry — nonempty output means some pass
-  /// made an over-broad PreservedAnalyses claim.
+  /// and compare with equivalentTo(). Returns "<analysis>:<function>" for
+  /// every stale entry — nonempty output means some pass made an
+  /// over-broad PreservedAnalyses claim.
   [[nodiscard]] std::vector<std::string> verifyCached();
 
   /// Accumulate the per-kind statistics into the process counter registry
@@ -102,14 +96,12 @@ private:
     std::unique_ptr<analysis::DominatorTree> DT;
     std::unique_ptr<analysis::PostDominatorTree> PDT;
     std::unique_ptr<analysis::Reachability> RA;
-    std::unique_ptr<analysis::Liveness> LV;
-    std::unique_ptr<analysis::LoopInfo> LI;
     std::unique_ptr<analysis::DivergenceAnalysis> DV;
     std::unique_ptr<AccessAnalysis> AA;
     bool AAAssumes = false;
 
     [[nodiscard]] bool empty() const {
-      return !DT && !PDT && !RA && !LV && !LI && !DV && !AA;
+      return !DT && !PDT && !RA && !DV && !AA;
     }
   };
 
@@ -123,9 +115,7 @@ private:
   /// when the entry became empty.
   bool invalidateEntry(FunctionEntry &E, const PreservedAnalyses &PA);
 
-  ir::Module &M;
   std::unordered_map<const ir::Function *, FunctionEntry> Entries;
-  std::unique_ptr<analysis::CallGraph> CG;
   std::array<std::uint64_t, NumAnalysisKinds> Hits{};
   std::array<std::uint64_t, NumAnalysisKinds> Misses{};
   std::array<std::uint64_t, NumAnalysisKinds> Invalidations{};

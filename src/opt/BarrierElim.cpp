@@ -146,8 +146,7 @@ PassResult runBarrierElim(Module &M, AnalysisManager &AM,
   if (Result.Changed)
     Result.Preserved = PreservedAnalyses::cfg()
                            .preserve(AnalysisKind::Accesses)
-                           .preserve(AnalysisKind::Divergence)
-                           .preserve(AnalysisKind::CallGraph);
+                           .preserve(AnalysisKind::Divergence);
   return Result;
 }
 

@@ -428,9 +428,8 @@ PassResult runLoadForwarding(Module &M, AnalysisManager &AM,
     return PassResult::unchanged();
   PassResult Res;
   // Value rewrites only: CFG-shape analyses survive. The access analysis
-  // does not (stored operands are rewritten in place) and neither does the
-  // call graph (a forwarded function pointer turns an indirect call
-  // direct). Invalidation is scoped to the functions actually touched.
+  // does not (stored operands are rewritten in place). Invalidation is
+  // scoped to the functions actually touched.
   Res.Preserved = analysis::PreservedAnalyses::cfg();
   Res.PerFunction = true;
   for (const auto &F : M.functions()) {
@@ -459,10 +458,9 @@ PassResult runDeadStoreElim(Module &M, AnalysisManager &AM,
   if (!Options.EnableFieldSensitiveProp)
     return PassResult::unchanged();
   PassResult Res;
-  // Erasing stores keeps block structure and never touches calls; the
-  // access analysis and liveness are stale afterwards.
-  Res.Preserved = analysis::PreservedAnalyses::cfg().preserve(
-      analysis::AnalysisKind::CallGraph);
+  // Erasing stores keeps block structure; the access analysis is stale
+  // afterwards.
+  Res.Preserved = analysis::PreservedAnalyses::cfg();
   Res.PerFunction = true;
   for (const auto &F : M.functions()) {
     if (F->isDeclaration())

@@ -80,14 +80,12 @@ withOptions(const char *Name, bool (*Fn)(ir::Module &, const OptOptions &),
 void registerBuiltins(PassRegistry &R) {
   // Value rewrites that never touch block structure keep the CFG-shape
   // analyses; everything coarser claims none(). Per-pass rationale:
-  //  * constant-fold may turn a loaded function pointer into a direct
-  //    callee, so the call graph is out; stored values change, so the
-  //    access analysis is out.
+  //  * constant-fold changes stored values, so the access analysis is out.
   //  * simplify-cfg / dce / inliner / spmdization / globalization-elim
   //    restructure blocks or functions: nothing survives.
   //  * barrier-elim and strip-assumes erase non-terminator, non-memory
-  //    instructions: CFG shape survives; liveness does not (operand uses
-  //    disappear); strip-assumes also kills the AssumedEq access facts.
+  //    instructions: CFG shape survives; strip-assumes also kills the
+  //    AssumedEq access facts.
   R.registerPass("constant-fold",
                  simple("constant-fold", runConstantFold,
                         PreservedAnalyses::cfg()));
@@ -98,8 +96,7 @@ void registerBuiltins(PassRegistry &R) {
                  simple("inliner", runInliner, PreservedAnalyses::none()));
   R.registerPass("strip-assumes",
                  simple("strip-assumes", runStripAssumes,
-                        PreservedAnalyses::cfg().preserve(
-                            AnalysisKind::CallGraph)));
+                        PreservedAnalyses::cfg()));
   R.registerPass("spmdization", withOptions("spmdization", runSPMDization,
                                             PreservedAnalyses::none()));
   R.registerPass("barrier-elim",

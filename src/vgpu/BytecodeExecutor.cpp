@@ -508,15 +508,12 @@ void BCTeamExecutor::stepThread(Lane &T) {
       NativeArgScratch.clear();
       for (std::uint32_t A = 0; A < I.T1; ++A)
         NativeArgScratch.push_back(Ref(F.BF->Extras[I.T0 + A]));
-      const NativeOpResult R =
-          Team.callNative(T, I.Imm, NativeArgScratch.data(), I.T1);
+      const std::uint64_t R = Team.callNative(
+          T, I.Imm, NativeArgScratch.data(), I.T1, kindOf(I.TyKind));
       if (T.Status != LaneStatus::Running)
         return;
-      if (kindOf(I.TyKind) != TypeKind::Void) {
-        CODESIGN_ASSERT(R.HasResult,
-                        "native op did not produce its declared result");
-        F.Slots[I.Dst] = eval::canonBits(kindOf(I.TyKind), R.Bits);
-      }
+      if (kindOf(I.TyKind) != TypeKind::Void)
+        F.Slots[I.Dst] = R;
       break;
     }
     case BCOp::PhiBundle:

@@ -539,15 +539,13 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
       NativeArgScratch.clear();
       for (unsigned A = 0; A < I->numOperands(); ++A)
         NativeArgScratch.push_back(opI(A));
-      const NativeOpResult R = Team.callNative(
-          T, I->imm(), NativeArgScratch.data(), I->numOperands());
+      const std::uint64_t R =
+          Team.callNative(T, I->imm(), NativeArgScratch.data(),
+                          I->numOperands(), I->type().kind());
       if (T.Status != LaneStatus::Running)
         return;
-      if (!I->type().isVoid()) {
-        CODESIGN_ASSERT(R.HasResult,
-                        "native op did not produce its declared result");
-        setResult(I, F, eval::canonBits(I->type().kind(), R.Bits));
-      }
+      if (!I->type().isVoid())
+        setResult(I, F, R);
       break;
     }
     }

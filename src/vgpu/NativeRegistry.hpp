@@ -14,107 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "ir/Type.hpp"
 #include "support/Error.hpp"
-#include "vgpu/Address.hpp"
 
 namespace codesign::vgpu {
 
-/// Execution-side view handed to a native functor: typed argument access,
-/// device memory access (auto-charged to the cost model), explicit compute
-/// cycle charging, and the result slot.
-class NativeCtx {
-public:
-  virtual ~NativeCtx() = default;
-
-  /// Number of IR operands passed to the NativeOp.
-  [[nodiscard]] virtual unsigned numArgs() const = 0;
-  /// Raw 64-bit representation of argument I.
-  [[nodiscard]] virtual std::uint64_t argBits(unsigned I) const = 0;
-
-  [[nodiscard]] std::int64_t argI64(unsigned I) const {
-    return static_cast<std::int64_t>(argBits(I));
-  }
-  [[nodiscard]] std::int32_t argI32(unsigned I) const {
-    return static_cast<std::int32_t>(argBits(I));
-  }
-  [[nodiscard]] double argF64(unsigned I) const {
-    const std::uint64_t B = argBits(I);
-    double D;
-    static_assert(sizeof(D) == sizeof(B));
-    __builtin_memcpy(&D, &B, sizeof(D));
-    return D;
-  }
-  [[nodiscard]] DeviceAddr argPtr(unsigned I) const {
-    return DeviceAddr(argBits(I));
-  }
-
-  /// Typed device memory access. Loads/stores are charged to the cost model
-  /// and counted in the launch metrics, so a memory-bound native body
-  /// behaves like memory-bound IR.
-  [[nodiscard]] virtual std::uint64_t loadBits(DeviceAddr A, unsigned Size) = 0;
-  virtual void storeBits(DeviceAddr A, std::uint64_t Bits, unsigned Size) = 0;
-
-  [[nodiscard]] double loadF64(DeviceAddr A) {
-    const std::uint64_t B = loadBits(A, 8);
-    double D;
-    __builtin_memcpy(&D, &B, sizeof(D));
-    return D;
-  }
-  void storeF64(DeviceAddr A, double D) {
-    std::uint64_t B;
-    __builtin_memcpy(&B, &D, sizeof(B));
-    storeBits(A, B, 8);
-  }
-  [[nodiscard]] std::int64_t loadI64(DeviceAddr A) {
-    return static_cast<std::int64_t>(loadBits(A, 8));
-  }
-  void storeI64(DeviceAddr A, std::int64_t V) {
-    storeBits(A, static_cast<std::uint64_t>(V), 8);
-  }
-  [[nodiscard]] std::int32_t loadI32(DeviceAddr A) {
-    return static_cast<std::int32_t>(loadBits(A, 4));
-  }
-  void storeI32(DeviceAddr A, std::int32_t V) {
-    storeBits(A, static_cast<std::uint64_t>(static_cast<std::uint32_t>(V)), 4);
-  }
-
-  /// Load Count contiguous f64 elements starting at A into Out. The cost
-  /// model charges, launch metrics, and bounds behavior are exactly those
-  /// of Count scalar loadF64 calls; an executor may implement the copy en
-  /// bloc as long as that contract holds.
-  virtual void loadBlockF64(DeviceAddr A, double *Out, std::uint32_t Count) {
-    for (std::uint32_t I = 0; I < Count; ++I)
-      Out[I] = loadF64(A.advance(static_cast<std::int64_t>(I) * 8));
-  }
-
-  /// Store Count contiguous f64 elements from In starting at A. Same
-  /// contract as loadBlockF64: charges and metrics of Count scalar
-  /// storeF64 calls, en-bloc implementation permitted.
-  virtual void storeBlockF64(DeviceAddr A, const double *In,
-                             std::uint32_t Count) {
-    for (std::uint32_t I = 0; I < Count; ++I)
-      storeF64(A.advance(static_cast<std::int64_t>(I) * 8), In[I]);
-  }
-
-  /// Charge pure compute cycles (ALU/FPU work done natively).
-  virtual void chargeCycles(std::uint64_t Cycles) = 0;
-
-  /// Set the NativeOp result (for non-void result types).
-  virtual void setResultBits(std::uint64_t Bits) = 0;
-  void setResultF64(double D) {
-    std::uint64_t B;
-    __builtin_memcpy(&B, &D, sizeof(B));
-    setResultBits(B);
-  }
-  void setResultI64(std::int64_t V) {
-    setResultBits(static_cast<std::uint64_t>(V));
-  }
-
-  /// Identity of the executing thread (for divergent native bodies).
-  [[nodiscard]] virtual std::uint32_t threadId() const = 0;
-  [[nodiscard]] virtual std::uint32_t teamId() const = 0;
-};
+/// The view a native functor runs against (vgpu/TeamModel.hpp defines it;
+/// vgpu/VirtualGPU.hpp makes it visible to every payload).
+class NativeCtx;
 
 /// A registered native operation.
 struct NativeOpInfo {

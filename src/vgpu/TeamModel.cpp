@@ -286,98 +286,18 @@ std::span<std::uint8_t> TeamModel::sharedWindow() {
 // Native ops
 //===----------------------------------------------------------------------===//
 
-/// The NativeCtx of one native-op call: accesses resolve and charge exactly
-/// like kernel loads and stores (without the race shadow), so a native body
-/// behaves the same under every backend. This is the only NativeCtx.
-class TeamModel::NativeOpCtx final : public NativeCtx {
-public:
-  NativeOpCtx(TeamModel &Team, Lane &L, const std::uint64_t *Args,
-              unsigned N)
-      : Team(Team), L(L), Args(Args), N(N) {}
-
-  unsigned numArgs() const override { return N; }
-  std::uint64_t argBits(unsigned I) const override {
-    CODESIGN_ASSERT(I < N, "native arg out of range");
-    return Args[I];
-  }
-  std::uint64_t loadBits(DeviceAddr A, unsigned Size) override {
-    std::uint64_t Raw = 0;
-    if (const std::uint8_t *P =
-            Team.access(L, A, Size, /*IsStore=*/false, /*Shadow=*/false))
-      std::memcpy(&Raw, P, Size);
-    return Raw;
-  }
-  void storeBits(DeviceAddr A, std::uint64_t Bits, unsigned Size) override {
-    if (std::uint8_t *P =
-            Team.access(L, A, Size, /*IsStore=*/true, /*Shadow=*/false))
-      std::memcpy(P, &Bits, Size);
-  }
-  // Block fast paths: one bounds check and a bulk copy, charged and counted
-  // as Count scalar accesses.
-  void loadBlockF64(DeviceAddr A, double *Out, std::uint32_t Count) override {
-    if (std::uint8_t *P = block(A, Count, /*IsStore=*/false)) {
-      std::memcpy(Out, P, static_cast<std::uint64_t>(Count) * 8);
-      return;
-    }
-    NativeCtx::loadBlockF64(A, Out, Count);
-  }
-  void storeBlockF64(DeviceAddr A, const double *In,
-                     std::uint32_t Count) override {
-    if (std::uint8_t *P = block(A, Count, /*IsStore=*/true)) {
-      std::memcpy(P, In, static_cast<std::uint64_t>(Count) * 8);
-      return;
-    }
-    NativeCtx::storeBlockF64(A, In, Count);
-  }
-  void chargeCycles(std::uint64_t Cycles) override {
-    L.Cycles += Cycles;
-    Team.Cnt.NativeCycles += Cycles;
-  }
-  void setResultBits(std::uint64_t Bits) override {
-    Result.Bits = Bits;
-    Result.HasResult = true;
-  }
-  std::uint32_t threadId() const override { return L.Tid; }
-  std::uint32_t teamId() const override { return Team.TeamId; }
-
-  NativeOpResult Result;
-
-private:
-  /// Storage of Count f64 elements at A, charged and counted, when they
-  /// lie in global or shared memory; null otherwise (the scalar path then
-  /// charges or traps element by element).
-  std::uint8_t *block(DeviceAddr A, std::uint32_t Count, bool IsStore) {
-    const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
-    HotCounters &Cnt = Team.Cnt;
-    const CostModel &C = Team.Config.Costs;
-    if (A.space() == MemSpace::Global && A.offset() + Bytes <= Team.GMCap) {
-      (IsStore ? Cnt.GlobalStores : Cnt.GlobalLoads) += Count;
-      (IsStore ? Cnt.GlobalBytesWritten : Cnt.GlobalBytesRead) += Bytes;
-      L.Cycles += Count * C.GlobalAccess;
-      return Team.GMBase + A.offset();
-    }
-    if (A.space() != MemSpace::Shared)
-      return nullptr;
-    std::uint8_t *P = Team.sharedBytes(A.offset(), Bytes);
-    if (!P)
-      return nullptr;
-    (IsStore ? Cnt.SharedStores : Cnt.SharedLoads) += Count;
-    (IsStore ? Cnt.SharedBytesWritten : Cnt.SharedBytesRead) += Bytes;
-    L.Cycles += Count * C.SharedAccess;
-    return P;
-  }
-
-  TeamModel &Team;
-  Lane &L;
-  const std::uint64_t *Args;
-  unsigned N;
-};
-
-NativeOpResult TeamModel::callNative(Lane &L, std::int64_t Id,
-                                     const std::uint64_t *Args, unsigned N) {
-  NativeOpCtx Ctx(*this, L, Args, N);
+std::uint64_t TeamModel::callNative(Lane &L, std::int64_t Id,
+                                    const std::uint64_t *Args, unsigned N,
+                                    TypeKind Result) {
+  NativeCtx Ctx(*this, L, Args, N);
   Registry.get(Id).Fn(Ctx);
-  return Ctx.Result;
+  if (L.Status != LaneStatus::Running || Result == TypeKind::Void)
+    return 0;
+  if (!Ctx.HasResult) {
+    trap(L, "native op did not produce its declared result");
+    return 0;
+  }
+  return eval::canonBits(Result, Ctx.Result);
 }
 
 } // namespace codesign::vgpu

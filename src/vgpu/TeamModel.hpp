@@ -15,7 +15,8 @@
 //     allocation, and the cost-model charge of every access, counted into
 //     one set of hot counters that is flushed into the team's shard once;
 //   - the shared-memory race shadow (DeviceConfig::DetectRaces);
-//   - the NativeCtx that registered native ops run against;
+//   - the NativeCtx that registered native ops run against, and the one
+//     call (TeamModel::callNative) that runs an op and decides its result;
 //   - the global-memory atomics, and the cycles each value operation
 //     costs. What a value operation computes is ir/Eval.hpp's.
 //
@@ -24,7 +25,8 @@
 // exactly what a freshly built team holds, without reallocating.
 //
 // The per-access helpers are inline and non-virtual, because the bytecode
-// dispatch loop calls them for every instruction.
+// dispatch loop calls them for every instruction and native payloads for
+// every load and store.
 //
 //===----------------------------------------------------------------------===//
 #pragma once
@@ -129,12 +131,6 @@ struct HotCounters {
   }
 }
 
-/// Result of a registered native op.
-struct NativeOpResult {
-  std::uint64_t Bits = 0;
-  bool HasResult = false;
-};
-
 //===----------------------------------------------------------------------===//
 // The team model
 //===----------------------------------------------------------------------===//
@@ -174,9 +170,9 @@ public:
 
   /// Host storage of Size bytes at A, or null after trapping L.
   std::uint8_t *resolve(Lane &L, DeviceAddr A, unsigned Size);
-  /// Charge the cost model and count one access.
+  /// Charge the cost model and count Count accesses of Size bytes each.
   void chargeAccess(Lane &L, MemSpace S, bool IsStore, bool IsAtomic,
-                    unsigned Size);
+                    unsigned Size, std::uint32_t Count = 1);
   /// Host storage of a plain (non-atomic) access of Size bytes at A,
   /// resolved, charged and counted; null after trapping L. Shadow routes
   /// shared accesses through the race detector: kernel loads and stores
@@ -208,9 +204,12 @@ public:
   /// every call that can resolve shared memory.
   std::span<std::uint8_t> sharedWindow();
 
-  /// Run registered native op Id for lane L over Args.
-  NativeOpResult callNative(Lane &L, std::int64_t Id,
-                            const std::uint64_t *Args, unsigned N);
+  /// Run registered native op Id for lane L over Args, declared to return
+  /// a value of kind Result: the result's canonical bits, or 0 for a void
+  /// op or after trapping L. A non-void op that sets no result traps L.
+  std::uint64_t callNative(Lane &L, std::int64_t Id,
+                           const std::uint64_t *Args, unsigned N,
+                           TypeKind Result);
 
   const DeviceConfig &Config;
   const std::uint32_t TeamId, NumTeams, NumThreads;
@@ -222,7 +221,7 @@ public:
   const std::uint64_t GMCap;
 
 private:
-  class NativeOpCtx;
+  friend class NativeCtx;
 
   /// Per-byte race shadow: who last wrote and read a shared byte, and in
   /// which barrier epoch. Two plain accesses from different lanes in one
@@ -328,30 +327,32 @@ inline std::uint8_t *TeamModel::resolve(Lane &L, DeviceAddr A,
 }
 
 inline void TeamModel::chargeAccess(Lane &L, MemSpace S, bool IsStore,
-                                    bool IsAtomic, unsigned Size) {
+                                    bool IsAtomic, unsigned Size,
+                                    std::uint32_t Count) {
   const CostModel &C = Config.Costs;
+  const std::uint64_t Bytes = static_cast<std::uint64_t>(Size) * Count;
   std::uint64_t Cost = 0;
   switch (S) {
   case MemSpace::Global:
     Cost = IsAtomic ? C.AtomicGlobal : C.GlobalAccess;
-    (IsStore ? Cnt.GlobalStores : Cnt.GlobalLoads)++;
-    (IsStore ? Cnt.GlobalBytesWritten : Cnt.GlobalBytesRead) += Size;
+    (IsStore ? Cnt.GlobalStores : Cnt.GlobalLoads) += Count;
+    (IsStore ? Cnt.GlobalBytesWritten : Cnt.GlobalBytesRead) += Bytes;
     break;
   case MemSpace::Shared:
     Cost = IsAtomic ? C.AtomicShared : C.SharedAccess;
-    (IsStore ? Cnt.SharedStores : Cnt.SharedLoads)++;
-    (IsStore ? Cnt.SharedBytesWritten : Cnt.SharedBytesRead) += Size;
+    (IsStore ? Cnt.SharedStores : Cnt.SharedLoads) += Count;
+    (IsStore ? Cnt.SharedBytesWritten : Cnt.SharedBytesRead) += Bytes;
     break;
   case MemSpace::Local:
     Cost = C.LocalAccess;
-    Cnt.LocalAccesses++;
+    Cnt.LocalAccesses += Count;
     break;
   case MemSpace::Invalid:
     break;
   }
   if (IsAtomic)
-    Cnt.Atomics++;
-  L.Cycles += Cost;
+    Cnt.Atomics += Count;
+  L.Cycles += Cost * Count;
 }
 
 inline std::uint8_t *TeamModel::access(Lane &L, DeviceAddr A, unsigned Size,
@@ -442,5 +443,161 @@ inline std::uint64_t TeamModel::allocLocal(Lane &L, std::uint64_t Size) {
                           static_cast<std::uint16_t>(L.Tid))
       .Bits;
 }
+
+//===----------------------------------------------------------------------===//
+// The native-op context
+//===----------------------------------------------------------------------===//
+
+/// What a registered native op sees of the lane that runs it: typed
+/// arguments, device memory, compute-cycle charging and the result slot.
+/// Its accesses resolve, charge and count exactly like kernel loads and
+/// stores (without the race shadow), through the team model's inline
+/// paths, so a native body behaves the same under every backend.
+/// TeamModel::callNative builds one per call.
+class NativeCtx {
+public:
+  /// Number of IR operands passed to the NativeOp.
+  [[nodiscard]] unsigned numArgs() const { return N; }
+  /// Raw 64-bit representation of argument I.
+  [[nodiscard]] std::uint64_t argBits(unsigned I) const {
+    CODESIGN_ASSERT(I < N, "native arg out of range");
+    return Args[I];
+  }
+
+  [[nodiscard]] std::int64_t argI64(unsigned I) const {
+    return static_cast<std::int64_t>(argBits(I));
+  }
+  [[nodiscard]] std::int32_t argI32(unsigned I) const {
+    return static_cast<std::int32_t>(argBits(I));
+  }
+  [[nodiscard]] double argF64(unsigned I) const {
+    const std::uint64_t B = argBits(I);
+    double D;
+    std::memcpy(&D, &B, sizeof(D));
+    return D;
+  }
+  [[nodiscard]] DeviceAddr argPtr(unsigned I) const {
+    return DeviceAddr(argBits(I));
+  }
+
+  /// Typed device memory access. Loads/stores are charged to the cost model
+  /// and counted in the launch metrics, so a memory-bound native body
+  /// behaves like memory-bound IR. An access that traps the lane loads 0
+  /// and stores nothing.
+  [[nodiscard]] std::uint64_t loadBits(DeviceAddr A, unsigned Size) {
+    std::uint64_t Raw = 0;
+    if (const std::uint8_t *P =
+            Team.access(L, A, Size, /*IsStore=*/false, /*Shadow=*/false))
+      std::memcpy(&Raw, P, Size);
+    return Raw;
+  }
+  void storeBits(DeviceAddr A, std::uint64_t Bits, unsigned Size) {
+    if (std::uint8_t *P =
+            Team.access(L, A, Size, /*IsStore=*/true, /*Shadow=*/false))
+      std::memcpy(P, &Bits, Size);
+  }
+
+  [[nodiscard]] double loadF64(DeviceAddr A) {
+    const std::uint64_t B = loadBits(A, 8);
+    double D;
+    std::memcpy(&D, &B, sizeof(D));
+    return D;
+  }
+  void storeF64(DeviceAddr A, double D) {
+    std::uint64_t B;
+    std::memcpy(&B, &D, sizeof(B));
+    storeBits(A, B, 8);
+  }
+  [[nodiscard]] std::int64_t loadI64(DeviceAddr A) {
+    return static_cast<std::int64_t>(loadBits(A, 8));
+  }
+  void storeI64(DeviceAddr A, std::int64_t V) {
+    storeBits(A, static_cast<std::uint64_t>(V), 8);
+  }
+  [[nodiscard]] std::int32_t loadI32(DeviceAddr A) {
+    return static_cast<std::int32_t>(loadBits(A, 4));
+  }
+  void storeI32(DeviceAddr A, std::int32_t V) {
+    storeBits(A, static_cast<std::uint64_t>(static_cast<std::uint32_t>(V)), 4);
+  }
+
+  /// Load Count contiguous f64 elements starting at A into Out. The cost
+  /// model charges, launch metrics and bounds behavior are exactly those of
+  /// Count scalar loadF64 calls: a range inside global or shared memory is
+  /// charged once and copied en bloc, any other range takes the scalar
+  /// path element by element.
+  void loadBlockF64(DeviceAddr A, double *Out, std::uint32_t Count) {
+    if (const std::uint8_t *P = block(A, Count, /*IsStore=*/false)) {
+      std::memcpy(Out, P, static_cast<std::uint64_t>(Count) * 8);
+      return;
+    }
+    for (std::uint32_t I = 0; I < Count; ++I)
+      Out[I] = loadF64(A.advance(static_cast<std::int64_t>(I) * 8));
+  }
+
+  /// Store Count contiguous f64 elements from In starting at A. Same
+  /// contract as loadBlockF64: charges and metrics of Count scalar
+  /// storeF64 calls.
+  void storeBlockF64(DeviceAddr A, const double *In, std::uint32_t Count) {
+    if (std::uint8_t *P = block(A, Count, /*IsStore=*/true)) {
+      std::memcpy(P, In, static_cast<std::uint64_t>(Count) * 8);
+      return;
+    }
+    for (std::uint32_t I = 0; I < Count; ++I)
+      storeF64(A.advance(static_cast<std::int64_t>(I) * 8), In[I]);
+  }
+
+  /// Charge pure compute cycles (ALU/FPU work done natively).
+  void chargeCycles(std::uint64_t Cycles) {
+    L.Cycles += Cycles;
+    Team.Cnt.NativeCycles += Cycles;
+  }
+
+  /// Set the NativeOp result (for non-void result types).
+  void setResultBits(std::uint64_t Bits) {
+    Result = Bits;
+    HasResult = true;
+  }
+  void setResultF64(double D) {
+    std::uint64_t B;
+    std::memcpy(&B, &D, sizeof(B));
+    setResultBits(B);
+  }
+  void setResultI64(std::int64_t V) {
+    setResultBits(static_cast<std::uint64_t>(V));
+  }
+
+  /// Identity of the executing thread (for divergent native bodies).
+  [[nodiscard]] std::uint32_t threadId() const { return L.Tid; }
+  [[nodiscard]] std::uint32_t teamId() const { return Team.TeamId; }
+
+private:
+  friend class TeamModel;
+
+  NativeCtx(TeamModel &Team, Lane &L, const std::uint64_t *Args, unsigned N)
+      : Team(Team), L(L), Args(Args), N(N) {}
+
+  /// Storage of Count f64 elements at A, charged and counted as Count
+  /// scalar accesses, when the whole range lies in global or shared
+  /// memory; null, with nothing charged, otherwise.
+  std::uint8_t *block(DeviceAddr A, std::uint32_t Count, bool IsStore) {
+    const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
+    std::uint8_t *P = nullptr;
+    if (A.space() == MemSpace::Global && A.offset() + Bytes <= Team.GMCap)
+      P = Team.GMBase + A.offset();
+    else if (A.space() == MemSpace::Shared)
+      P = Team.sharedBytes(A.offset(), Bytes);
+    if (P)
+      Team.chargeAccess(L, A.space(), IsStore, /*IsAtomic=*/false, 8, Count);
+    return P;
+  }
+
+  TeamModel &Team;
+  Lane &L;
+  const std::uint64_t *Args;
+  unsigned N;
+  std::uint64_t Result = 0;
+  bool HasResult = false;
+};
 
 } // namespace codesign::vgpu

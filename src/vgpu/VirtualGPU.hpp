@@ -1,8 +1,10 @@
 //===- vgpu/VirtualGPU.hpp - Device facade ---------------------------------===//
 //
 // The user-facing device object: owns global memory and the native-op
-// registry, loads module images, and launches kernels. The host runtime
-// (src/host) builds its libomptarget-like data mapping on top of this.
+// registry, loads module images, and launches kernels through the one
+// execution backend it resolved. The host runtime (src/host) builds its
+// libomptarget-like data mapping on top of this. Including this header
+// gives native payloads the full NativeCtx (vgpu/TeamModel.hpp).
 //
 //===----------------------------------------------------------------------===//
 #pragma once
@@ -14,6 +16,7 @@
 #include "exec/Backend.hpp"
 #include "support/Trace.hpp"
 #include "vgpu/Interpreter.hpp"
+#include "vgpu/TeamModel.hpp"
 
 namespace codesign::vgpu {
 
@@ -25,20 +28,17 @@ public:
     // Runtime knob for differential runs: CODESIGN_EXEC_BACKEND=
     // tree|bytecode|native overrides the configured execution backend
     // without recompiling the harness (bench/ and the backend-parity tests
-    // rely on this). Unknown values are rejected: the error is latched and
-    // every launch on this device reports it, instead of the old behavior
-    // of silently running the default engine — a typo in a differential
-    // harness must not quietly compare a backend to itself.
-    if (const char *Env = std::getenv("CODESIGN_EXEC_BACKEND")) {
-      auto Canon = exec::canonicalBackendName(Env);
-      if (Canon) {
-        this->Config.ExecBackend = *Canon;
-      } else {
-        BackendError =
-            "CODESIGN_EXEC_BACKEND: " + Canon.error().message();
-        if (trace::Tracer::global().enabled())
-          trace::Tracer::global().instant("vgpu", "exec.backend.unknown");
-      }
+    // rely on this). An unknown name is latched and every launch on this
+    // device reports it; it never falls back to the default engine — a
+    // typo in a differential harness must not quietly compare a backend to
+    // itself.
+    const char *Env = std::getenv("CODESIGN_EXEC_BACKEND");
+    const std::string Name = Env ? std::string(Env) : this->Config.ExecBackend;
+    if (auto Set = setExecBackend(Name); !Set) {
+      BackendError =
+          (Env ? "CODESIGN_EXEC_BACKEND: " : "") + Set.error().message();
+      if (Env && trace::Tracer::global().enabled())
+        trace::Tracer::global().instant("vgpu", "exec.backend.unknown");
     }
   }
 
@@ -100,37 +100,31 @@ public:
     return Image;
   }
 
-  /// Launch a kernel by function pointer through the configured execution
-  /// backend, or through BackendOverride when non-empty (per-request
-  /// routing for the host runtime and service).
+  /// Launch a kernel by function pointer through the device's execution
+  /// backend.
   LaunchResult launch(const ModuleImage &Image, const Function *Kernel,
                       std::span<const std::uint64_t> Args,
-                      std::uint32_t NumTeams, std::uint32_t NumThreads,
-                      std::string_view BackendOverride = {}) {
-    if (!BackendError.empty()) {
+                      std::uint32_t NumTeams, std::uint32_t NumThreads) {
+    if (!Backend) {
       LaunchResult R;
       R.Error = BackendError;
       return R;
     }
-    const std::string_view Name =
-        BackendOverride.empty() ? std::string_view(Config.ExecBackend)
-                                : BackendOverride;
-    return exec::launch(Name, {Config, GM, Registry}, Image, Kernel, Args,
+    return exec::launch(*Backend, {Config, GM, Registry}, Image, Kernel, Args,
                         NumTeams, NumThreads);
   }
 
   /// Launch a kernel by name.
   LaunchResult launch(const ModuleImage &Image, std::string_view KernelName,
                       std::span<const std::uint64_t> Args,
-                      std::uint32_t NumTeams, std::uint32_t NumThreads,
-                      std::string_view BackendOverride = {}) {
+                      std::uint32_t NumTeams, std::uint32_t NumThreads) {
     const Function *K = Image.module().findFunction(KernelName);
     if (!K) {
       LaunchResult R;
       R.Error = "no such kernel: " + std::string(KernelName);
       return R;
     }
-    return launch(Image, K, Args, NumTeams, NumThreads, BackendOverride);
+    return launch(Image, K, Args, NumTeams, NumThreads);
   }
 
   /// Toggle debug executions (runtime invariant verification).
@@ -143,26 +137,28 @@ public:
   /// detector (the lint passes' runtime oracle).
   void setDetectRaces(bool On) { Config.DetectRaces = On; }
 
-  /// Select the execution backend by name ("tree", "bytecode", "native" or
-  /// an accepted alias; see exec::canonicalBackendName). Overrides any
-  /// CODESIGN_EXEC_BACKEND environment setting applied at construction;
-  /// unknown names are rejected without changing the configuration.
+  /// Select the execution backend by its registry name ("tree",
+  /// "bytecode", "native"). Overrides any CODESIGN_EXEC_BACKEND environment
+  /// setting applied at construction and clears its error; an unknown name
+  /// is rejected with BackendRegistry::lookup's error, without changing the
+  /// configuration.
   Expected<void> setExecBackend(std::string_view Name) {
-    auto Canon = exec::canonicalBackendName(Name);
-    if (!Canon)
-      return Canon.error();
-    Config.ExecBackend = *Canon;
+    auto B = exec::BackendRegistry::global().lookup(Name);
+    if (!B)
+      return B.error();
+    Backend = *B;
+    Config.ExecBackend = std::string(Backend->name());
     BackendError.clear();
     return Expected<void>::success();
   }
 
-  /// The configured execution backend's canonical name.
+  /// The configured execution backend's registry name.
   [[nodiscard]] const std::string &execBackend() const {
     return Config.ExecBackend;
   }
 
-  /// Non-empty when construction rejected an execution-backend environment
-  /// knob; every launch fails with this message until setExecBackend().
+  /// Non-empty when construction rejected the execution backend's name;
+  /// every launch fails with this message until setExecBackend().
   [[nodiscard]] const std::string &backendError() const {
     return BackendError;
   }
@@ -171,6 +167,9 @@ private:
   DeviceConfig Config;
   GlobalMemory GM;
   NativeRegistry Registry;
+  /// The registered backend Config.ExecBackend names; null while
+  /// BackendError holds why construction rejected the name.
+  exec::Backend *Backend = nullptr;
   std::string BackendError;
 };
 

@@ -113,7 +113,9 @@ TEST_F(AnalysisInvalidationTest, PerFunctionInvalidationSparesOthers) {
       << "f's tree must be recomputed";
 }
 
-TEST_F(AnalysisInvalidationTest, CfgPreservationKeepsTreesDropsLiveness) {
+TEST_F(AnalysisInvalidationTest, CfgPreservationKeepsTreesDropsDivergence) {
+  // Divergence depends on values, not just on block shape, so a cfg()
+  // claim drops it while the CFG-shape analyses survive.
   ir::Module M;
   ir::IRBuilder B(M);
   ir::Function *F =
@@ -126,51 +128,24 @@ TEST_F(AnalysisInvalidationTest, CfgPreservationKeepsTreesDropsLiveness) {
   AnalysisManager AM(M);
   AM.dominators(*F);
   AM.postDominators(*F);
-  AM.liveness(*F);
-  AM.loops(*F); // consumes the cached dominator tree: one hit
-  EXPECT_EQ(AM.hits(AnalysisKind::Dominators), 1u);
+  AM.reachability(*F);
+  AM.divergence(*F); // consumes the cached post-dominator tree: one hit
+  EXPECT_EQ(AM.hits(AnalysisKind::PostDominators), 1u);
 
   AM.invalidate(*F, PreservedAnalyses::cfg());
-  EXPECT_EQ(AM.invalidations(AnalysisKind::Liveness), 1u);
+  EXPECT_EQ(AM.invalidations(AnalysisKind::Divergence), 1u);
   EXPECT_EQ(AM.invalidations(AnalysisKind::Dominators), 0u);
   EXPECT_EQ(AM.invalidations(AnalysisKind::PostDominators), 0u);
-  EXPECT_EQ(AM.invalidations(AnalysisKind::Loops), 0u);
+  EXPECT_EQ(AM.invalidations(AnalysisKind::Reachability), 0u);
 
   AM.dominators(*F);
   AM.postDominators(*F);
-  AM.loops(*F);
-  EXPECT_EQ(AM.hits(AnalysisKind::Dominators), 2u);
-  EXPECT_EQ(AM.hits(AnalysisKind::PostDominators), 1u);
-  EXPECT_EQ(AM.hits(AnalysisKind::Loops), 1u);
-  AM.liveness(*F);
-  EXPECT_EQ(AM.misses(AnalysisKind::Liveness), 2u);
-}
-
-TEST_F(AnalysisInvalidationTest, CallGraphIsModuleScoped) {
-  ir::Module M;
-  ir::IRBuilder B(M);
-  ir::Function *F = M.createFunction("f", ir::Type::voidTy(), {});
-  ir::BasicBlock *Entry = F->createBlock("entry");
-  B.setInsertPoint(Entry);
-  B.retVoid();
-
-  AnalysisManager AM(M);
-  AM.callGraph();
-  EXPECT_EQ(AM.misses(AnalysisKind::CallGraph), 1u);
-  AM.callGraph();
-  EXPECT_EQ(AM.hits(AnalysisKind::CallGraph), 1u);
-
-  // A function-scoped invalidation that does not preserve the call graph
-  // still drops it: the graph spans the whole module.
-  AM.invalidate(*F, PreservedAnalyses::none());
-  AM.callGraph();
-  EXPECT_EQ(AM.misses(AnalysisKind::CallGraph), 2u);
-
-  // But a cfg()-preserving claim extended with CallGraph keeps it.
-  AM.invalidate(
-      *F, PreservedAnalyses::cfg().preserve(AnalysisKind::CallGraph));
-  AM.callGraph();
-  EXPECT_EQ(AM.hits(AnalysisKind::CallGraph), 2u);
+  AM.reachability(*F);
+  EXPECT_EQ(AM.hits(AnalysisKind::Dominators), 1u);
+  EXPECT_EQ(AM.hits(AnalysisKind::PostDominators), 2u);
+  EXPECT_EQ(AM.hits(AnalysisKind::Reachability), 1u);
+  AM.divergence(*F);
+  EXPECT_EQ(AM.misses(AnalysisKind::Divergence), 2u);
 }
 
 TEST_F(AnalysisInvalidationTest, AccessAnalysisFlagMismatchIsMiss) {
@@ -206,7 +181,6 @@ TEST_F(AnalysisInvalidationTest, VerifyCachedCatchesOverBroadClaim) {
       for (const auto &F : M.functions())
         if (!F->isDeclaration()) {
           AM.dominators(*F);
-          AM.liveness(*F);
           AM.accesses(*F, false);
         }
       return PassResult::unchanged();
@@ -217,8 +191,8 @@ TEST_F(AnalysisInvalidationTest, VerifyCachedCatchesOverBroadClaim) {
     [[nodiscard]] std::string_view name() const override { return "liar"; }
     PassResult run(ir::Module &M, AnalysisManager &,
                    const OptOptions &) override {
-      // Erase the first store in the module — liveness and access analysis
-      // both change — but claim all analyses survived.
+      // Erase the first store in the module — the access analysis
+      // changes — but claim all analyses survived.
       for (const auto &F : M.functions())
         for (const auto &BB : F->blocks())
           for (const auto &I : BB->instructions())
@@ -281,7 +255,6 @@ TEST_F(AnalysisInvalidationTest, CachedEqualsFreshAfterHonestPipeline) {
     AM.dominators(*F);
     AM.postDominators(*F);
     AM.reachability(*F);
-    AM.loops(*F);
   }
   EXPECT_TRUE(AM.verifyCached().empty());
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
 
 #include "ir/IRBuilder.hpp"
 #include "ir/Verifier.hpp"
@@ -324,6 +327,62 @@ TEST(Interpreter, IndirectCallThroughSharedSlot) {
     std::memcpy(&V, Raw.data() + I * 8, 8);
     EXPECT_EQ(V, 77) << "thread " << I;
   }
+}
+
+TEST(VirtualGPUBackend, UnknownEnvNameFailsEveryLaunchUntilReset) {
+  // CODESIGN_EXEC_BACKEND is resolved once, when the device is built. An
+  // unknown name fails every launch, naming itself and the registered
+  // backends, and never falls back to the default engine; a registry name
+  // set afterwards clears the error.
+  const char *Ambient = std::getenv("CODESIGN_EXEC_BACKEND");
+  const std::optional<std::string> Saved =
+      Ambient ? std::optional<std::string>(Ambient) : std::nullopt;
+  ::setenv("CODESIGN_EXEC_BACKEND", "nope", 1);
+  VirtualGPU GPU;
+  if (Saved)
+    ::setenv("CODESIGN_EXEC_BACKEND", Saved->c_str(), 1);
+  else
+    ::unsetenv("CODESIGN_EXEC_BACKEND");
+
+  Module M;
+  Function *K = M.createFunction("k", Type::voidTy(), {Type::ptr()});
+  K->addAttr(FnAttr::Kernel);
+  IRBuilder B(M);
+  B.setInsertPoint(K->createBlock("entry"));
+  B.store(B.i64(7), K->arg(0));
+  B.retVoid();
+  auto Image = GPU.loadImage(M);
+  DeviceAddr Buf = GPU.allocate(8);
+  std::vector<std::uint8_t> Raw(8, 0);
+  GPU.write(Buf, Raw);
+  std::uint64_t Args[] = {Buf.Bits};
+
+  for (int Attempt = 0; Attempt < 2; ++Attempt) {
+    const LaunchResult R = GPU.launch(*Image, "k", Args, 1, 1);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Error, GPU.backendError());
+    EXPECT_NE(R.Error.find("CODESIGN_EXEC_BACKEND"), std::string::npos)
+        << R.Error;
+    EXPECT_NE(R.Error.find("'nope'"), std::string::npos) << R.Error;
+    for (const std::string &Name : exec::BackendRegistry::global().names())
+      EXPECT_NE(R.Error.find(Name), std::string::npos) << R.Error;
+  }
+  GPU.read(Buf, Raw);
+  EXPECT_EQ(Raw, std::vector<std::uint8_t>(8, 0)) << "nothing ran";
+
+  // Only registry names select a backend.
+  EXPECT_FALSE(GPU.setExecBackend("interp").hasValue());
+  EXPECT_FALSE(GPU.launch(*Image, "k", Args, 1, 1).Ok);
+
+  ASSERT_TRUE(GPU.setExecBackend("bytecode").hasValue());
+  EXPECT_TRUE(GPU.backendError().empty());
+  EXPECT_EQ(GPU.execBackend(), "bytecode");
+  const LaunchResult R = GPU.launch(*Image, "k", Args, 1, 1);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  GPU.read(Buf, Raw);
+  std::int64_t V;
+  std::memcpy(&V, Raw.data(), 8);
+  EXPECT_EQ(V, 7);
 }
 
 } // namespace
