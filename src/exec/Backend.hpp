@@ -5,12 +5,13 @@
 // backend all implement exec::Backend and are selected by name through the
 // exec::BackendRegistry. The launch engine (LaunchEngine.cpp) owns
 // everything backend-independent — launch validation, occupancy, the
-// parallel team fan-out on the host ThreadPool and the deterministic
-// team-ID-order merge — so a backend only supplies three hooks, mirroring
-// Halide's CodeGen_GPU_Dev split (init_module / add_kernel / compile):
+// launch plan kept on the image, the parallel team fan-out on the
+// process's executor and the deterministic team-ID-order merge — so a
+// backend only supplies two hooks, mirroring Halide's CodeGen_GPU_Dev split
+// (add_kernel / compile):
 //
-//   prepareModule  one-time per-image work (bytecode lowering, C++ codegen)
-//   bindKernel     per-kernel legality checks + launchable handle
+//   bindKernel     one-time per-(image, kernel) work: legality checks, the
+//                  module's lowering or compile, a launchable handle
 //   runTeam        execute one team (called concurrently for distinct teams)
 //
 // A device (VirtualGPU) resolves its backend's registry name once, when it
@@ -61,15 +62,12 @@ public:
   /// Registry name ("tree", "bytecode", "native").
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// One-time per-image preparation ahead of the team fan-out. Called on
-  /// every launch; implementations cache (ModuleImage already memoizes its
-  /// bytecode lowering, the native backend its shared objects).
-  virtual Expected<void> prepareModule(const vgpu::ModuleImage &Image,
-                                       const LaunchEnv &Env) = 0;
-
   /// Bind Kernel for launching. Backend-specific legality gates live here
   /// (the native backend rejects kernels its codegen cannot express) so a
-  /// launch fails with an explicit error instead of misexecuting.
+  /// launch fails with an explicit error instead of misexecuting. The
+  /// launch engine keeps a successful bind in the image's launch plan and
+  /// binds again only for another image, kernel or DetectRaces setting, so
+  /// the bound kernel must not depend on any other part of Env.
   virtual Expected<std::unique_ptr<BoundKernel>>
   bindKernel(const vgpu::ModuleImage &Image, const ir::Function *Kernel,
              const LaunchEnv &Env) = 0;
@@ -110,9 +108,10 @@ private:
   std::vector<std::unique_ptr<Backend>> Backends;
 };
 
-/// Execute a launch through backend B: validate, compute occupancy,
-/// prepare/bind, fan teams out on the host ThreadPool and merge the
-/// per-team shards in team-ID order (bit-identical to a serial run).
+/// Execute a launch through backend B: validate, find or build the image's
+/// launch plan (stats + bound kernel), compute occupancy, fan teams out on
+/// the process's executor and merge the per-team shards in team-ID order
+/// (bit-identical to a serial run).
 [[nodiscard]] vgpu::LaunchResult
 launch(Backend &B, const LaunchEnv &Env, const vgpu::ModuleImage &Image,
        const ir::Function *Kernel, std::span<const std::uint64_t> Args,

@@ -1,8 +1,8 @@
 //===- exec/BytecodeBackend.cpp - Bytecode backend -------------------------===//
 //
-// The fast interpreter tier as an exec::Backend. prepareModule/bindKernel
-// materialize the module's one-shot bytecode lowering and this image's
-// resolved constant pools ahead of the team fan-out (the lazy cache is
+// The fast interpreter tier as an exec::Backend. bindKernel materializes
+// the module's one-shot bytecode lowering and this image's resolved
+// constant pools ahead of the team fan-out (the lazy cache is
 // mutex-guarded, but paying the lowering under contention would skew the
 // first team's wall time); runTeam delegates to the bytecode executor.
 //
@@ -15,8 +15,8 @@ namespace codesign::exec {
 
 namespace {
 
-/// Per-launch handle: the image's lowering and resolved pools. Both live
-/// in the ModuleImage, so raw pointers stay valid for the handle's life.
+/// The bound kernel: the image's lowering and resolved pools. Both live in
+/// the ModuleImage, which also keeps this handle in its launch plan.
 class BytecodeBound final : public BoundKernel {
 public:
   BytecodeBound(const vgpu::BytecodeModule &BC,
@@ -30,12 +30,6 @@ public:
 class BytecodeBackend final : public Backend {
 public:
   std::string_view name() const override { return "bytecode"; }
-
-  Expected<void> prepareModule(const vgpu::ModuleImage &Image,
-                               const LaunchEnv &) override {
-    (void)Image.bytecode(); // force the lowering outside the fan-out
-    return Expected<void>::success();
-  }
 
   Expected<std::unique_ptr<BoundKernel>>
   bindKernel(const vgpu::ModuleImage &Image, const ir::Function *,

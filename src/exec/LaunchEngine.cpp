@@ -3,9 +3,9 @@
 // The backend-independent half of every kernel launch, extracted from the
 // old vgpu::KernelLauncher: argument/geometry validation, the occupancy
 // calculation linking Figure 11's resource columns to Figure 10's kernel
-// times, the parallel team fan-out on the host ThreadPool, and the
-// deterministic merge of per-team metric shards in team-ID order. Backends
-// only supply prepareModule/bindKernel/runTeam.
+// times, the launch plan kept on the image, the parallel team fan-out on
+// the process's executor, and the deterministic merge of per-team metric
+// shards in team-ID order. Backends only supply bindKernel/runTeam.
 //
 //===----------------------------------------------------------------------===//
 #include "exec/Backend.hpp"
@@ -74,6 +74,7 @@ using vgpu::KernelStaticStats;
 using vgpu::LaunchMetrics;
 using vgpu::LaunchProfile;
 using vgpu::LaunchResult;
+using vgpu::ModuleImage;
 
 LaunchResult launch(Backend &B, const LaunchEnv &Env,
                     const vgpu::ModuleImage &Image, const ir::Function *Kernel,
@@ -99,10 +100,30 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
     return Result;
   }
 
+  // The launch plan: the kernel's static stats and the backend's bound
+  // kernel, built by the first launch of this kernel on this image and
+  // kept there. Binding does the backend's one-time work (bytecode
+  // lowering, the native compile) before the fan-out, so no team pays it
+  // under contention, and a backend that cannot execute this kernel fails
+  // the whole launch with an explicit error. A refused bind is not kept.
+  const ModuleImage::LaunchPlan *Plan =
+      Image.findPlan(&B, Kernel, Config.DetectRaces);
+  if (!Plan) {
+    auto Bound = B.bindKernel(Image, Kernel, Env);
+    if (!Bound) {
+      Result.Error =
+          std::string(B.name()) + " backend: " + Bound.error().message();
+      return Result;
+    }
+    Plan = &Image.addPlan({&B, Kernel, Config.DetectRaces,
+                           vgpu::computeKernelStats(*Kernel, Env.Registry),
+                           Bound.takeValue()});
+  }
+  const KernelStaticStats &Stats = Plan->Stats;
+  BoundKernel &Bound = *Plan->Bound;
+
   // Occupancy: how many teams one SM can host concurrently, limited by
   // shared memory and register usage (the Figure 11 -> Figure 10 link).
-  const KernelStaticStats Stats =
-      vgpu::computeKernelStats(*Kernel, Env.Registry);
   std::uint32_t Occupancy = Config.MaxConcurrentTeamsPerSM;
   if (Stats.SharedMemBytes > 0)
     Occupancy = std::min<std::uint32_t>(
@@ -117,22 +138,6 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
         static_cast<std::uint32_t>(Config.RegisterFilePerSM / RegsPerTeam));
   Occupancy = std::max<std::uint32_t>(Occupancy, 1);
   Result.Metrics.TeamsPerSM = Occupancy;
-
-  // Backend hooks: per-image preparation and per-kernel binding happen
-  // once, before the fan-out, so no team pays them under contention and a
-  // backend that cannot execute this kernel fails the whole launch with an
-  // explicit error.
-  if (auto Prep = B.prepareModule(Image, Env); !Prep) {
-    Result.Error =
-        std::string(B.name()) + " backend: " + Prep.error().message();
-    return Result;
-  }
-  auto Bound = B.bindKernel(Image, Kernel, Env);
-  if (!Bound) {
-    Result.Error =
-        std::string(B.name()) + " backend: " + Bound.error().message();
-    return Result;
-  }
 
   // Execute the teams. Each team runs against a private metrics shard and
   // touches no mutable state besides global memory (reached via atomics),
@@ -151,14 +156,14 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
   std::vector<TeamShard> Shards(NumTeams);
   const auto RunTeam = [&](std::uint64_t Team) {
     TeamShard &S = Shards[Team];
-    B.runTeam(**Bound, Env, Image, Kernel, Args,
+    B.runTeam(Bound, Env, Image, Kernel, Args,
               static_cast<std::uint32_t>(Team), NumTeams, NumThreads,
               S.Metrics, Config.CollectProfile ? &S.Profile : nullptr, S.Out);
     S.Ran = true;
   };
-  const std::uint32_t Workers = std::min<std::uint32_t>(
+  const std::uint32_t Width = std::min<std::uint32_t>(
       support::resolveHostThreads(Config.HostThreads), NumTeams);
-  if (Workers <= 1) {
+  if (Width <= 1) {
     // Serial fallback: execute in the caller, stopping at the first trap
     // like the original engine.
     for (std::uint32_t Team = 0; Team < NumTeams; ++Team) {
@@ -167,12 +172,10 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
         break;
     }
   } else {
-    support::ThreadPool Pool(Workers);
-    Pool.parallelFor(NumTeams, RunTeam);
+    support::ThreadPool::global().parallelFor(Width, NumTeams, RunTeam);
   }
 
   // Deterministic merge in team-ID order.
-  std::vector<std::vector<std::uint64_t>> PerSM(Config.NumSMs);
   for (std::uint32_t Team = 0; Team < NumTeams; ++Team) {
     TeamShard &S = Shards[Team];
     if (!S.Ran)
@@ -187,18 +190,23 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
       Result.Profile.accumulate(S.Profile);
       Result.Profile.addTeam(S.Out.Cycles);
     }
-    PerSM[Team % Config.NumSMs].push_back(S.Out.Cycles);
   }
-  // Wall time per SM: its teams run in waves of `Occupancy`.
-  for (const auto &Teams : PerSM) {
-    std::uint64_t Wall = 0;
-    for (std::size_t I = 0; I < Teams.size(); I += Occupancy) {
-      std::uint64_t BatchMax = 0;
-      for (std::size_t J = I; J < std::min(Teams.size(), I + Occupancy); ++J)
-        BatchMax = std::max(BatchMax, Teams[J]);
-      Wall += BatchMax;
+  // Wall time per SM: teams go to SMs round-robin, and each SM runs its
+  // teams in waves of `Occupancy`; a wave lasts as long as its slowest
+  // team.
+  for (std::uint32_t SM = 0; SM < Config.NumSMs && SM < NumTeams; ++SM) {
+    std::uint64_t Wall = 0, WaveMax = 0;
+    std::uint32_t InWave = 0;
+    for (std::uint32_t Team = SM; Team < NumTeams; Team += Config.NumSMs) {
+      WaveMax = std::max(WaveMax, Shards[Team].Out.Cycles);
+      if (++InWave == Occupancy) {
+        Wall += WaveMax;
+        WaveMax = 0;
+        InWave = 0;
+      }
     }
-    Result.Metrics.KernelCycles = std::max(Result.Metrics.KernelCycles, Wall);
+    Result.Metrics.KernelCycles =
+        std::max(Result.Metrics.KernelCycles, Wall + WaveMax);
   }
   Result.Ok = true;
   return Result;

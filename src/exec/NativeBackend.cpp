@@ -450,14 +450,6 @@ class NativeBackend final : public Backend {
 public:
   std::string_view name() const override { return "native"; }
 
-  Expected<void> prepareModule(const vgpu::ModuleImage &Image,
-                               const LaunchEnv &) override {
-    auto CM = ensureCompiled(Image.module());
-    if (!CM)
-      return CM.error();
-    return Expected<void>::success();
-  }
-
   Expected<std::unique_ptr<BoundKernel>>
   bindKernel(const vgpu::ModuleImage &Image, const ir::Function *Kernel,
              const LaunchEnv &Env) override {
@@ -511,7 +503,10 @@ public:
     H.Team = &Team;
     H.T = abi::cg_team{};
     H.Lanes.resize(NumThreads);
-    H.SlotStore.resize(NumThreads);
+    // Grow only: a narrower team leaves the wider team's slot arrays for
+    // the next wide one.
+    if (H.SlotStore.size() < NumThreads)
+      H.SlotStore.resize(NumThreads);
     for (std::uint32_t I = 0; I < NumThreads; ++I) {
       auto &Slots = H.SlotStore[I];
       Slots.assign(std::max<std::uint32_t>(BK.NumSlots, 1), 0);

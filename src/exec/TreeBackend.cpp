@@ -1,9 +1,9 @@
 //===- exec/TreeBackend.cpp - Tree-walking interpreter backend -------------===//
 //
 // The original IR-walking engine as an exec::Backend. It needs no
-// preparation or binding state: every team interprets the instruction tree
-// directly. Kept as the semantic reference the other backends are
-// differentially tested against.
+// binding state: every team interprets the instruction tree directly.
+// Kept as the semantic reference the other backends are differentially
+// tested against.
 //
 //===----------------------------------------------------------------------===//
 #include "exec/Backend.hpp"
@@ -16,11 +16,6 @@ namespace {
 class TreeBackend final : public Backend {
 public:
   std::string_view name() const override { return "tree"; }
-
-  Expected<void> prepareModule(const vgpu::ModuleImage &,
-                               const LaunchEnv &) override {
-    return Expected<void>::success();
-  }
 
   Expected<std::unique_ptr<BoundKernel>>
   bindKernel(const vgpu::ModuleImage &, const ir::Function *,

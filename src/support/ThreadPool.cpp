@@ -1,5 +1,7 @@
 #include "support/ThreadPool.hpp"
 
+#include <pthread.h>
+
 #include "support/Error.hpp"
 
 namespace codesign::support {
@@ -11,78 +13,89 @@ unsigned resolveHostThreads(unsigned Requested) {
   return HW != 0 ? HW : 1;
 }
 
-ThreadPool::ThreadPool(unsigned NumThreads) {
-  if (NumThreads <= 1)
-    return;
-  Workers.reserve(NumThreads - 1);
-  for (unsigned I = 0; I + 1 < NumThreads; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
+/// One parallelFor call. Lives on its caller's stack; it is the open job
+/// while its caller claims indices, unless another job was open first.
+struct ThreadPool::Job {
+  void *Ctx = nullptr;
+  void (*Call)(void *, std::uint64_t) = nullptr;
+  std::uint64_t Size = 0;
+  unsigned MaxHelpers = 0;            ///< Width - 1
+  std::atomic<std::uint64_t> Next{0}; ///< next unclaimed index
+  unsigned Helpers = 0;               ///< workers attached (Mutex)
+
+  [[nodiscard]] bool joinable() const {
+    return Helpers < MaxHelpers && Next.load(std::memory_order_relaxed) < Size;
+  }
+
+  void work() {
+    for (std::uint64_t I = Next.fetch_add(1, std::memory_order_relaxed);
+         I < Size; I = Next.fetch_add(1, std::memory_order_relaxed))
+      Call(Ctx, I);
+  }
+};
+
+ThreadPool &ThreadPool::global() {
+  static ThreadPool *Pool = new ThreadPool();
+  return *Pool;
 }
 
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Stopping = true;
-  }
-  WakeCV.notify_all();
-  for (std::thread &W : Workers)
-    W.join();
-}
-
-void ThreadPool::runJob(const std::function<void(std::uint64_t)> &Fn) {
-  for (;;) {
-    const std::uint64_t I = NextIndex.fetch_add(1, std::memory_order_relaxed);
-    if (I >= JobSize)
-      return;
-    Fn(I);
-  }
+unsigned ThreadPool::workers() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return static_cast<unsigned>(Workers.size());
 }
 
 void ThreadPool::workerLoop() {
-  std::uint64_t SeenGeneration = 0;
+  std::unique_lock<std::mutex> Lock(Mutex);
   for (;;) {
-    const std::function<void(std::uint64_t)> *Fn = nullptr;
-    {
-      std::unique_lock<std::mutex> Lock(Mutex);
-      WakeCV.wait(Lock, [&] {
-        return Stopping || Generation != SeenGeneration;
-      });
-      if (Stopping)
-        return;
-      SeenGeneration = Generation;
-      Fn = JobFn;
-    }
-    runJob(*Fn);
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      if (--BusyWorkers == 0)
-        DoneCV.notify_one();
-    }
+    Job *J = nullptr;
+    WakeCV.wait(Lock, [&] { return (J = Open) && J->joinable(); });
+    ++J->Helpers;
+    Lock.unlock();
+    J->work();
+    Lock.lock();
+    if (--J->Helpers == 0)
+      DoneCV.notify_all();
   }
 }
 
-void ThreadPool::parallelFor(std::uint64_t N,
-                             const std::function<void(std::uint64_t)> &Fn) {
-  if (Workers.empty() || N <= 1) {
-    for (std::uint64_t I = 0; I < N; ++I)
-      Fn(I);
+bool ThreadPool::open(Job &J) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  if (Open)
+    return false;
+  if (Workers.empty()) {
+    const auto InChild = [] {
+      global().ForkedChild.store(true, std::memory_order_relaxed);
+    };
+    CODESIGN_ASSERT(pthread_atfork(nullptr, nullptr, InChild) == 0,
+                    "cannot register the executor's fork handler");
+  }
+  while (Workers.size() < J.MaxHelpers)
+    Workers.emplace_back([this] { workerLoop(); });
+  Open = &J;
+  return true;
+}
+
+void ThreadPool::run(unsigned Width, std::uint64_t N, void *Ctx,
+                     void (*Call)(void *, std::uint64_t)) {
+  if (N < Width)
+    Width = static_cast<unsigned>(N);
+  Job J;
+  J.Ctx = Ctx;
+  J.Call = Call;
+  J.Size = N;
+  J.MaxHelpers = Width > 1 ? Width - 1 : 0;
+  if (Width <= 1 || ForkedChild.load(std::memory_order_relaxed) || !open(J)) {
+    J.work();
     return;
   }
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    CODESIGN_ASSERT(BusyWorkers == 0, "nested parallelFor on one pool");
-    JobFn = &Fn;
-    JobSize = N;
-    NextIndex.store(0, std::memory_order_relaxed);
-    BusyWorkers = static_cast<unsigned>(Workers.size());
-    ++Generation;
-  }
-  WakeCV.notify_all();
-  // The caller is one of the execution lanes.
-  runJob(Fn);
+  for (unsigned I = 0; I < J.MaxHelpers; ++I)
+    WakeCV.notify_one();
+  J.work();
+  // Every index is claimed; close the job so no worker joins it late, and
+  // wait for the helpers still finishing the indices they claimed.
   std::unique_lock<std::mutex> Lock(Mutex);
-  DoneCV.wait(Lock, [&] { return BusyWorkers == 0; });
-  JobFn = nullptr;
+  Open = nullptr;
+  DoneCV.wait(Lock, [&] { return J.Helpers == 0; });
 }
 
 } // namespace codesign::support

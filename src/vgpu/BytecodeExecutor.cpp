@@ -103,9 +103,12 @@ public:
     CODESIGN_ASSERT(KernelBC && KernelBC->HasBody,
                     "kernel has no bytecode body");
     // Every lane starts at the kernel entry in frame 0; retired frames
-    // above it keep their slot storage for this team's calls.
-    Stacks.resize(NumThreads);
-    for (BCStack &S : Stacks) {
+    // above it keep their slot storage for this team's calls. Stacks only
+    // grow: a narrower team leaves the wider team's stacks for the next.
+    if (Stacks.size() < NumThreads)
+      Stacks.resize(NumThreads);
+    for (std::uint32_t T = 0; T < NumThreads; ++T) {
+      BCStack &S = Stacks[T];
       if (S.Frames.empty())
         S.Frames.emplace_back();
       BCFrame &F = S.Frames[0];

@@ -118,6 +118,32 @@ ModuleImage::layout(const Function *F) const {
   return It->second;
 }
 
+const ModuleImage::LaunchPlan *
+ModuleImage::findPlanLocked(const exec::Backend *Backend,
+                            const Function *Kernel, bool DetectRaces) const {
+  for (const auto &P : Plans)
+    if (P->Backend == Backend && P->Kernel == Kernel &&
+        P->DetectRaces == DetectRaces)
+      return P.get();
+  return nullptr;
+}
+
+const ModuleImage::LaunchPlan *
+ModuleImage::findPlan(const exec::Backend *Backend, const Function *Kernel,
+                      bool DetectRaces) const {
+  std::lock_guard<std::mutex> Lock(PlanMutex);
+  return findPlanLocked(Backend, Kernel, DetectRaces);
+}
+
+const ModuleImage::LaunchPlan &ModuleImage::addPlan(LaunchPlan Plan) const {
+  std::lock_guard<std::mutex> Lock(PlanMutex);
+  if (const LaunchPlan *Kept =
+          findPlanLocked(Plan.Backend, Plan.Kernel, Plan.DetectRaces))
+    return *Kept;
+  Plans.push_back(std::make_unique<const LaunchPlan>(std::move(Plan)));
+  return *Plans.back();
+}
+
 //===----------------------------------------------------------------------===//
 // Team execution
 //===----------------------------------------------------------------------===//
@@ -184,8 +210,12 @@ public:
         PhiBuf(std::exchange(Spares.PhiBuf, {})),
         NativeArgScratch(std::exchange(Spares.NativeArgScratch, {})) {
     const ModuleImage::FunctionLayout &Layout = Image.layout(Kernel);
-    Stacks.resize(NumThreads);
-    for (FrameStack &S : Stacks) {
+    // Stacks only grow: a narrower team leaves the wider team's stacks for
+    // the next.
+    if (Stacks.size() < NumThreads)
+      Stacks.resize(NumThreads);
+    for (std::uint32_t T = 0; T < NumThreads; ++T) {
+      FrameStack &S = Stacks[T];
       if (S.Frames.empty())
         S.Frames.emplace_back();
       Frame &F = S.Frames[0];

@@ -28,6 +28,11 @@
 #include "vgpu/Metrics.hpp"
 #include "vgpu/NativeRegistry.hpp"
 
+namespace codesign::exec {
+class Backend;
+class BoundKernel;
+} // namespace codesign::exec
+
 namespace codesign::vgpu {
 
 struct BytecodeModule;
@@ -94,8 +99,31 @@ public:
   [[nodiscard]] const std::vector<std::vector<std::uint64_t>> &
   bytecodePools() const;
 
+  /// What launching Kernel through Backend needs besides its arguments and
+  /// geometry: the kernel's static stats and the backend's bound kernel.
+  /// The first such launch builds it (exec/LaunchEngine.cpp) and the image
+  /// keeps it. DetectRaces is part of the key because a backend may refuse
+  /// to bind under it, and a refused bind is never kept.
+  struct LaunchPlan {
+    const exec::Backend *Backend = nullptr;
+    const Function *Kernel = nullptr;
+    bool DetectRaces = false;
+    KernelStaticStats Stats;
+    std::shared_ptr<exec::BoundKernel> Bound;
+  };
+  /// The kept plan for this key, or null.
+  [[nodiscard]] const LaunchPlan *findPlan(const exec::Backend *Backend,
+                                           const Function *Kernel,
+                                           bool DetectRaces) const;
+  /// Keep Plan unless a concurrent launch kept one for its key first;
+  /// returns the kept plan, valid for the image's life.
+  const LaunchPlan &addPlan(LaunchPlan Plan) const;
+
 private:
   void materializeBytecodeLocked() const;
+  const LaunchPlan *findPlanLocked(const exec::Backend *Backend,
+                                   const Function *Kernel,
+                                   bool DetectRaces) const;
 
   const Module &M;
   GlobalMemory &GM;
@@ -113,6 +141,8 @@ private:
   mutable std::shared_ptr<const BytecodeModule> BCMod;
   mutable std::vector<std::vector<std::uint64_t>> BCPools;
   mutable bool BCPoolsReady = false;
+  mutable std::mutex PlanMutex;
+  mutable std::vector<std::unique_ptr<const LaunchPlan>> Plans;
 };
 
 /// Outcome of a kernel launch.

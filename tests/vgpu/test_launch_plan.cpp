@@ -1,0 +1,159 @@
+//===- tests/vgpu/test_launch_plan.cpp - The image's launch plan -----------===//
+//
+// The first launch of a kernel on an image binds it and keeps the bound
+// kernel and the kernel's static stats on the image; later launches reuse
+// them. A refused bind is not kept, and a backend that refuses a launch
+// setting (native under DetectRaces) refuses it on every such launch, also
+// after a clean launch kept a plan.
+//
+//===----------------------------------------------------------------------===//
+#include "vgpu/VirtualGPU.hpp"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <memory>
+#include <string>
+
+#include "ir/IRBuilder.hpp"
+#include "ir/Verifier.hpp"
+
+namespace codesign::vgpu {
+namespace {
+
+using namespace ir;
+
+/// Kernel `name`: every thread stores its thread id to out[gid].
+void buildStoreTid(Module &M, const std::string &Name) {
+  Function *K = M.createFunction(Name, Type::voidTy(), {Type::ptr()});
+  K->addAttr(FnAttr::Kernel);
+  IRBuilder B(M);
+  B.setInsertPoint(K->createBlock("entry"));
+  Value *Tid = B.zext(B.threadId(), Type::i64());
+  Value *Gid =
+      B.add(B.mul(B.zext(B.blockId(), Type::i64()),
+                  B.zext(B.blockDim(), Type::i64())),
+            Tid);
+  B.store(Tid, B.gep(K->arg(0), B.mul(Gid, B.i64(8))));
+  B.retVoid();
+}
+
+/// The tree interpreter behind a counter of binds, which can be told to
+/// refuse the next binds.
+class CountingBackend final : public exec::Backend {
+public:
+  std::string_view name() const override { return "counting-tree"; }
+
+  Expected<std::unique_ptr<exec::BoundKernel>>
+  bindKernel(const ModuleImage &, const Function *,
+             const exec::LaunchEnv &) override {
+    Binds.fetch_add(1);
+    if (Refuse.load() > 0) {
+      Refuse.fetch_sub(1);
+      return Error("refused on purpose");
+    }
+    return std::make_unique<exec::BoundKernel>();
+  }
+
+  void runTeam(exec::BoundKernel &, const exec::LaunchEnv &Env,
+               const ModuleImage &Image, const Function *Kernel,
+               std::span<const std::uint64_t> Args, std::uint32_t TeamId,
+               std::uint32_t NumTeams, std::uint32_t NumThreads,
+               LaunchMetrics &Metrics, LaunchProfile *Profile,
+               exec::TeamOutcome &Out) override {
+    Out = runTreeTeam(Env.Config, Env.GM, Env.Registry, Image, TeamId,
+                      NumTeams, NumThreads, Kernel, Args, Metrics, Profile);
+  }
+
+  std::atomic<unsigned> Binds{0};
+  std::atomic<unsigned> Refuse{0};
+};
+
+/// The process's one CountingBackend, registered on first use.
+CountingBackend &counting() {
+  static CountingBackend *B = [] {
+    auto Owned = std::make_unique<CountingBackend>();
+    CountingBackend *Raw = Owned.get();
+    exec::BackendRegistry::global().add(std::move(Owned));
+    return Raw;
+  }();
+  B->Binds = 0;
+  B->Refuse = 0;
+  return *B;
+}
+
+TEST(LaunchPlan, BindsOncePerImageAndKernel) {
+  CountingBackend &Counter = counting();
+  Module M;
+  buildStoreTid(M, "a");
+  buildStoreTid(M, "b");
+  ASSERT_TRUE(verifyModule(M).empty());
+  VirtualGPU GPU;
+  ASSERT_TRUE(GPU.setExecBackend("counting-tree").hasValue());
+  const DeviceAddr Out = GPU.allocate(4 * 8 * 8);
+  const std::uint64_t Args[] = {Out.Bits};
+  auto Image = GPU.loadImage(M);
+  for (int I = 0; I < 3; ++I)
+    ASSERT_TRUE(GPU.launch(*Image, "a", Args, 4, 8).Ok);
+  EXPECT_EQ(Counter.Binds.load(), 1u);
+  ASSERT_TRUE(GPU.launch(*Image, "b", Args, 4, 8).Ok);
+  EXPECT_EQ(Counter.Binds.load(), 2u) << "another kernel binds";
+  auto Other = GPU.loadImage(M);
+  ASSERT_TRUE(GPU.launch(*Other, "a", Args, 4, 8).Ok);
+  EXPECT_EQ(Counter.Binds.load(), 3u) << "another image binds";
+  GPU.setDetectRaces(true);
+  ASSERT_TRUE(GPU.launch(*Image, "a", Args, 4, 8).Ok);
+  ASSERT_TRUE(GPU.launch(*Image, "a", Args, 4, 8).Ok);
+  EXPECT_EQ(Counter.Binds.load(), 4u) << "DetectRaces binds once more";
+}
+
+TEST(LaunchPlan, RefusedBindIsNotKept) {
+  CountingBackend &Counter = counting();
+  Module M;
+  buildStoreTid(M, "a");
+  ASSERT_TRUE(verifyModule(M).empty());
+  VirtualGPU GPU;
+  ASSERT_TRUE(GPU.setExecBackend("counting-tree").hasValue());
+  const DeviceAddr Out = GPU.allocate(2 * 4 * 8);
+  const std::uint64_t Args[] = {Out.Bits};
+  auto Image = GPU.loadImage(M);
+  Counter.Refuse = 1;
+  const LaunchResult Refused = GPU.launch(*Image, "a", Args, 2, 4);
+  EXPECT_FALSE(Refused.Ok);
+  EXPECT_EQ(Refused.Error, "counting-tree backend: refused on purpose");
+  ASSERT_TRUE(GPU.launch(*Image, "a", Args, 2, 4).Ok);
+  ASSERT_TRUE(GPU.launch(*Image, "a", Args, 2, 4).Ok);
+  EXPECT_EQ(Counter.Binds.load(), 2u);
+}
+
+TEST(LaunchPlan, NativeRefusesDetectRacesAfterACachedPlan) {
+  const std::string Refusal =
+      "native backend: DetectRaces needs shadow-memory instrumentation the "
+      "generated code does not carry; use the tree or bytecode backend";
+  Module M;
+  buildStoreTid(M, "k");
+  ASSERT_TRUE(verifyModule(M).empty());
+  VirtualGPU GPU;
+  ASSERT_TRUE(GPU.setExecBackend("native").hasValue());
+  const DeviceAddr Out = GPU.allocate(2 * 4 * 8);
+  const std::uint64_t Args[] = {Out.Bits};
+  auto Image = GPU.loadImage(M);
+  const LaunchResult Clean = GPU.launch(*Image, "k", Args, 2, 4);
+  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  GPU.setDetectRaces(true);
+  for (int I = 0; I < 2; ++I) {
+    const LaunchResult R = GPU.launch(*Image, "k", Args, 2, 4);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Error, Refusal) << "launch " << I;
+  }
+  GPU.setDetectRaces(false);
+  EXPECT_TRUE(GPU.launch(*Image, "k", Args, 2, 4).Ok);
+
+  // Refused on an image no clean launch has bound, too.
+  auto Fresh = GPU.loadImage(M);
+  GPU.setDetectRaces(true);
+  EXPECT_EQ(GPU.launch(*Fresh, "k", Args, 2, 4).Error, Refusal);
+}
+
+} // namespace
+} // namespace codesign::vgpu

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 
 #include "ir/IRBuilder.hpp"
@@ -150,6 +151,34 @@ TEST(ParallelLaunch, DeviceMallocExhaustionYieldsNullNotAbort) {
   std::uint64_t Flag = 0;
   GPU.read(Out, std::span(reinterpret_cast<std::uint8_t *>(&Flag), 8));
   EXPECT_EQ(Flag, 1u) << "device malloc OOM must return null";
+}
+
+TEST(ParallelLaunchDeathTest, ForkedChildLaunchesAfterWorkersStarted) {
+  // The executor's workers live in the parent only. A child forked after a
+  // parallel launch started them must still run a 64-team launch.
+  Module M;
+  buildAtomicSumKernel(M);
+  VirtualGPU GPU(withHostThreads(4));
+  auto Image = GPU.loadImage(M);
+  DeviceAddr Counter = GPU.allocate(8);
+  constexpr std::uint32_t Teams = 64, Threads = 4;
+  std::uint64_t Args[] = {Counter.Bits};
+  ASSERT_TRUE(GPU.launch(*Image, "atomic_sum", Args, Teams, Threads).Ok);
+  EXPECT_EXIT(
+      {
+        const std::uint64_t Zero8[1] = {0};
+        GPU.write(Counter, std::span(
+                               reinterpret_cast<const std::uint8_t *>(Zero8),
+                               8));
+        const LaunchResult R =
+            GPU.launch(*Image, "atomic_sum", Args, Teams, Threads);
+        std::int64_t Sum = 0;
+        GPU.read(Counter,
+                 std::span(reinterpret_cast<std::uint8_t *>(&Sum), 8));
+        const std::int64_t N = std::int64_t(Teams) * Threads;
+        std::exit(R.Ok && Sum == N * (N + 1) / 2 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 } // namespace
