@@ -55,16 +55,12 @@ std::string DivergenceAnalysis::provenanceString(const Value *V) const {
   for (const Value *Link : provenance(V)) {
     if (!Out.empty())
       Out += " <- ";
-    if (const auto *I = dynCast<Instruction>(Link)) {
-      Out += opcodeName(I->opcode());
-      if (!I->name().empty()) {
-        Out += " %";
-        Out += I->name();
-      }
-    } else if (!Link->name().empty()) {
-      Out += Link->name();
-    } else {
-      Out += "value";
+    // Only instructions are ever classified divergent, so each link is one.
+    const auto *I = cast<Instruction>(Link);
+    Out += opcodeName(I->opcode());
+    if (!I->name().empty()) {
+      Out += " %";
+      Out += I->name();
     }
   }
   return Out;
@@ -78,7 +74,6 @@ Uniformity DivergenceAnalysis::seedUniformity(const Instruction *I) const {
     return Uniformity::Team;
   case Opcode::BlockDim:
   case Opcode::GridDim:
-  case Opcode::WarpSize:
     return Uniformity::League;
   case Opcode::Load: {
     // Memory contents are not tracked: another thread may have written a
@@ -90,7 +85,6 @@ Uniformity DivergenceAnalysis::seedUniformity(const Instruction *I) const {
     return Uniformity::Divergent;
   }
   case Opcode::AtomicRMW:
-  case Opcode::CmpXchg:
     // Each thread observes a different point in the modification order.
     return Uniformity::Divergent;
   case Opcode::Alloca:

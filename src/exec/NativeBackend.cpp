@@ -523,7 +523,6 @@ public:
     H.T.team_id = TeamId;
     H.T.num_teams = NumTeams;
     H.T.num_threads = NumThreads;
-    H.T.warp_size = Env.Config.WarpSize;
     H.T.debug_checks = Env.Config.DebugChecks ? 1u : 0u;
     H.T.global_base = Team.GMBase;
     H.T.global_size = Team.GMCap;

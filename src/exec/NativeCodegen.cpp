@@ -391,7 +391,6 @@ static inline std::uint8_t *cg_resolve(cg_lane *L, std::uint64_t A,
 
   void emitInstruction(const Instruction *I);
   void emitAtomicRMW(const Instruction *I);
-  void emitCmpXchg(const Instruction *I);
   void emitCall(const Instruction *I);
   void emitNativeOp(const Instruction *I);
 
@@ -447,33 +446,6 @@ void Emitter::emitAtomicRMW(const Instruction *I) {
   line("    std::memcpy(cg_p, &cg_nb, " + SizeS + ");");
   line("  }");
   line("  " + setRes(I, canonExpr(Ty, "cg_raw")) + " }");
-}
-
-void Emitter::emitCmpXchg(const Instruction *I) {
-  const Type Ty = I->type();
-  const unsigned Size = Ty.sizeInBytes();
-  const std::string SizeS = std::to_string(Size);
-  line("{ const std::uint64_t cg_a = " + val(I->operand(0)) + ";");
-  line("  std::uint8_t *const cg_p = cg_resolve(L, cg_a, " + SizeS + ");");
-  line("  if (!cg_p) { " + RetDflt + " }");
-  line("  const std::uint64_t cg_exp = " + val(I->operand(1)) + ";");
-  line("  const std::uint64_t cg_des = " + val(I->operand(2)) + ";");
-  line("  std::uint64_t cg_raw = 0;");
-  if (Size == 4 || Size == 8) {
-    const std::string U = Size == 4 ? "std::uint32_t" : "std::uint64_t";
-    line("  if ((cg_a >> 62) == 1ULL && eval::atomicCapable(cg_p, " + SizeS +
-         ")) {");
-    line("    cg_raw = eval::atomicCas<" + U + ">(cg_p, cg_exp, cg_des);");
-    line("  } else {");
-  } else {
-    line("  {");
-  }
-  const std::string OldC = canonExpr(Ty, "cg_raw");
-  line("    std::memcpy(&cg_raw, cg_p, " + SizeS + ");");
-  line("    if (" + OldC + " == cg_exp) { std::memcpy(cg_p, &cg_des, " +
-       SizeS + "); }");
-  line("  }");
-  line("  " + setRes(I, OldC) + " }");
 }
 
 void Emitter::emitCall(const Instruction *I) {
@@ -626,9 +598,6 @@ void Emitter::emitInstruction(const Instruction *I) {
   case Opcode::AtomicRMW:
     emitAtomicRMW(I);
     return;
-  case Opcode::CmpXchg:
-    emitCmpXchg(I);
-    return;
   case Opcode::Malloc:
     line(setRes(I, "T->host_malloc(T->host, " + val(I->operand(0)) + ")"));
     return;
@@ -654,9 +623,6 @@ void Emitter::emitInstruction(const Instruction *I) {
            "; L->local_top = cg_wm; return cg_rv; }");
     }
     return;
-  case Opcode::Unreachable:
-    line(trapStmt("unreachable executed"));
-    return;
   case Opcode::Phi:
     line(trapStmt("phi encountered mid-block"));
     return;
@@ -674,9 +640,6 @@ void Emitter::emitInstruction(const Instruction *I) {
     return;
   case Opcode::GridDim:
     line(setRes(I, "static_cast<std::uint64_t>(T->num_teams)"));
-    return;
-  case Opcode::WarpSize:
-    line(setRes(I, "static_cast<std::uint64_t>(T->warp_size)"));
     return;
   case Opcode::Barrier:
   case Opcode::AlignedBarrier: {
@@ -697,9 +660,6 @@ void Emitter::emitInstruction(const Instruction *I) {
   case Opcode::AssertFail:
     line("if (T->debug_checks && (" + val(I->operand(0)) + ") == 0ULL) " +
          trapStmt("assertion failed: " + I->str()));
-    return;
-  case Opcode::Trap:
-    line(trapStmt("trap executed"));
     return;
   case Opcode::NativeOp:
     emitNativeOp(I);

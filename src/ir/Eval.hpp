@@ -83,30 +83,26 @@ enum class Opcode : std::uint8_t {
   Store,     // op0 = value, op1 = pointer
   Gep,       // op0 = base pointer, op1 = byte offset (i64); yields pointer
   AtomicRMW, // imm = AtomicOp; op0 = pointer, op1 = value; yields old value
-  CmpXchg,   // op0 = pointer, op1 = expected, op2 = desired; yields old value
   Malloc,    // op0 = size (i64); yields Global-space pointer
   Free,      // op0 = pointer from Malloc
   // Control flow.
-  Br,          // block0 = target
-  CondBr,      // op0 = i1 condition; block0 = true, block1 = false
-  Ret,         // op0 = value (absent for void returns)
-  Unreachable, //
-  Phi,         // opN = incoming value, blockN = incoming block
-  Call,        // op0 = callee (Function or pointer value), op1.. = arguments
+  Br,     // block0 = target
+  CondBr, // op0 = i1 condition; block0 = true, block1 = false
+  Ret,    // op0 = value (absent for void returns)
+  Phi,    // opN = incoming value, blockN = incoming block
+  Call,   // op0 = callee (Function or pointer value), op1.. = arguments
   // GPU intrinsics (uniform values the paper's invariant propagation
   // exploits, Section IV-B4).
   ThreadId, // thread index within the team
   BlockId,  // team index within the league
   BlockDim, // threads per team
   GridDim,  // teams per league
-  WarpSize, // hardware warp width
   // Synchronization.
   Barrier,        // unaligned team barrier; imm = barrier id
   AlignedBarrier, // aligned team barrier (all threads at same instruction)
   // Compiler/runtime metadata.
   Assume,     // op0 = i1; informs the optimizer the condition holds
   AssertFail, // op0 = i1; str = message. Debug-mode runtime check.
-  Trap,       // abort execution of the kernel
   NativeOp,   // imm = registered host functor id; opN = arguments
 };
 
@@ -593,20 +589,6 @@ std::uint64_t atomicFetchModify(std::uint8_t *P, Op &&NewBitsFor) {
                                 std::memory_order_relaxed))
       return static_cast<std::uint64_t>(Old);
   }
-}
-
-/// Atomic compare-and-swap of the U-sized word at P; returns the observed
-/// raw old bits. Comparing at storage width is exact: canonicalization is
-/// injective on the width.
-template <typename U>
-std::uint64_t atomicCas(std::uint8_t *P, std::uint64_t Expected,
-                        std::uint64_t Desired) {
-  std::atomic_ref<U> A(*reinterpret_cast<U *>(P));
-  U Observed = static_cast<U>(Expected);
-  A.compare_exchange_strong(Observed, static_cast<U>(Desired),
-                            std::memory_order_acq_rel,
-                            std::memory_order_relaxed);
-  return static_cast<std::uint64_t>(Observed);
 }
 
 } // namespace eval

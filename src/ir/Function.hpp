@@ -151,9 +151,6 @@ public:
   /// Remove and destroy a block. Instructions inside must be unused
   /// externally; their operands are dropped.
   void eraseBlock(BasicBlock *BB);
-  /// Move BB to immediately after After in layout order (printing only;
-  /// semantics are edge-based).
-  void moveBlockAfter(BasicBlock *BB, BasicBlock *After);
 
   /// Total instruction count across all blocks.
   [[nodiscard]] std::size_t instructionCount() const;

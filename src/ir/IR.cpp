@@ -101,8 +101,6 @@ const char *opcodeName(Opcode Op) {
     return "gep";
   case Opcode::AtomicRMW:
     return "atomicrmw";
-  case Opcode::CmpXchg:
-    return "cmpxchg";
   case Opcode::Malloc:
     return "malloc";
   case Opcode::Free:
@@ -113,8 +111,6 @@ const char *opcodeName(Opcode Op) {
     return "condbr";
   case Opcode::Ret:
     return "ret";
-  case Opcode::Unreachable:
-    return "unreachable";
   case Opcode::Phi:
     return "phi";
   case Opcode::Call:
@@ -127,8 +123,6 @@ const char *opcodeName(Opcode Op) {
     return "block.dim";
   case Opcode::GridDim:
     return "grid.dim";
-  case Opcode::WarpSize:
-    return "warp.size";
   case Opcode::Barrier:
     return "barrier";
   case Opcode::AlignedBarrier:
@@ -137,8 +131,6 @@ const char *opcodeName(Opcode Op) {
     return "assume";
   case Opcode::AssertFail:
     return "assert";
-  case Opcode::Trap:
-    return "trap";
   case Opcode::NativeOp:
     return "native";
   }
@@ -248,18 +240,15 @@ bool Instruction::hasSideEffects() const {
   switch (Op) {
   case Opcode::Store:
   case Opcode::AtomicRMW:
-  case Opcode::CmpXchg:
   case Opcode::Malloc:
   case Opcode::Free:
   case Opcode::Br:
   case Opcode::CondBr:
   case Opcode::Ret:
-  case Opcode::Unreachable:
   case Opcode::Call:
   case Opcode::Barrier:
   case Opcode::AlignedBarrier:
   case Opcode::AssertFail:
-  case Opcode::Trap:
     return true;
   case Opcode::Assume:
     // Assume has no runtime effect, but naive DCE must not delete it: the
@@ -279,7 +268,6 @@ bool Instruction::mayReadMemory() const {
   switch (Op) {
   case Opcode::Load:
   case Opcode::AtomicRMW:
-  case Opcode::CmpXchg:
   case Opcode::Call:
     return true;
   case Opcode::NativeOp:
@@ -293,7 +281,6 @@ bool Instruction::mayWriteMemory() const {
   switch (Op) {
   case Opcode::Store:
   case Opcode::AtomicRMW:
-  case Opcode::CmpXchg:
   case Opcode::Call:
   case Opcode::Malloc:
   case Opcode::Free:
@@ -313,8 +300,6 @@ unsigned Instruction::accessSize() const {
     return operand(0)->type().sizeInBytes();
   case Opcode::AtomicRMW:
     return operand(1)->type().sizeInBytes();
-  case Opcode::CmpXchg:
-    return operand(1)->type().sizeInBytes();
   default:
     CODESIGN_UNREACHABLE("accessSize on non-memory instruction");
   }
@@ -324,7 +309,6 @@ Value *Instruction::pointerOperand() const {
   switch (Op) {
   case Opcode::Load:
   case Opcode::AtomicRMW:
-  case Opcode::CmpXchg:
     return operand(0);
   case Opcode::Store:
     return operand(1);
@@ -461,18 +445,6 @@ void Function::eraseBlock(BasicBlock *BB) {
                          [&](const auto &P) { return P.get() == BB; });
   CODESIGN_ASSERT(It != Blocks.end(), "block not in function");
   Blocks.erase(It);
-}
-
-void Function::moveBlockAfter(BasicBlock *BB, BasicBlock *After) {
-  auto ItBB = std::find_if(Blocks.begin(), Blocks.end(),
-                           [&](const auto &P) { return P.get() == BB; });
-  CODESIGN_ASSERT(ItBB != Blocks.end(), "block not in function");
-  std::unique_ptr<BasicBlock> Owned = std::move(*ItBB);
-  Blocks.erase(ItBB);
-  auto ItAfter = std::find_if(Blocks.begin(), Blocks.end(),
-                              [&](const auto &P) { return P.get() == After; });
-  CODESIGN_ASSERT(ItAfter != Blocks.end(), "anchor block not in function");
-  Blocks.insert(ItAfter + 1, std::move(Owned));
 }
 
 std::size_t Function::instructionCount() const {

@@ -86,16 +86,6 @@ Value *IRBuilder::atomicRMW(AtomicOp Op, Value *Ptr, Value *V) {
   return insert(std::move(I));
 }
 
-Value *IRBuilder::cmpXchg(Value *Ptr, Value *Expected, Value *Desired) {
-  CODESIGN_ASSERT(Expected->type() == Desired->type(),
-                  "cmpxchg value type mismatch");
-  auto I = std::make_unique<Instruction>(Opcode::CmpXchg, Expected->type());
-  I->addOperand(Ptr);
-  I->addOperand(Expected);
-  I->addOperand(Desired);
-  return insert(std::move(I));
-}
-
 Value *IRBuilder::mallocOp(Value *SizeBytes) {
   auto I = std::make_unique<Instruction>(Opcode::Malloc, Type::ptr());
   I->addOperand(SizeBytes);
@@ -135,11 +125,6 @@ Instruction *IRBuilder::ret(Value *V) {
   return insert(std::move(I));
 }
 
-Instruction *IRBuilder::unreachable() {
-  return insert(
-      std::make_unique<Instruction>(Opcode::Unreachable, Type::voidTy()));
-}
-
 Instruction *IRBuilder::phi(Type Ty) {
   return insert(std::make_unique<Instruction>(Opcode::Phi, Ty));
 }
@@ -176,9 +161,6 @@ Value *IRBuilder::blockDim() {
 Value *IRBuilder::gridDim() {
   return insert(std::make_unique<Instruction>(Opcode::GridDim, Type::i32()));
 }
-Value *IRBuilder::warpSize() {
-  return insert(std::make_unique<Instruction>(Opcode::WarpSize, Type::i32()));
-}
 
 Instruction *IRBuilder::barrier(int Id) {
   auto I = std::make_unique<Instruction>(Opcode::Barrier, Type::voidTy());
@@ -206,10 +188,6 @@ Instruction *IRBuilder::assertCond(Value *Cond, std::string Msg) {
   I->addOperand(Cond);
   I->setStr(std::move(Msg));
   return insert(std::move(I));
-}
-
-Instruction *IRBuilder::trap() {
-  return insert(std::make_unique<Instruction>(Opcode::Trap, Type::voidTy()));
 }
 
 Value *IRBuilder::nativeOp(std::int64_t FnId, Type RetTy,

@@ -87,8 +87,6 @@ public:
   Value *gep(Value *Base, std::int64_t Offset);
   /// Atomic read-modify-write; returns the old value.
   Value *atomicRMW(AtomicOp Op, Value *Ptr, Value *V);
-  /// Compare-exchange; returns the old value.
-  Value *cmpXchg(Value *Ptr, Value *Expected, Value *Desired);
   /// Device heap allocation (global memory).
   Value *mallocOp(Value *SizeBytes);
   /// Release a Malloc'd pointer.
@@ -99,7 +97,6 @@ public:
   Instruction *condBr(Value *Cond, BasicBlock *TrueBB, BasicBlock *FalseBB);
   Instruction *retVoid();
   Instruction *ret(Value *V);
-  Instruction *unreachable();
   /// Create an (initially empty) phi; use addIncoming on the result.
   Instruction *phi(Type Ty);
 
@@ -124,7 +121,6 @@ public:
   Value *blockId();
   Value *blockDim();
   Value *gridDim();
-  Value *warpSize();
 
   // --- Synchronization / metadata -----------------------------------------------
   /// Unaligned team barrier with the given id.
@@ -137,7 +133,6 @@ public:
   /// Debug-mode assertion with message; release builds turn these into
   /// assumptions (paper Section III-G).
   Instruction *assertCond(Value *Cond, std::string Msg);
-  Instruction *trap();
   /// Invoke a registered host functor.
   Value *nativeOp(std::int64_t FnId, Type RetTy, std::span<Value *const> Args,
                   NativeOpFlags Flags);

@@ -170,8 +170,7 @@ public:
 
   /// True for instructions that end a basic block.
   [[nodiscard]] bool isTerminator() const {
-    return Op == Opcode::Br || Op == Opcode::CondBr || Op == Opcode::Ret ||
-           Op == Opcode::Unreachable;
+    return Op == Opcode::Br || Op == Opcode::CondBr || Op == Opcode::Ret;
   }
   /// True for Barrier/AlignedBarrier.
   [[nodiscard]] bool isBarrier() const {
@@ -186,7 +185,7 @@ public:
   /// True when the instruction may write to memory.
   [[nodiscard]] bool mayWriteMemory() const;
 
-  /// Size in bytes of the memory access (Load/Store/AtomicRMW/CmpXchg).
+  /// Size in bytes of the memory access (Load/Store/AtomicRMW).
   [[nodiscard]] unsigned accessSize() const;
   /// The pointer operand of a memory access instruction.
   [[nodiscard]] Value *pointerOperand() const;

@@ -173,21 +173,4 @@ std::string printModule(const Module &M) {
   return OS.str();
 }
 
-std::string printValueRef(const Value &V) {
-  switch (V.kind()) {
-  case ValueKind::ConstantInt:
-    return std::to_string(cast<ConstantInt>(&V)->value());
-  case ValueKind::ConstantNull:
-    return "null";
-  case ValueKind::Undef:
-    return "undef";
-  case ValueKind::GlobalVariable:
-    return "@" + V.name();
-  case ValueKind::Function:
-    return "@" + Function::fromValue(&V)->name();
-  default:
-    return "%" + (V.name().empty() ? std::string("?") : V.name());
-  }
-}
-
 } // namespace codesign::ir

@@ -14,8 +14,4 @@ std::string printFunction(const Function &F);
 /// Render a whole module: globals, then functions.
 std::string printModule(const Module &M);
 
-/// Render a single value reference (constant text, %N requires function
-/// context, so instructions render as "%<name-or-addr>").
-std::string printValueRef(const Value &V);
-
 } // namespace codesign::ir

@@ -1,5 +1,6 @@
 #include "opt/AccessAnalysis.hpp"
 
+#include <optional>
 #include <unordered_map>
 
 namespace codesign::opt {
@@ -22,13 +23,6 @@ bool ObjectInfo::allWritesAreZero() const {
     return false;
   }
   return true;
-}
-
-bool ObjectInfo::hasWrites() const {
-  for (const MemAccess &A : Accesses)
-    if (A.Kind == AccessKind::Store || A.Kind == AccessKind::Atomic)
-      return true;
-  return false;
 }
 
 bool ObjectInfo::hasReads() const {
@@ -173,7 +167,6 @@ void AccessAnalysis::analyzeObject(const Value *Base, AddrSpace Space,
           Info.Analyzable = false; // our pointer stored as a value: escapes
         break;
       case Opcode::AtomicRMW:
-      case Opcode::CmpXchg:
         if (U.OpIdx == 0)
           addAccess(I, AccessKind::Atomic, State, I->accessSize(),
                     I->operand(1));
@@ -260,15 +253,6 @@ const ObjectInfo *AccessAnalysis::objectFor(const Value *Base) const {
     if (O.Base == Base)
       return &O;
   return nullptr;
-}
-
-std::optional<AccessLocation>
-AccessAnalysis::uniqueLoadLocation(const Instruction *Load) const {
-  std::vector<AccessLocation> Locs = locationsOf(Load);
-  if (Locs.size() != 1 || Locs[0].Access->Conditional ||
-      Locs[0].Access->Kind != AccessKind::Load)
-    return std::nullopt;
-  return Locs[0];
 }
 
 bool AccessAnalysis::equivalentTo(const AccessAnalysis &Other) const {

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "analysis/Preserved.hpp"
@@ -38,7 +37,7 @@ using ir::Value;
 enum class AccessKind : std::uint8_t {
   Load,
   Store,
-  Atomic,    ///< AtomicRMW / CmpXchg (read-modify-write)
+  Atomic,    ///< AtomicRMW (read-modify-write)
   AssumedEq, ///< assume(load(P) == V): known content at this point (IV-B3)
 };
 
@@ -89,8 +88,6 @@ struct ObjectInfo {
   /// the condition under which any load folds to zero even at unknown
   /// offsets (the thread-states-array deduction of Section IV-B1).
   [[nodiscard]] bool allWritesAreZero() const;
-  /// True when the object has any Store/Atomic access.
-  [[nodiscard]] bool hasWrites() const;
   /// True when the object has any Load/Atomic access.
   [[nodiscard]] bool hasReads() const;
 };
@@ -122,10 +119,6 @@ public:
   /// (conditional-pointer stores).
   [[nodiscard]] std::vector<AccessLocation>
   locationsOf(const Instruction *I) const;
-
-  /// The unique, unconditional location of a load, if any.
-  [[nodiscard]] std::optional<AccessLocation>
-  uniqueLoadLocation(const Instruction *Load) const;
 
   /// Object info for a base value (GlobalVariable / Alloca / Malloc), or
   /// null when it was not analyzed.

@@ -53,12 +53,10 @@ bool blocksBarrierMerge(const Instruction &I) {
   case Opcode::Store:
     return !isThreadLocalPointer(I.pointerOperand());
   case Opcode::AtomicRMW:
-  case Opcode::CmpXchg:
   case Opcode::Malloc:
   case Opcode::Free:
   case Opcode::Call:
   case Opcode::Barrier: // an unaligned barrier is itself a sync point
-  case Opcode::Trap:
     return true;
   case Opcode::NativeOp:
     return I.nativeFlags().ReadsMemory || I.nativeFlags().WritesMemory;

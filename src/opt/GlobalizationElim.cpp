@@ -74,7 +74,6 @@ bool summarizeUses(const Instruction *Alloc, UseSummary &S) {
           S.EscapesToMemory = true;
         break;
       case Opcode::AtomicRMW:
-      case Opcode::CmpXchg:
         if (U.OpIdx != 0)
           S.EscapesToMemory = true;
         break;

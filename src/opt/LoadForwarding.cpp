@@ -10,8 +10,9 @@
 //   * assumed memory content after broadcast barriers (IV-B3), harvested
 //     from assume(load(P) == V) by the access analysis;
 //   * invariant value propagation (IV-B4): non-constant stored values are
-//     forwarded when they are team-uniform and recomputable at the load
-//     (grid intrinsics, kernel arguments, and arithmetic over them).
+//     forwarded when they are available at the load and, for memory other
+//     threads read, team-uniform by analysis::DivergenceAnalysis (grid
+//     intrinsics, kernel arguments, and arithmetic over them).
 //
 // Concurrency discipline: for shared-memory objects a real store may only
 // be forwarded across threads when an aligned barrier separates it from
@@ -20,6 +21,7 @@
 // makes every barrier a clobber.
 //
 //===----------------------------------------------------------------------===//
+#include "analysis/Divergence.hpp"
 #include "analysis/Dominators.hpp"
 #include "analysis/Reachability.hpp"
 #include "opt/AccessAnalysis.hpp"
@@ -27,7 +29,6 @@
 #include "opt/Pipeline.hpp"
 
 #include <set>
-#include <unordered_map>
 
 namespace codesign::opt {
 
@@ -36,75 +37,6 @@ using analysis::DominatorTree;
 using analysis::Reachability;
 
 namespace {
-
-/// Team-uniformity: true when every thread of a team computes the same
-/// value. Thread ids are divergent; block/grid shape and kernel arguments
-/// are uniform; arithmetic preserves uniformity.
-class UniformityAnalysis {
-public:
-  bool isUniform(const Value *V) {
-    switch (V->kind()) {
-    case ValueKind::ConstantInt:
-    case ValueKind::ConstantFP:
-    case ValueKind::ConstantNull:
-    case ValueKind::GlobalVariable:
-    case ValueKind::Function:
-      return true;
-    case ValueKind::Undef:
-      return false;
-    case ValueKind::Argument:
-      // Post-inlining the only live arguments are kernel parameters, which
-      // the host passes uniformly to every thread.
-      return true;
-    case ValueKind::Instruction:
-      break;
-    }
-    const auto *I = static_cast<const Instruction *>(V);
-    auto It = Memo.find(I);
-    if (It != Memo.end())
-      return It->second;
-    Memo[I] = false; // cycle-safe default
-    bool R = false;
-    switch (I->opcode()) {
-    case Opcode::ThreadId:
-      R = false;
-      break;
-    case Opcode::BlockId:
-    case Opcode::BlockDim:
-    case Opcode::GridDim:
-    case Opcode::WarpSize:
-      R = true; // uniform within the team (shared state is per-team)
-      break;
-    case Opcode::Load: {
-      const auto *G = dynCast<GlobalVariable>(I->operand(0));
-      R = G && G->isConstant();
-      break;
-    }
-    case Opcode::NativeOp:
-      R = !I->nativeFlags().Divergent && !I->nativeFlags().WritesMemory;
-      break;
-    case Opcode::Phi:
-    case Opcode::Call:
-    case Opcode::AtomicRMW:
-    case Opcode::CmpXchg:
-    case Opcode::Alloca:
-    case Opcode::Malloc:
-      R = false;
-      break;
-    default: {
-      R = true;
-      for (unsigned Op = 0; Op < I->numOperands(); ++Op)
-        R = R && isUniform(I->operand(Op));
-      break;
-    }
-    }
-    Memo[I] = R;
-    return R;
-  }
-
-private:
-  std::unordered_map<const Instruction *, bool> Memo;
-};
 
 /// Collect every base allocation a pointer may refer to, walking geps,
 /// selects and phis. Returns false when provenance is unknown (arguments,
@@ -161,9 +93,11 @@ Value *zeroOfType(Module &M, Type Ty) {
 
 class Forwarder {
 public:
-  Forwarder(Function &F, const OptOptions &Options, const AccessAnalysis &AA,
-            const DominatorTree &DT, const Reachability &RA)
-      : F(F), M(*F.parent()), Options(Options), AA(AA), DT(DT), RA(RA) {
+  Forwarder(Function &F, AnalysisManager &AM, const OptOptions &Options,
+            const AccessAnalysis &AA, const DominatorTree &DT,
+            const Reachability &RA)
+      : F(F), M(*F.parent()), AM(AM), Options(Options), AA(AA), DT(DT),
+        RA(RA) {
     for (const auto &BB : F.blocks())
       for (const auto &I : BB->instructions())
         if (I->isBarrier())
@@ -270,10 +204,14 @@ private:
         return false;
     }
     // Cross-thread meaning: shared state written by one thread and read by
-    // another only forwards team-uniform values.
-    if (!Obj.isThreadPrivate() && !Uniformity.isUniform(V))
-      return false;
-    return true;
+    // another only forwards team-uniform values. The divergence analysis is
+    // requested here, on first need, so a function whose forwarding never
+    // asks costs nothing extra.
+    if (Obj.isThreadPrivate())
+      return true;
+    if (!Divergence)
+      Divergence = &AM.divergence(F);
+    return Divergence->isUniform(V);
   }
 
   Value *forwardedValue(const ObjectInfo &Obj, const MemAccess &L) {
@@ -345,11 +283,12 @@ private:
 
   Function &F;
   Module &M;
+  AnalysisManager &AM;
   const OptOptions &Options;
   const AccessAnalysis &AA;
   const DominatorTree &DT;
   const Reachability &RA;
-  UniformityAnalysis Uniformity;
+  const analysis::DivergenceAnalysis *Divergence = nullptr;
   std::vector<const Instruction *> Barriers;
 };
 
@@ -439,7 +378,7 @@ PassResult runLoadForwarding(Module &M, AnalysisManager &AM,
         AM.accesses(*F, Options.EnableAssumedMemoryContent);
     const DominatorTree &DT = AM.dominators(*F);
     const Reachability &RA = AM.reachability(*F);
-    Forwarder Fw(*F, Options, AA, DT, RA);
+    Forwarder Fw(*F, AM, Options, AA, DT, RA);
     if (Fw.run()) {
       Res.Changed = true;
       Res.ChangedFunctions.push_back(F.get());

@@ -92,7 +92,6 @@ void walkValue(UsageCtx &Ctx, Function &F, Value *Root, ArgUsage &U) {
           followStoredValue(Ctx, F, I, U, Work); // stored *as a value*
         break;
       case Opcode::AtomicRMW:
-      case Opcode::CmpXchg:
         if (Us.OpIdx == 0) {
           U.Read = true;
           U.Written = true;
@@ -214,37 +213,6 @@ std::size_t inferModuleMaps(ir::Module &M, AnalysisManager &AM,
       Counters::global().add("opt.mapinfer.kernels");
   }
   return Annotated;
-}
-
-PassResult runInferMaps(ir::Module &M, AnalysisManager &AM,
-                        const OptOptions &Options) {
-  inferModuleMaps(M, AM, Options);
-  // Annotation is Function metadata, not IR: every cached analysis
-  // survives.
-  return PassResult::unchanged();
-}
-
-namespace {
-
-/// Pass wrapper mirroring Lint.cpp's LintPass for the inference pass.
-class InferMapsPass final : public Pass {
-public:
-  [[nodiscard]] std::string_view name() const override { return "infer-maps"; }
-  PassResult run(ir::Module &M, AnalysisManager &AM,
-                 const OptOptions &Options) override {
-    return runInferMaps(M, AM, Options);
-  }
-};
-
-} // namespace
-
-void registerMapInferencePasses(PassRegistry &R) {
-  R.registerPass("infer-maps",
-                 [](const std::string &Arg) -> std::unique_ptr<Pass> {
-                   if (!Arg.empty())
-                     return nullptr;
-                   return std::make_unique<InferMapsPass>();
-                 });
 }
 
 } // namespace codesign::opt

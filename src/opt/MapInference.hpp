@@ -25,8 +25,7 @@
 // metadata, no IR mutation — where the host runtime's pipeline planner and
 // the map lint rules consume them. TargetCompiler runs the inference after
 // the optimization pipeline, when inlining and load forwarding have made
-// argument usage directly visible; the pass is also registered as
-// "infer-maps" for explicit pipeline use.
+// argument usage directly visible.
 //
 //===----------------------------------------------------------------------===//
 #pragma once
@@ -62,10 +61,6 @@ std::vector<ArgUsage> computeArgUsage(ir::Function &Kernel,
 std::size_t inferModuleMaps(ir::Module &M, AnalysisManager &AM,
                             const OptOptions &Options);
 
-/// Pass form of inferModuleMaps ("infer-maps").
-PassResult runInferMaps(ir::Module &M, AnalysisManager &AM,
-                        const OptOptions &Options);
-
 /// Lint rule: a declared map clause moves more data than the kernel's
 /// proven usage needs (e.g. map(tofrom) on a read-only argument). Requires
 /// a full proof — quiet on escaped arguments and on kernels with no
@@ -79,9 +74,5 @@ PassResult runLintRedundantMap(ir::Module &M, AnalysisManager &AM,
 /// device memory). Quiet on escaped arguments.
 PassResult runLintMissingMap(ir::Module &M, AnalysisManager &AM,
                              const OptOptions &Options);
-
-/// Register "infer-maps" with a registry (the global registry does this at
-/// startup; the two lint rules register through registerLintPasses).
-void registerMapInferencePasses(PassRegistry &R);
 
 } // namespace codesign::opt

@@ -13,7 +13,6 @@
 
 #include "ir/Printer.hpp"
 #include "opt/Lint.hpp"
-#include "opt/MapInference.hpp"
 #include "support/Stats.hpp"
 #include "support/Trace.hpp"
 
@@ -148,7 +147,6 @@ void registerBuiltins(PassRegistry &R) {
                        });
                  });
   registerLintPasses(R);
-  registerMapInferencePasses(R);
 }
 
 /// Split Token into base name and bracket argument. Returns false on a

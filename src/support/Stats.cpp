@@ -5,40 +5,6 @@
 
 namespace codesign {
 
-Samples::Samples(const Samples &Other) {
-  std::lock_guard<std::mutex> Lock(Other.Mutex);
-  Values = Other.Values;
-  Sorted = Other.Sorted;
-}
-
-Samples &Samples::operator=(const Samples &Other) {
-  if (this == &Other)
-    return *this;
-  std::scoped_lock Lock(Mutex, Other.Mutex);
-  Values = Other.Values;
-  Sorted = Other.Sorted;
-  return *this;
-}
-
-Samples::Samples(Samples &&Other) noexcept {
-  std::lock_guard<std::mutex> Lock(Other.Mutex);
-  Values = std::move(Other.Values);
-  Sorted = Other.Sorted;
-  Other.Values.clear();
-  Other.Sorted = false;
-}
-
-Samples &Samples::operator=(Samples &&Other) noexcept {
-  if (this == &Other)
-    return *this;
-  std::scoped_lock Lock(Mutex, Other.Mutex);
-  Values = std::move(Other.Values);
-  Sorted = Other.Sorted;
-  Other.Values.clear();
-  Other.Sorted = false;
-  return *this;
-}
-
 void Samples::add(double X) {
   std::lock_guard<std::mutex> Lock(Mutex);
   Values.push_back(X);
@@ -70,11 +36,6 @@ void Samples::ensureSortedLocked() const {
     std::sort(Values.begin(), Values.end());
     Sorted = true;
   }
-}
-
-double Samples::sum() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return std::accumulate(Values.begin(), Values.end(), 0.0);
 }
 
 double Samples::mean() const {

@@ -67,23 +67,14 @@ private:
 /// approximations. Thread-safe: the read accessors sort lazily, which
 /// mutates internal state from const methods — an internal mutex guards
 /// every member so a reader racing a writer (or another reader) is safe.
-/// Copyable and movable (benches keep Samples inside per-client structs in
-/// vectors); copies snapshot the source under its lock.
 class Samples {
 public:
-  Samples() = default;
-  Samples(const Samples &Other);
-  Samples &operator=(const Samples &Other);
-  Samples(Samples &&Other) noexcept;
-  Samples &operator=(Samples &&Other) noexcept;
-
   /// Record one observation.
   void add(double X);
   /// Fold another sample set into this one.
   void merge(const Samples &Other);
 
   [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
   [[nodiscard]] double mean() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;

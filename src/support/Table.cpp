@@ -15,11 +15,6 @@ Table::Table(std::vector<std::string> Headers) : Headers(std::move(Headers)) {
     Aligns[0] = Align::Left;
 }
 
-void Table::setAlign(std::size_t Col, Align A) {
-  CODESIGN_ASSERT(Col < Aligns.size(), "column index out of range");
-  Aligns[Col] = A;
-}
-
 void Table::startRow() { Rows.emplace_back(); }
 
 void Table::cell(std::string Text) {

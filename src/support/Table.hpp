@@ -23,9 +23,6 @@ public:
   /// Create a table with the given column headers.
   explicit Table(std::vector<std::string> Headers);
 
-  /// Set alignment for a column (default: Left for col 0, Right otherwise).
-  void setAlign(std::size_t Col, Align A);
-
   /// Begin a new row. Subsequent cell() calls fill it left to right.
   void startRow();
   /// Append a string cell to the current row.

@@ -56,7 +56,7 @@ public:
     // has no predecessor to select an incoming value: the tree interpreter
     // traps, and so do we.
     if (leadingPhis(F.entry()) > 0) {
-      Out.Entry = emitPhiTrap(/*Kind=*/0);
+      Out.Entry = emitPhi(BCPhiNoIncoming);
     } else {
       Out.Entry = BlockStart.at(F.entry());
     }
@@ -129,9 +129,9 @@ private:
     return Idx;
   }
 
-  BCInst base(const Instruction *I, BCOp Op) {
+  BCInst base(const Instruction *I) {
     BCInst Inst;
-    Inst.Op = Op;
+    Inst.Op = I->opcode();
     Inst.TyKind = static_cast<std::uint8_t>(I->type().kind());
     Inst.Cls = static_cast<std::uint8_t>(classifyOpcode(I->opcode()));
     Inst.Dst = dstSlot(I);
@@ -139,12 +139,15 @@ private:
     return Inst;
   }
 
-  std::uint32_t emitPhiTrap(std::int64_t Kind,
-                            const Instruction *Src = nullptr) {
+  /// An Opcode::Phi record: a trampoline (Imm indexes Out.Bundles, Target
+  /// is the successor's body) or, with a negative Imm, a BCPhi trap.
+  std::uint32_t emitPhi(std::int64_t Imm, std::uint32_t Target = 0,
+                        const Instruction *Src = nullptr) {
     BCInst Inst;
-    Inst.Op = BCOp::PhiTrap;
-    Inst.Imm = Kind;
+    Inst.Op = Opcode::Phi;
+    Inst.Imm = Imm;
     Inst.Cls = static_cast<std::uint8_t>(OpClass::ControlFlow);
+    Inst.T0 = Target;
     Inst.Src = Src;
     return emit(Inst);
   }
@@ -178,20 +181,14 @@ private:
       }
       Copies.push_back({Slots.at(Phi), ref(In)});
     }
-    std::uint32_t Idx;
     if (Missing) {
-      Idx = emitPhiTrap(/*Kind=*/0);
+      It->second = emitPhi(BCPhiNoIncoming);
     } else {
-      BCInst Inst;
-      Inst.Op = BCOp::PhiBundle;
-      Inst.Imm = static_cast<std::int64_t>(Out.Bundles.size());
-      Inst.Cls = static_cast<std::uint8_t>(OpClass::ControlFlow);
-      Inst.T0 = BlockStart.at(Succ);
+      It->second = emitPhi(static_cast<std::int64_t>(Out.Bundles.size()),
+                           BlockStart.at(Succ));
       Out.Bundles.push_back(std::move(Copies));
-      Idx = emit(Inst);
     }
-    It->second = Idx;
-    return Idx;
+    return It->second;
   }
 
   //--- Block lowering --------------------------------------------------------
@@ -205,7 +202,7 @@ private:
       if (I->opcode() == Opcode::Phi) {
         // Mid-block phi: the verifier rejects these, but the interpreter
         // counts the instruction and traps — replicate.
-        emitPhiTrap(/*Kind=*/1, I);
+        emitPhi(BCMidBlockPhi, /*Target=*/0, I);
         Terminated = true;
         break;
       }
@@ -214,10 +211,11 @@ private:
     // A block whose last instruction is not a terminator lets execution run
     // off its end; the tree interpreter traps before counting anything.
     if (!Terminated && BB->terminator() == nullptr)
-      emitPhiTrap(/*Kind=*/2);
+      emitPhi(BCFellOffBlock);
   }
 
   void emitInst(const Instruction *I, const BasicBlock *BB) {
+    BCInst Inst = base(I);
     switch (I->opcode()) {
     case Opcode::Add:
     case Opcode::Sub:
@@ -246,9 +244,7 @@ private:
     case Opcode::FPToSI:
     case Opcode::FPCast:
     case Opcode::PtrToInt:
-    case Opcode::IntToPtr: {
-      // Value operations keep their IR number (see irOpcode).
-      BCInst Inst = base(I, static_cast<BCOp>(I->opcode()));
+    case Opcode::IntToPtr:
       Inst.Pred = static_cast<std::uint8_t>(I->pred());
       Inst.SrcTyKind =
           static_cast<std::uint8_t>(I->operand(0)->type().kind());
@@ -257,98 +253,56 @@ private:
         Inst.B = ref(I->operand(1));
       if (I->numOperands() > 2)
         Inst.C = ref(I->operand(2));
-      emit(Inst);
-      return;
-    }
-    case Opcode::Alloca: {
-      BCInst Inst = base(I, BCOp::Alloca);
+      break;
+    case Opcode::Alloca:
       Inst.Imm = I->imm();
-      emit(Inst);
-      return;
-    }
-    case Opcode::Load: {
-      BCInst Inst = base(I, BCOp::Load);
+      break;
+    case Opcode::Load:
       Inst.A = ref(I->operand(0));
       Inst.Size = static_cast<std::uint16_t>(I->type().sizeInBytes());
-      emit(Inst);
-      return;
-    }
-    case Opcode::Store: {
-      BCInst Inst = base(I, BCOp::Store);
+      break;
+    case Opcode::Store:
       Inst.A = ref(I->operand(0));
       Inst.B = ref(I->operand(1));
       Inst.SrcTyKind =
           static_cast<std::uint8_t>(I->operand(0)->type().kind());
       Inst.Size =
           static_cast<std::uint16_t>(I->operand(0)->type().sizeInBytes());
-      emit(Inst);
-      return;
-    }
-    case Opcode::Gep: {
-      BCInst Inst = base(I, BCOp::Gep);
+      break;
+    case Opcode::Gep:
       Inst.A = ref(I->operand(0));
       Inst.B = ref(I->operand(1));
-      emit(Inst);
-      return;
-    }
-    case Opcode::AtomicRMW: {
-      BCInst Inst = base(I, BCOp::AtomicRMW);
+      break;
+    case Opcode::AtomicRMW:
       Inst.A = ref(I->operand(0));
       Inst.B = ref(I->operand(1));
       Inst.Imm = I->imm();
       Inst.Size = static_cast<std::uint16_t>(I->type().sizeInBytes());
-      emit(Inst);
-      return;
-    }
-    case Opcode::CmpXchg: {
-      BCInst Inst = base(I, BCOp::CmpXchg);
+      break;
+    case Opcode::Malloc:
+    case Opcode::Free:
+    case Opcode::Assume:
+    case Opcode::AssertFail:
       Inst.A = ref(I->operand(0));
-      Inst.B = ref(I->operand(1));
-      Inst.C = ref(I->operand(2));
-      Inst.Size = static_cast<std::uint16_t>(I->type().sizeInBytes());
-      emit(Inst);
-      return;
-    }
-    case Opcode::Malloc: {
-      BCInst Inst = base(I, BCOp::Malloc);
-      Inst.A = ref(I->operand(0));
-      emit(Inst);
-      return;
-    }
-    case Opcode::Free: {
-      BCInst Inst = base(I, BCOp::Free);
-      Inst.A = ref(I->operand(0));
-      emit(Inst);
-      return;
-    }
+      break;
     case Opcode::Br: {
-      BCInst Inst = base(I, BCOp::Br);
       const std::uint32_t Idx = emit(Inst);
       branchFixup(Idx, /*IsT1=*/false, BB, I->blockOperand(0));
       return;
     }
     case Opcode::CondBr: {
-      BCInst Inst = base(I, BCOp::CondBr);
       Inst.A = ref(I->operand(0));
       const std::uint32_t Idx = emit(Inst);
       branchFixup(Idx, /*IsT1=*/false, BB, I->blockOperand(0));
       branchFixup(Idx, /*IsT1=*/true, BB, I->blockOperand(1));
       return;
     }
-    case Opcode::Ret: {
-      BCInst Inst = base(I, BCOp::Ret);
+    case Opcode::Ret:
       Inst.A = I->numOperands() == 1 ? ref(I->operand(0)) : BCNoRef;
-      emit(Inst);
-      return;
-    }
-    case Opcode::Unreachable: {
-      emit(base(I, BCOp::Unreachable));
-      return;
-    }
+      break;
     case Opcode::Phi:
       CODESIGN_UNREACHABLE("phi handled by emitBlock");
-    case Opcode::Call: {
-      BCInst Inst = base(I, BCOp::Call);
+    case Opcode::Call:
       if (const Function *Callee = I->calledFunction()) {
         Inst.Imm =
             static_cast<std::int64_t>(Mod.Index.at(Callee)) + 1;
@@ -361,55 +315,23 @@ private:
       Inst.T1 = I->numCallArgs();
       for (unsigned A = 0; A < I->numCallArgs(); ++A)
         Out.Extras.push_back(ref(I->callArg(A)));
-      emit(Inst);
-      return;
-    }
+      break;
     case Opcode::ThreadId:
     case Opcode::BlockId:
     case Opcode::BlockDim:
     case Opcode::GridDim:
-    case Opcode::WarpSize: {
-      static constexpr BCOp Map[] = {BCOp::ThreadIdOp, BCOp::BlockIdOp,
-                                     BCOp::BlockDimOp, BCOp::GridDimOp,
-                                     BCOp::WarpSizeOp};
-      emit(base(I, Map[static_cast<int>(I->opcode()) -
-                       static_cast<int>(Opcode::ThreadId)]));
-      return;
-    }
     case Opcode::Barrier:
-    case Opcode::AlignedBarrier: {
-      emit(base(I, I->opcode() == Opcode::Barrier ? BCOp::BarrierOp
-                                                  : BCOp::AlignedBarrierOp));
-      return;
-    }
-    case Opcode::Assume: {
-      BCInst Inst = base(I, BCOp::Assume);
-      Inst.A = ref(I->operand(0));
-      emit(Inst);
-      return;
-    }
-    case Opcode::AssertFail: {
-      BCInst Inst = base(I, BCOp::AssertFail);
-      Inst.A = ref(I->operand(0));
-      emit(Inst);
-      return;
-    }
-    case Opcode::Trap: {
-      emit(base(I, BCOp::TrapOp));
-      return;
-    }
-    case Opcode::NativeOp: {
-      BCInst Inst = base(I, BCOp::NativeCall);
+    case Opcode::AlignedBarrier:
+      break;
+    case Opcode::NativeOp:
       Inst.Imm = I->imm();
       Inst.T0 = static_cast<std::uint32_t>(Out.Extras.size());
       Inst.T1 = I->numOperands();
       for (unsigned A = 0; A < I->numOperands(); ++A)
         Out.Extras.push_back(ref(I->operand(A)));
-      emit(Inst);
-      return;
+      break;
     }
-    }
-    CODESIGN_UNREACHABLE("unknown opcode");
+    emit(Inst);
   }
 
   const Function &F;

@@ -27,89 +27,14 @@
 
 namespace codesign::vgpu {
 
-/// Bytecode operations: one per ir::Opcode (phis become trampolines); the
-/// tail adds those trampolines. The value operations (Add .. IntToPtr)
-/// keep their ir::Opcode numbers, so each converts with a cast (irOpcode)
-/// and evaluates through ir/Eval.hpp.
-enum class BCOp : std::uint8_t {
-  // Integer arithmetic / bitwise (operands in the canonical encoding).
-  Add,
-  Sub,
-  Mul,
-  SDiv,
-  UDiv,
-  SRem,
-  URem,
-  And,
-  Or,
-  Xor,
-  Shl,
-  LShr,
-  AShr,
-  // Floating point.
-  FAdd,
-  FSub,
-  FMul,
-  FDiv,
-  // Compare / select.
-  ICmp,
-  FCmp,
-  Select,
-  // Conversions.
-  ZExt,
-  SExt,
-  Trunc,
-  SIToFP,
-  FPToSI,
-  FPCast,
-  PtrToInt,
-  IntToPtr,
-  // Memory.
-  Alloca,
-  Load,
-  Store,
-  Gep,
-  AtomicRMW,
-  CmpXchg,
-  Malloc,
-  Free,
-  // Control flow.
-  Br,
-  CondBr,
-  Ret,
-  Unreachable,
-  Call,
-  // GPU intrinsics.
-  ThreadIdOp,
-  BlockIdOp,
-  BlockDimOp,
-  GridDimOp,
-  WarpSizeOp,
-  // Synchronization.
-  BarrierOp,
-  AlignedBarrierOp,
-  // Metadata.
-  Assume,
-  AssertFail,
-  TrapOp,
-  NativeCall,
-  // Phi-edge trampolines: a parallel copy for one CFG edge, then a jump
-  // into the successor body. Charged like the tree interpreter's en-bloc
-  // phi execution (cycles only, no dynamic-instruction accounting).
-  PhiBundle,
-  // Trampoline for an edge where some phi has no incoming value, or a
-  // mid-block phi (Imm distinguishes; both trap like the tree walker).
-  PhiTrap,
-};
-
-static_assert(static_cast<int>(BCOp::IntToPtr) ==
-                  static_cast<int>(ir::Opcode::IntToPtr),
-              "BCOp's value operations keep their ir::Opcode numbers");
-
-/// The ir::Opcode of a value operation (Add .. IntToPtr).
-[[nodiscard]] constexpr ir::Opcode irOpcode(BCOp Op) {
-  return static_cast<ir::Opcode>(Op);
-}
+/// Imm of an Opcode::Phi record that traps instead of copying (a record
+/// with Imm >= 0 is a phi-edge trampoline; Imm indexes BCFunction::Bundles).
+/// Each trap matches the tree walker's: some phi of the successor has no
+/// incoming value for the edge, the block ends without a terminator, or a
+/// phi follows a non-phi (counted like any instruction, then rejected).
+inline constexpr std::int64_t BCPhiNoIncoming = -1;
+inline constexpr std::int64_t BCFellOffBlock = -2;
+inline constexpr std::int64_t BCMidBlockPhi = -3;
 
 /// Operand references index a frame's unified value array: indices below
 /// NumSlots are argument/instruction slots, indices NumSlots + k read entry
@@ -120,12 +45,18 @@ inline constexpr std::uint32_t BCNoSlot = 0xFFFFFFFFu;
 /// "No operand" marker (e.g. a void Ret).
 inline constexpr std::uint32_t BCNoRef = 0xFFFFFFFFu;
 
-/// One bytecode instruction. Fixed layout; operand/branch decoding needs
-/// no IR access on the hot path. Src keeps the originating IR instruction
-/// for the cases that need identity or payload at runtime: barrier
-/// alignment checks, assume/assert trap messages, call argument checks.
+/// One bytecode instruction: the ir::Opcode of the IR instruction it
+/// lowers, whose value operations evaluate through ir/Eval.hpp. Phis never
+/// appear as themselves: an Opcode::Phi record is a phi-edge trampoline, a
+/// parallel copy for one CFG edge and then a jump into the successor body,
+/// charged like the tree interpreter's en-bloc phi execution (cycles only,
+/// no dynamic-instruction accounting), or one of the BCPhi traps above.
+/// Fixed layout; operand/branch decoding needs no IR access on the hot
+/// path. Src keeps the originating IR instruction for the cases that need
+/// identity or payload at runtime: barrier alignment checks, assume/assert
+/// trap messages, call argument checks.
 struct BCInst {
-  BCOp Op = BCOp::TrapOp;
+  ir::Opcode Op = ir::Opcode::Phi;
   std::uint8_t TyKind = 0;    ///< ir::TypeKind of the result
   std::uint8_t SrcTyKind = 0; ///< ir::TypeKind of the source operand
   std::uint8_t Pred = 0;      ///< ir::CmpPred for compares
@@ -136,11 +67,11 @@ struct BCInst {
   std::uint32_t B = 0;
   std::uint32_t C = 0;
   /// Branch targets as instruction indices; reused as (extras index,
-  /// argument count) for Call/NativeCall, which have no targets.
+  /// argument count) for Call/NativeOp, which have no targets.
   std::uint32_t T0 = 0;
   std::uint32_t T1 = 0;
   /// Immediate: Alloca size, AtomicOp, native functor id, phi bundle
-  /// index, PhiTrap kind.
+  /// index or BCPhi trap.
   std::int64_t Imm = 0;
   const ir::Instruction *Src = nullptr;
 };
@@ -172,9 +103,9 @@ struct BCFunction {
   /// Flattened call/native argument reference lists (BCInst::T0 indexes
   /// here, BCInst::T1 is the count).
   std::vector<std::uint32_t> Extras;
-  /// Parallel-copy lists for PhiBundle (BCInst::Imm indexes here). Each
-  /// copy reads Src (a ref) and writes Dst (a slot); all reads happen
-  /// before any write.
+  /// Parallel-copy lists of phi-edge trampolines (BCInst::Imm indexes
+  /// here). Each copy reads Src (a ref) and writes Dst (a slot); all reads
+  /// happen before any write.
   struct PhiCopy {
     std::uint32_t Dst = 0;
     std::uint32_t Src = 0;

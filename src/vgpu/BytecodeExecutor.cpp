@@ -23,6 +23,7 @@ namespace codesign::vgpu {
 
 using ir::AtomicOp;
 using ir::CmpPred;
+using ir::Opcode;
 using ir::TypeKind;
 
 namespace {
@@ -145,18 +146,18 @@ private:
   /// cycle charge fold down to the one operation: no second dispatch on
   /// the opcode. A division or remainder by zero traps T; the dispatch
   /// loop then stops, since T no longer runs.
-  template <BCOp Op>
+  template <Opcode Op>
   [[gnu::always_inline]] void valueOp(Lane &T, BCFrame &F, const BCInst &I) {
     const std::uint64_t Ops[3] = {F.Slots[I.A], F.Slots[I.B], F.Slots[I.C]};
     std::uint64_t R = 0;
-    if (const char *Trap = eval::evaluate(
-            irOpcode(Op), static_cast<CmpPred>(I.Pred), kindOf(I.TyKind),
-            kindOf(I.SrcTyKind), Ops, R)) {
+    if (const char *Trap = eval::evaluate(Op, static_cast<CmpPred>(I.Pred),
+                                          kindOf(I.TyKind),
+                                          kindOf(I.SrcTyKind), Ops, R)) {
       Team.trap(T, Trap);
       return;
     }
     F.Slots[I.Dst] = R;
-    T.Cycles += valueCycles(Config.Costs, irOpcode(Op));
+    T.Cycles += valueCycles(Config.Costs, Op);
   }
 
   TeamModel Team;
@@ -185,23 +186,23 @@ void BCTeamExecutor::stepThread(Lane &T) {
 
     // Phi trampolines and structural traps run before any per-instruction
     // accounting, exactly like the tree walker's block-entry handling.
-    if (I.Op == BCOp::PhiBundle) {
-      const auto &Copies = F.BF->Bundles[static_cast<std::size_t>(I.Imm)];
-      PhiBuf.clear();
-      for (const BCFunction::PhiCopy &Cp : Copies)
-        PhiBuf.push_back(Ref(Cp.Src));
-      for (std::size_t Idx = 0; Idx < Copies.size(); ++Idx)
-        F.Slots[Copies[Idx].Dst] = PhiBuf[Idx];
-      T.Cycles += Copies.size() * C.Alu;
-      F.PC = I.T0;
-      continue;
-    }
-    if (I.Op == BCOp::PhiTrap) {
-      if (I.Imm == 0) {
+    if (I.Op == Opcode::Phi) {
+      if (I.Imm >= 0) {
+        const auto &Copies = F.BF->Bundles[static_cast<std::size_t>(I.Imm)];
+        PhiBuf.clear();
+        for (const BCFunction::PhiCopy &Cp : Copies)
+          PhiBuf.push_back(Ref(Cp.Src));
+        for (std::size_t Idx = 0; Idx < Copies.size(); ++Idx)
+          F.Slots[Copies[Idx].Dst] = PhiBuf[Idx];
+        T.Cycles += Copies.size() * C.Alu;
+        F.PC = I.T0;
+        continue;
+      }
+      if (I.Imm == BCPhiNoIncoming) {
         Team.trap(T, "phi has no incoming value for predecessor");
         return;
       }
-      if (I.Imm == 2) {
+      if (I.Imm == BCFellOffBlock) {
         Team.trap(T, "fell off the end of a basic block");
         return;
       }
@@ -226,92 +227,92 @@ void BCTeamExecutor::stepThread(Lane &T) {
 
     switch (I.Op) {
     //--- Value operations (ir/Eval.hpp), one instantiation each ---------------
-    case BCOp::Add:
-      valueOp<BCOp::Add>(T, F, I);
+    case Opcode::Add:
+      valueOp<Opcode::Add>(T, F, I);
       break;
-    case BCOp::Sub:
-      valueOp<BCOp::Sub>(T, F, I);
+    case Opcode::Sub:
+      valueOp<Opcode::Sub>(T, F, I);
       break;
-    case BCOp::Mul:
-      valueOp<BCOp::Mul>(T, F, I);
+    case Opcode::Mul:
+      valueOp<Opcode::Mul>(T, F, I);
       break;
-    case BCOp::SDiv:
-      valueOp<BCOp::SDiv>(T, F, I);
+    case Opcode::SDiv:
+      valueOp<Opcode::SDiv>(T, F, I);
       break;
-    case BCOp::UDiv:
-      valueOp<BCOp::UDiv>(T, F, I);
+    case Opcode::UDiv:
+      valueOp<Opcode::UDiv>(T, F, I);
       break;
-    case BCOp::SRem:
-      valueOp<BCOp::SRem>(T, F, I);
+    case Opcode::SRem:
+      valueOp<Opcode::SRem>(T, F, I);
       break;
-    case BCOp::URem:
-      valueOp<BCOp::URem>(T, F, I);
+    case Opcode::URem:
+      valueOp<Opcode::URem>(T, F, I);
       break;
-    case BCOp::And:
-      valueOp<BCOp::And>(T, F, I);
+    case Opcode::And:
+      valueOp<Opcode::And>(T, F, I);
       break;
-    case BCOp::Or:
-      valueOp<BCOp::Or>(T, F, I);
+    case Opcode::Or:
+      valueOp<Opcode::Or>(T, F, I);
       break;
-    case BCOp::Xor:
-      valueOp<BCOp::Xor>(T, F, I);
+    case Opcode::Xor:
+      valueOp<Opcode::Xor>(T, F, I);
       break;
-    case BCOp::Shl:
-      valueOp<BCOp::Shl>(T, F, I);
+    case Opcode::Shl:
+      valueOp<Opcode::Shl>(T, F, I);
       break;
-    case BCOp::LShr:
-      valueOp<BCOp::LShr>(T, F, I);
+    case Opcode::LShr:
+      valueOp<Opcode::LShr>(T, F, I);
       break;
-    case BCOp::AShr:
-      valueOp<BCOp::AShr>(T, F, I);
+    case Opcode::AShr:
+      valueOp<Opcode::AShr>(T, F, I);
       break;
-    case BCOp::FAdd:
-      valueOp<BCOp::FAdd>(T, F, I);
+    case Opcode::FAdd:
+      valueOp<Opcode::FAdd>(T, F, I);
       break;
-    case BCOp::FSub:
-      valueOp<BCOp::FSub>(T, F, I);
+    case Opcode::FSub:
+      valueOp<Opcode::FSub>(T, F, I);
       break;
-    case BCOp::FMul:
-      valueOp<BCOp::FMul>(T, F, I);
+    case Opcode::FMul:
+      valueOp<Opcode::FMul>(T, F, I);
       break;
-    case BCOp::FDiv:
-      valueOp<BCOp::FDiv>(T, F, I);
+    case Opcode::FDiv:
+      valueOp<Opcode::FDiv>(T, F, I);
       break;
-    case BCOp::ICmp:
-      valueOp<BCOp::ICmp>(T, F, I);
+    case Opcode::ICmp:
+      valueOp<Opcode::ICmp>(T, F, I);
       break;
-    case BCOp::FCmp:
-      valueOp<BCOp::FCmp>(T, F, I);
+    case Opcode::FCmp:
+      valueOp<Opcode::FCmp>(T, F, I);
       break;
-    case BCOp::Select:
-      valueOp<BCOp::Select>(T, F, I);
+    case Opcode::Select:
+      valueOp<Opcode::Select>(T, F, I);
       break;
-    case BCOp::ZExt:
-      valueOp<BCOp::ZExt>(T, F, I);
+    case Opcode::ZExt:
+      valueOp<Opcode::ZExt>(T, F, I);
       break;
-    case BCOp::SExt:
-      valueOp<BCOp::SExt>(T, F, I);
+    case Opcode::SExt:
+      valueOp<Opcode::SExt>(T, F, I);
       break;
-    case BCOp::Trunc:
-      valueOp<BCOp::Trunc>(T, F, I);
+    case Opcode::Trunc:
+      valueOp<Opcode::Trunc>(T, F, I);
       break;
-    case BCOp::SIToFP:
-      valueOp<BCOp::SIToFP>(T, F, I);
+    case Opcode::SIToFP:
+      valueOp<Opcode::SIToFP>(T, F, I);
       break;
-    case BCOp::FPToSI:
-      valueOp<BCOp::FPToSI>(T, F, I);
+    case Opcode::FPToSI:
+      valueOp<Opcode::FPToSI>(T, F, I);
       break;
-    case BCOp::FPCast:
-      valueOp<BCOp::FPCast>(T, F, I);
+    case Opcode::FPCast:
+      valueOp<Opcode::FPCast>(T, F, I);
       break;
-    case BCOp::PtrToInt:
-      valueOp<BCOp::PtrToInt>(T, F, I);
+    case Opcode::PtrToInt:
+      valueOp<Opcode::PtrToInt>(T, F, I);
       break;
-    case BCOp::IntToPtr:
-      valueOp<BCOp::IntToPtr>(T, F, I);
+    case Opcode::IntToPtr:
+      valueOp<Opcode::IntToPtr>(T, F, I);
       break;
     //--- Memory ----------------------------------------------------------------
-    case BCOp::Alloca: {
+    case Opcode::Alloca: {
       const std::uint64_t Addr =
           Team.allocLocal(T, static_cast<std::uint64_t>(I.Imm));
       if (T.Status != LaneStatus::Running)
@@ -320,7 +321,7 @@ void BCTeamExecutor::stepThread(Lane &T) {
       T.Cycles += C.Alu;
       break;
     }
-    case BCOp::Load: {
+    case Opcode::Load: {
       const DeviceAddr A(Ref(I.A));
       const std::uint64_t V = Team.load(T, A, kindOf(I.TyKind), I.Size);
       if (T.Status != LaneStatus::Running)
@@ -328,21 +329,21 @@ void BCTeamExecutor::stepThread(Lane &T) {
       F.Slots[I.Dst] = V;
       break;
     }
-    case BCOp::Store: {
+    case Opcode::Store: {
       const DeviceAddr A(Ref(I.B));
       Team.store(T, A, I.Size, Ref(I.A));
       if (T.Status != LaneStatus::Running)
         return;
       break;
     }
-    case BCOp::Gep: {
+    case Opcode::Gep: {
       const DeviceAddr Base(Ref(I.A));
       F.Slots[I.Dst] =
           Base.advance(static_cast<std::int64_t>(Ref(I.B))).Bits;
       T.Cycles += C.Alu;
       break;
     }
-    case BCOp::AtomicRMW: {
+    case Opcode::AtomicRMW: {
       const std::uint64_t Old =
           Team.atomicRMW(T, DeviceAddr(Ref(I.A)), kindOf(I.TyKind), I.Size,
                          static_cast<AtomicOp>(I.Imm), Ref(I.B));
@@ -351,37 +352,28 @@ void BCTeamExecutor::stepThread(Lane &T) {
       F.Slots[I.Dst] = Old;
       break;
     }
-    case BCOp::CmpXchg: {
-      const std::uint64_t Old =
-          Team.cmpXchg(T, DeviceAddr(Ref(I.A)), kindOf(I.TyKind), I.Size,
-                       Ref(I.B), Ref(I.C));
-      if (T.Status != LaneStatus::Running)
-        return;
-      F.Slots[I.Dst] = Old;
-      break;
-    }
-    case BCOp::Malloc: {
+    case Opcode::Malloc: {
       F.Slots[I.Dst] = Team.deviceMalloc(Ref(I.A));
       T.Cycles += C.MallocCost;
       break;
     }
-    case BCOp::Free: {
+    case Opcode::Free: {
       Team.deviceFree(Ref(I.A));
       T.Cycles += C.MallocCost / 2;
       break;
     }
     //--- Control flow ----------------------------------------------------------
-    case BCOp::Br: {
+    case Opcode::Br: {
       F.PC = I.T0;
       T.Cycles += C.Branch;
       continue;
     }
-    case BCOp::CondBr: {
+    case Opcode::CondBr: {
       F.PC = Ref(I.A) != 0 ? I.T0 : I.T1;
       T.Cycles += C.Branch;
       continue;
     }
-    case BCOp::Ret: {
+    case Opcode::Ret: {
       const std::uint64_t RetBits = I.A != BCNoRef ? Ref(I.A) : 0;
       const std::uint64_t Watermark = F.LocalWatermark;
       const std::uint32_t CallerDst = F.CallerDst;
@@ -400,11 +392,7 @@ void BCTeamExecutor::stepThread(Lane &T) {
       T.Cycles += C.Branch;
       continue;
     }
-    case BCOp::Unreachable: {
-      Team.trap(T, "unreachable executed");
-      return;
-    }
-    case BCOp::Call: {
+    case Opcode::Call: {
       const BCFunction *CalleeBC = nullptr;
       const ir::Function *CalleeIR = nullptr;
       if (I.Imm > 0) {
@@ -454,36 +442,32 @@ void BCTeamExecutor::stepThread(Lane &T) {
       continue;
     }
     //--- GPU intrinsics --------------------------------------------------------
-    case BCOp::ThreadIdOp:
+    case Opcode::ThreadId:
       F.Slots[I.Dst] = T.Tid;
       T.Cycles += C.Alu;
       break;
-    case BCOp::BlockIdOp:
+    case Opcode::BlockId:
       F.Slots[I.Dst] = Team.TeamId;
       T.Cycles += C.Alu;
       break;
-    case BCOp::BlockDimOp:
+    case Opcode::BlockDim:
       F.Slots[I.Dst] = Team.NumThreads;
       T.Cycles += C.Alu;
       break;
-    case BCOp::GridDimOp:
+    case Opcode::GridDim:
       F.Slots[I.Dst] = Team.NumTeams;
       T.Cycles += C.Alu;
       break;
-    case BCOp::WarpSizeOp:
-      F.Slots[I.Dst] = Config.WarpSize;
-      T.Cycles += C.Alu;
-      break;
     //--- Synchronization -------------------------------------------------------
-    case BCOp::BarrierOp:
-    case BCOp::AlignedBarrierOp: {
+    case Opcode::Barrier:
+    case Opcode::AlignedBarrier: {
       T.block(reinterpret_cast<std::uintptr_t>(I.Src),
-              I.Op == BCOp::AlignedBarrierOp);
+              I.Op == Opcode::AlignedBarrier);
       F.PC++; // resume after the barrier once it releases
       return;
     }
     //--- Metadata --------------------------------------------------------------
-    case BCOp::Assume: {
+    case Opcode::Assume: {
       if (Config.DebugChecks && Ref(I.A) == 0) {
         Team.trap(T, "compiler assumption violated at runtime (in @" +
                          I.Src->function()->name() + ", block '" +
@@ -492,7 +476,7 @@ void BCTeamExecutor::stepThread(Lane &T) {
       }
       break;
     }
-    case BCOp::AssertFail: {
+    case Opcode::AssertFail: {
       if (Config.DebugChecks && Ref(I.A) == 0) {
         Team.trap(T, "assertion failed: " + I.Src->str());
         return;
@@ -501,11 +485,7 @@ void BCTeamExecutor::stepThread(Lane &T) {
         T.Cycles += C.Alu;
       break;
     }
-    case BCOp::TrapOp: {
-      Team.trap(T, "trap executed");
-      return;
-    }
-    case BCOp::NativeCall: {
+    case Opcode::NativeOp: {
       // Threads within a team step sequentially and native ops cannot
       // re-enter the dispatch loop, so one scratch buffer per team suffices.
       NativeArgScratch.clear();
@@ -519,8 +499,7 @@ void BCTeamExecutor::stepThread(Lane &T) {
         F.Slots[I.Dst] = R;
       break;
     }
-    case BCOp::PhiBundle:
-    case BCOp::PhiTrap:
+    case Opcode::Phi:
     default:
       // Phi trampolines are handled before accounting and no other
       // encodings exist; an unreachable default lets the compiler emit the

@@ -38,7 +38,6 @@ struct CostModel {
 /// Static device shape.
 struct DeviceConfig {
   std::uint32_t NumSMs = 8;                 ///< streaming multiprocessors
-  std::uint32_t WarpSize = 32;              ///< threads per warp
   std::uint32_t MaxThreadsPerTeam = 1024;   ///< hardware limit
   std::uint64_t SharedMemPerTeam = 48 * 1024;   ///< bytes of shared memory
   /// Bytes of global memory: reserved when the device is built and

@@ -413,16 +413,6 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
       setResult(I, F, Old);
       break;
     }
-    case Opcode::CmpXchg: {
-      const Type Ty = I->type();
-      const std::uint64_t Old =
-          Team.cmpXchg(T, DeviceAddr(opI(0)), Ty.kind(), Ty.sizeInBytes(),
-                       opI(1), opI(2));
-      if (T.Status != LaneStatus::Running)
-        return;
-      setResult(I, F, Old);
-      break;
-    }
     case Opcode::Malloc: {
       setResult(I, F, Team.deviceMalloc(opI(0)));
       T.Cycles += C.MallocCost;
@@ -466,10 +456,6 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
       Caller.InstIdx++; // resume after the call
       T.Cycles += C.Branch;
       continue;
-    }
-    case Opcode::Unreachable: {
-      Team.trap(T, "unreachable executed");
-      return;
     }
     case Opcode::Phi: {
       // Phis are handled en bloc at block entry; reaching one here means a
@@ -530,10 +516,6 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
       setResult(I, F, Team.NumTeams);
       T.Cycles += C.Alu;
       break;
-    case Opcode::WarpSize:
-      setResult(I, F, Config.WarpSize);
-      T.Cycles += C.Alu;
-      break;
     //--- Synchronization ---------------------------------------------------------
     case Opcode::Barrier:
     case Opcode::AlignedBarrier: {
@@ -560,10 +542,6 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
       if (Config.DebugChecks)
         T.Cycles += C.Alu;
       break;
-    }
-    case Opcode::Trap: {
-      Team.trap(T, "trap executed");
-      return;
     }
     case Opcode::NativeOp: {
       NativeArgScratch.clear();

@@ -113,10 +113,4 @@ std::uint8_t *GlobalMemory::data(std::uint64_t Offset, std::uint64_t Size) {
   return Base + Offset;
 }
 
-const std::uint8_t *GlobalMemory::data(std::uint64_t Offset,
-                                       std::uint64_t Size) const {
-  CODESIGN_ASSERT(Offset + Size <= ArenaSize, "global access out of bounds");
-  return Base + Offset;
-}
-
 } // namespace codesign::vgpu

@@ -55,8 +55,6 @@ public:
   void write(std::uint64_t Offset, std::span<const std::uint8_t> Data);
   void read(std::uint64_t Offset, std::span<std::uint8_t> Out) const;
   [[nodiscard]] std::uint8_t *data(std::uint64_t Offset, std::uint64_t Size);
-  [[nodiscard]] const std::uint8_t *data(std::uint64_t Offset,
-                                         std::uint64_t Size) const;
 
 private:
   std::uint8_t *Base = nullptr;

@@ -96,12 +96,10 @@ OpClass classifyOpcode(ir::Opcode Op) {
   case Opcode::Free:
     return OpClass::Memory;
   case Opcode::AtomicRMW:
-  case Opcode::CmpXchg:
     return OpClass::Atomic;
   case Opcode::Br:
   case Opcode::CondBr:
   case Opcode::Ret:
-  case Opcode::Unreachable:
   case Opcode::Phi:
     return OpClass::ControlFlow;
   case Opcode::Call:
@@ -110,14 +108,12 @@ OpClass classifyOpcode(ir::Opcode Op) {
   case Opcode::BlockId:
   case Opcode::BlockDim:
   case Opcode::GridDim:
-  case Opcode::WarpSize:
     return OpClass::Intrinsic;
   case Opcode::Barrier:
   case Opcode::AlignedBarrier:
     return OpClass::Sync;
   case Opcode::Assume:
   case Opcode::AssertFail:
-  case Opcode::Trap:
     return OpClass::Meta;
   case Opcode::NativeOp:
     return OpClass::Native;

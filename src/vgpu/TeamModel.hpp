@@ -183,12 +183,9 @@ public:
   std::uint64_t load(Lane &L, DeviceAddr A, TypeKind K, unsigned Size);
   /// A kernel store of Size bytes of Bits; returns after trapping L.
   void store(Lane &L, DeviceAddr A, unsigned Size, std::uint64_t Bits);
-  /// Atomic RMW / compare-exchange of kind K: the canonical old value, or
-  /// 0 after trapping L.
+  /// Atomic RMW of kind K: the canonical old value, or 0 after trapping L.
   std::uint64_t atomicRMW(Lane &L, DeviceAddr A, TypeKind K, unsigned Size,
                           ir::AtomicOp Op, std::uint64_t V);
-  std::uint64_t cmpXchg(Lane &L, DeviceAddr A, TypeKind K, unsigned Size,
-                        std::uint64_t Expected, std::uint64_t Desired);
   /// Allocate Size bytes of L's local memory: the address, or 0 after
   /// trapping L.
   std::uint64_t allocLocal(Lane &L, std::uint64_t Size);
@@ -409,25 +406,6 @@ inline std::uint64_t TeamModel::atomicRMW(Lane &L, DeviceAddr A, TypeKind K,
     std::memcpy(&Raw, P, Size);
     const std::uint64_t NewBits = NewBitsFor(Raw);
     std::memcpy(P, &NewBits, Size);
-  }
-  chargeAccess(L, A.space(), /*IsStore=*/true, /*IsAtomic=*/true, Size);
-  return eval::canonBits(K, Raw);
-}
-
-inline std::uint64_t TeamModel::cmpXchg(Lane &L, DeviceAddr A, TypeKind K,
-                                        unsigned Size, std::uint64_t Expected,
-                                        std::uint64_t Desired) {
-  std::uint8_t *P = resolve(L, A, Size);
-  if (!P)
-    return 0;
-  std::uint64_t Raw = 0;
-  if (A.space() == MemSpace::Global && eval::atomicCapable(P, Size)) {
-    Raw = Size == 4 ? eval::atomicCas<std::uint32_t>(P, Expected, Desired)
-                    : eval::atomicCas<std::uint64_t>(P, Expected, Desired);
-  } else {
-    std::memcpy(&Raw, P, Size);
-    if (eval::canonBits(K, Raw) == Expected)
-      std::memcpy(P, &Desired, Size);
   }
   chargeAccess(L, A.space(), /*IsStore=*/true, /*IsAtomic=*/true, Size);
   return eval::canonBits(K, Raw);

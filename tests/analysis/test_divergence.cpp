@@ -42,6 +42,52 @@ TEST(Divergence, SeedClassification) {
   EXPECT_TRUE(DA.isUniform(Team));
 }
 
+TEST(Divergence, MemoryAndNativeOpSeeds) {
+  // Constant memory is device-wide; other loads and atomics are not. A
+  // native op is team-uniform unless it declares itself divergent.
+  Module M;
+  GlobalVariable *Table = M.createGlobal("table", AddrSpace::Constant, 8);
+  GlobalVariable *Cell = M.createGlobal("cell", AddrSpace::Shared, 8);
+  Function *F = M.createFunction("f", Type::voidTy(), {});
+  IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  Value *FromTable = B.load(Type::i64(), Table);
+  Value *FromCell = B.load(Type::i64(), Cell);
+  Value *Old = B.atomicRMW(AtomicOp::Add, Cell, B.i64(1));
+  NativeOpFlags Flags;
+  Flags.Divergent = false;
+  Value *Same = B.nativeOp(1, Type::i64(), {}, Flags);
+  Flags.Divergent = true;
+  Value *Own = B.nativeOp(2, Type::i64(), {}, Flags);
+  B.retVoid();
+  // A block no edge reaches is not analyzed: its values keep the default.
+  B.setInsertPoint(F->createBlock("dead"));
+  Value *DeadTid = B.threadId();
+  B.retVoid();
+  DivergenceAnalysis DA = analyze(*F);
+  EXPECT_EQ(DA.uniformity(DeadTid), Uniformity::League);
+  EXPECT_EQ(DA.uniformity(FromTable), Uniformity::League);
+  EXPECT_EQ(DA.uniformity(FromCell), Uniformity::Divergent);
+  EXPECT_EQ(DA.uniformity(Old), Uniformity::Divergent);
+  EXPECT_EQ(DA.uniformity(Same), Uniformity::Team);
+  EXPECT_EQ(DA.uniformity(Own), Uniformity::Divergent);
+}
+
+TEST(Divergence, ProvenanceNamesEachLink) {
+  // Named instructions print with their name, unnamed ones by opcode.
+  Module M;
+  Function *F = M.createFunction("f", Type::voidTy(), {});
+  IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  Value *Tid = B.threadId();
+  Value *Wide = B.zext(Tid, Type::i64());
+  Wide->setName("wide");
+  Value *Sum = B.add(Wide, B.i64(1));
+  B.retVoid();
+  DivergenceAnalysis DA = analyze(*F);
+  EXPECT_EQ(DA.provenanceString(Sum), "add <- zext %wide <- thread.id");
+}
+
 TEST(Divergence, UniformLoopStaysUniform) {
   // for (i = 0; i < n; ++i) {} with a team-uniform bound: every value and
   // every block is uniform.

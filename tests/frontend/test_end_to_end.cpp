@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "ir/Verifier.hpp"
 #include "rt/RuntimeABI.hpp"
@@ -135,6 +137,21 @@ TEST_F(EndToEnd, OldRuntimePath) {
   runSaxpy(Opts, 1024, 8, 64);
 }
 
+TEST_F(EndToEnd, RaceDetectorExemptsTheConditionalWriteDummy) {
+  // The runtime initializes team state with conditional writes (Figure
+  // 7b): every thread stores, and all but the main thread store to the
+  // shared dummy. The shared-memory race detector must stay quiet on that
+  // idiom in an unoptimized SPMD kernel, on the backends that detect races.
+  for (const char *Backend : {"tree", "bytecode"}) {
+    SCOPED_TRACE(Backend);
+    ASSERT_TRUE(GPU->setExecBackend(Backend).hasValue());
+    GPU->setDetectRaces(true);
+    CodegenOptions Opts;
+    Opts.RT = RuntimeKind::NewRT;
+    runSaxpy(Opts, 256, 2, 32);
+  }
+}
+
 TEST_F(EndToEnd, AwkwardShapes) {
   for (auto [Teams, Threads, N] :
        {std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>{1, 2, 3},
@@ -148,6 +165,135 @@ TEST_F(EndToEnd, AwkwardShapes) {
       Opts.RT = RT;
       runSaxpy(Opts, N, Teams, Threads);
     }
+  }
+}
+
+TEST_F(EndToEnd, BodyArgumentsAgreeAcrossLowerings) {
+  // A worksharing body receives omp_get_num_threads(), omp_get_num_teams()
+  // and a literal; each lowering, unoptimized, passes the launch shape. In
+  // generic mode the team's main thread runs no iteration, so the parallel
+  // region has one thread fewer.
+  const std::int64_t RecordId = GPU->registry().add(NativeOpInfo{
+      "record",
+      [](NativeCtx &Ctx) {
+        const DeviceAddr Row = Ctx.argPtr(0).advance(Ctx.argI64(1) * 24);
+        for (unsigned K = 0; K < 3; ++K)
+          Ctx.storeI64(Row.advance(K * 8), Ctx.argI64(2 + K));
+      },
+      4});
+  KernelSpec Spec;
+  Spec.Name = "record_k";
+  Spec.Params = {{ir::Type::ptr(), "out"}, {ir::Type::i64(), "n"}};
+  NativeBody Body;
+  Body.NativeId = RecordId;
+  Body.Args = {BodyArg::arg(0), BodyArg::iter(), BodyArg::numThreads(),
+               BodyArg::numTeams(), BodyArg::constant(7)};
+  Spec.Stmts = {Stmt::distributeParallelFor(TripCount::argument(1), Body)};
+  constexpr std::uint64_t N = 40;
+  constexpr std::uint32_t Teams = 3, Threads = 16;
+  for (const auto &[RT, Generic] :
+       {std::pair{RuntimeKind::Native, false},
+        std::pair{RuntimeKind::NewRT, false},
+        std::pair{RuntimeKind::NewRT, true}}) {
+    SCOPED_TRACE(::testing::Message() << "generic " << Generic);
+    CodegenOptions Opts;
+    Opts.RT = RT;
+    Opts.ForceGenericMode = Generic;
+    auto CG = emitKernel(Spec, Opts);
+    ASSERT_TRUE(CG.hasValue()) << CG.error().message();
+    ASSERT_TRUE(linkRuntime(*CG->AppModule, Opts.RT).hasValue());
+    ASSERT_TRUE(ir::verifyModule(*CG->AppModule).empty());
+    DeviceAddr Out = GPU->allocate(N * 24);
+    auto Image = GPU->loadImage(*CG->AppModule);
+    std::uint64_t Args[] = {Out.Bits, N};
+    LaunchResult R = GPU->launch(*Image, "record_k", Args, Teams, Threads);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    std::vector<std::int64_t> Rows(N * 3);
+    GPU->read(Out, std::span(reinterpret_cast<std::uint8_t *>(Rows.data()),
+                             N * 24));
+    for (std::uint64_t I = 0; I < N; ++I) {
+      EXPECT_EQ(Rows[I * 3], std::int64_t{Threads} - (Generic ? 1 : 0))
+          << "row " << I;
+      EXPECT_EQ(Rows[I * 3 + 1], std::int64_t{Teams}) << "row " << I;
+      EXPECT_EQ(Rows[I * 3 + 2], 7) << "row " << I;
+    }
+    GPU->release(Out);
+  }
+}
+
+TEST_F(EndToEnd, NumThreadsWritesAndNestedRegionsLowerEverywhere) {
+  // omp_set_num_threads at the top and inside a parallel region whose
+  // worksharing loop reads the region's scratch, then a nested parallel:
+  // every lowering runs each iteration once.
+  const std::int64_t IncId = GPU->registry().add(NativeOpInfo{
+      "inc",
+      [](NativeCtx &Ctx) {
+        const DeviceAddr At = Ctx.argPtr(0).advance(Ctx.argI64(1) * 8);
+        Ctx.storeI64(At, Ctx.loadI64(At) + 1);
+      },
+      3});
+  const std::int64_t TouchId = GPU->registry().add(
+      NativeOpInfo{"touch", [](NativeCtx &Ctx) { Ctx.chargeCycles(1); }, 1});
+  KernelSpec Spec;
+  Spec.Name = "nest_k";
+  Spec.Params = {{ir::Type::ptr(), "out"}, {ir::Type::i64(), "n"}};
+  NativeBody Inc{IncId,
+                 {BodyArg::arg(0), BodyArg::iter(), BodyArg::scratch()},
+                 {}};
+  NativeBody Touch{TouchId, {}, {}};
+  Spec.Stmts = {
+      Stmt::setNumThreads(8),
+      Stmt::parallel({Stmt::setNumThreads(8),
+                      Stmt::forLoop(TripCount::argument(1), Inc),
+                      Stmt::parallel({Stmt::parallelWork(Touch)})},
+                     0, /*ScratchBytes=*/16)};
+  constexpr std::uint64_t N = 50;
+  for (const auto &[RT, Generic] :
+       {std::pair{RuntimeKind::Native, false},
+        std::pair{RuntimeKind::NewRT, false},
+        std::pair{RuntimeKind::NewRT, true}}) {
+    SCOPED_TRACE(::testing::Message() << "generic " << Generic);
+    CodegenOptions Opts;
+    Opts.RT = RT;
+    Opts.ForceGenericMode = Generic;
+    auto CG = emitKernel(Spec, Opts);
+    ASSERT_TRUE(CG.hasValue()) << CG.error().message();
+    ASSERT_TRUE(linkRuntime(*CG->AppModule, Opts.RT).hasValue());
+    ASSERT_TRUE(ir::verifyModule(*CG->AppModule).empty());
+    DeviceAddr Out = GPU->allocate(N * 8);
+    std::vector<std::int64_t> Counts(N, 0);
+    GPU->write(Out, std::span(reinterpret_cast<const std::uint8_t *>(
+                                  Counts.data()),
+                              N * 8));
+    auto Image = GPU->loadImage(*CG->AppModule);
+    std::uint64_t Args[] = {Out.Bits, N};
+    LaunchResult R = GPU->launch(*Image, "nest_k", Args, 1, 16);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    GPU->read(Out, std::span(reinterpret_cast<std::uint8_t *>(Counts.data()),
+                             N * 8));
+    EXPECT_EQ(Counts, std::vector<std::int64_t>(N, 1));
+    GPU->release(Out);
+  }
+}
+
+TEST_F(EndToEnd, InvalidNestingIsRejectedByName) {
+  NativeBody Body{SaxpyId, {BodyArg::iter()}, {}};
+  const std::pair<Stmt, const char *> Cases[] = {
+      {Stmt::parallel(
+           {Stmt::distributeParallelFor(TripCount::argument(0), Body)}),
+       "combined distribute inside 'parallel'"},
+      {Stmt::parallel({Stmt::parallel(
+           {Stmt::forLoop(TripCount::argument(0), Body)})}),
+       "worksharing inside a nested parallel"},
+  };
+  for (const auto &[Top, Want] : Cases) {
+    KernelSpec Spec;
+    Spec.Name = "bad";
+    Spec.Params = {{ir::Type::i64(), "n"}};
+    Spec.Stmts = {Top};
+    auto CG = emitKernel(Spec, CodegenOptions{});
+    ASSERT_FALSE(CG.hasValue()) << Want;
+    EXPECT_EQ(CG.error().message(), std::string("kernel 'bad': ") + Want);
   }
 }
 

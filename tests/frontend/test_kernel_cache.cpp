@@ -104,6 +104,32 @@ TEST_F(KernelCacheTest, OptOutAndRemarksBypass) {
   EXPECT_EQ(KernelCache::global().size(), 0u);
 }
 
+TEST_F(KernelCacheTest, CompileErrorsNameTheirCause) {
+  // An unknown pass fails resolution; a known pass with an argument it
+  // does not take passes resolution and fails when the pass is built; a
+  // malformed spec fails in codegen. None of them is cached.
+  CompileOptions Unknown = CompileOptions::newRT();
+  Unknown.Opt.Pipeline = "nope";
+  auto A = compileKernel(spec(), Unknown, GPU.registry());
+  ASSERT_FALSE(A.hasValue());
+  EXPECT_EQ(A.error().message(),
+            "invalid pipeline specification: unknown pass 'nope' in stage "
+            "'seq'");
+  CompileOptions BadArg = CompileOptions::newRT();
+  BadArg.Opt.Pipeline = "dce[bogus]";
+  auto B = compileKernel(spec(), BadArg, GPU.registry());
+  ASSERT_FALSE(B.hasValue());
+  EXPECT_EQ(B.error().message(),
+            "invalid pipeline specification: pass 'dce' does not accept "
+            "argument 'bogus'");
+  KernelSpec Empty = spec();
+  Empty.Stmts.clear();
+  auto C = compileKernel(Empty, CompileOptions::newRT(), GPU.registry());
+  ASSERT_FALSE(C.hasValue());
+  EXPECT_EQ(C.error().message(), "kernel 'cached': empty target region");
+  EXPECT_EQ(KernelCache::global().size(), 0u);
+}
+
 TEST_F(KernelCacheTest, ObserverCompilesBypass) {
   // An attached pass observer must see a real pipeline run each time: no
   // cache insert, no hit, and the callback fires on the repeat compile.

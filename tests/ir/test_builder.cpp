@@ -128,8 +128,7 @@ TEST(Builder, AtomicOps) {
   IRBuilder B(M);
   B.setInsertPoint(F->createBlock("entry"));
   Value *Old = B.atomicRMW(AtomicOp::Add, F->arg(0), B.i64(2));
-  Value *Prev = B.cmpXchg(F->arg(0), B.i64(0), B.i64(9));
-  B.ret(B.add(Old, Prev));
+  B.ret(Old);
   EXPECT_TRUE(verifyFunction(*F).empty());
   EXPECT_EQ(cast<Instruction>(Old)->atomicOp(), AtomicOp::Add);
 }
@@ -142,9 +141,12 @@ TEST(Builder, SideEffectClassification) {
   auto *Ld = cast<Instruction>(B.load(Type::i32(), F->arg(0)));
   auto *St = B.store(B.i32(0), F->arg(0));
   auto *Add = cast<Instruction>(B.add(B.i32(1), B.i32(2)));
+  auto *Hint = B.assume(B.i1(true));
   B.retVoid();
   EXPECT_FALSE(Ld->hasSideEffects());
   EXPECT_TRUE(Ld->mayReadMemory());
+  EXPECT_EQ(Ld->accessSize(), 4u);
+  EXPECT_TRUE(Hint->hasSideEffects()) << "DCE must keep assumes";
   EXPECT_TRUE(St->hasSideEffects());
   EXPECT_TRUE(St->mayWriteMemory());
   EXPECT_FALSE(Add->hasSideEffects());

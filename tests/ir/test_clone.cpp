@@ -114,5 +114,27 @@ TEST(Clone, PayloadFieldsCopied) {
   EXPECT_EQ(BB->inst(2)->str(), "must hold");
 }
 
+TEST(Clone, CrossModuleMapsConstantsAndKeepsNames) {
+  // Floating-point and undef operands resolve to the destination module's
+  // own constants; instruction names carry over.
+  Module Src, Dst;
+  Function *F = Src.createFunction("f", Type::f64(), {Type::f64()});
+  IRBuilder B(Src);
+  B.setInsertPoint(F->createBlock("entry"));
+  Value *Sum = B.fadd(F->arg(0), B.f64(2.5));
+  Sum->setName("sum");
+  B.ret(B.select(B.i1(true), Sum, Src.undef(Type::f64())));
+
+  Function *G = Dst.createFunction("f", Type::f64(), {Type::f64()});
+  ValueMap VMap;
+  VMap[F->arg(0)] = G->arg(0);
+  ClonedBody Body = cloneBody(*F, *G, VMap, crossModuleResolver(Dst), "");
+  EXPECT_TRUE(verifyFunction(*G).empty());
+  const Instruction *NewSum = Body.Entry->inst(0);
+  EXPECT_EQ(NewSum->name(), "sum");
+  EXPECT_EQ(NewSum->operand(1), Dst.constFP(Type::f64(), 2.5));
+  EXPECT_EQ(Body.Entry->inst(1)->operand(2), Dst.undef(Type::f64()));
+}
+
 } // namespace
 } // namespace codesign::ir

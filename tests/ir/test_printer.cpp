@@ -76,5 +76,33 @@ TEST(Printer, ConstantsAndGlobalRefs) {
   EXPECT_NE(Out.find("store 123, @g"), std::string::npos);
 }
 
+TEST(Printer, AttributesAtomicsAndHeapOps) {
+  Module M;
+  GlobalVariable *Table = M.createGlobal("table", AddrSpace::Constant, 8);
+  Table->setConstantFlag(true);
+  Function *F = M.createFunction("h", Type::voidTy(), {Type::ptr()});
+  F->setArgMap(0, MapKind::ToFrom);
+  F->addAttr(FnAttr::NoInline);
+  F->addAttr(FnAttr::AlwaysInline);
+  F->addAttr(FnAttr::Pure);
+  IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  for (AtomicOp Op : {AtomicOp::Add, AtomicOp::Max, AtomicOp::Min,
+                      AtomicOp::Exchange})
+    B.atomicRMW(Op, F->arg(0), B.load(Type::i64(), Table));
+  Value *P = B.mallocOp(B.i64(16));
+  B.store(M.undef(Type::i64()), P);
+  B.freeOp(P);
+  B.retVoid();
+  const std::string Out = printModule(M);
+  for (const char *Want :
+       {"@table = constant [8 x i8] constant",
+        "define void @h(ptr %0 map(tofrom)) noinline alwaysinline pure {",
+        "atomicrmw i64 add %0", "atomicrmw i64 max %0",
+        "atomicrmw i64 min %0", "atomicrmw i64 xchg %0",
+        "= malloc ptr 16", "store undef, %", "free %"})
+    EXPECT_NE(Out.find(Want), std::string::npos) << Want << "\n" << Out;
+}
+
 } // namespace
 } // namespace codesign::ir

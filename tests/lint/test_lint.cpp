@@ -12,6 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "apps/AppCommon.hpp"
 #include "apps/GridMini.hpp"
 #include "apps/MiniFMM.hpp"
@@ -118,6 +123,59 @@ TEST(Lint, SharedRaceFlaggedStatically) {
   }
   EXPECT_TRUE(SawWW);
   EXPECT_TRUE(SawRW);
+}
+
+TEST(Lint, SharedRaceNamesEachPairingAcrossBlocks) {
+  // "wide": every thread stores one uniform i64, then loads its upper half
+  // (a partial overlap). "pair": the two arms of a tid branch store
+  // different constants, and the join, reached from one arm through a
+  // further block, loads it with no barrier.
+  Module M;
+  GlobalVariable *Wide = M.createGlobal("wide", AddrSpace::Shared, 8);
+  GlobalVariable *Pair = M.createGlobal("pair", AddrSpace::Shared, 8);
+  Function *K = M.createFunction("arms", Type::voidTy(), {});
+  K->addAttr(FnAttr::Kernel);
+  BasicBlock *Entry = K->createBlock("entry");
+  BasicBlock *Zero = K->createBlock("zero");
+  BasicBlock *Rest = K->createBlock("rest");
+  BasicBlock *Hop = K->createBlock("hop");
+  BasicBlock *Join = K->createBlock("join");
+  IRBuilder B(M);
+  B.setInsertPoint(Entry);
+  B.store(B.i64(7), Wide);
+  B.load(Type::i32(), B.gep(Wide, 4));
+  B.condBr(B.icmpEQ(B.threadId(), B.i32(0)), Zero, Rest);
+  B.setInsertPoint(Zero);
+  B.store(B.i64(1), Pair);
+  B.br(Join);
+  B.setInsertPoint(Rest);
+  B.store(B.i64(2), Pair);
+  B.br(Hop);
+  B.setInsertPoint(Hop);
+  B.br(Join);
+  B.setInsertPoint(Join);
+  B.load(Type::i64(), Pair);
+  B.retVoid();
+  ASSERT_TRUE(verifyModule(M).empty());
+  std::vector<std::string> Messages;
+  for (const Remark &F : lint(M, "lint-shared-race"))
+    Messages.push_back(F.Message);
+  const auto Saw = [&](std::string_view A, std::string_view B) {
+    return std::any_of(Messages.begin(), Messages.end(),
+                       [&](const std::string &Msg) {
+                         return Msg.find(A) != std::string::npos &&
+                                Msg.find(B) != std::string::npos;
+                       });
+  };
+  EXPECT_TRUE(Saw("read-write race on shared object 'wide'",
+                  "the accesses overlap partially"))
+      << ::testing::PrintToString(Messages);
+  EXPECT_TRUE(Saw("write-write race on shared object 'pair'",
+                  "store different values with no intervening barrier"))
+      << ::testing::PrintToString(Messages);
+  EXPECT_TRUE(Saw("read-write race on shared object 'pair'",
+                  "the store executes under divergent control"))
+      << ::testing::PrintToString(Messages);
 }
 
 TEST(Lint, SharedRaceReproducesDynamically) {

@@ -133,6 +133,73 @@ TEST(MapInference, EscapesStayConservative) {
   EXPECT_EQ(inferredMapFor(U[1]), MapKind::ToFrom);
 }
 
+TEST(MapInference, AtomicsPhisComparesAndCalleeUses) {
+  // arg0 is an atomic's address (read and written); arg1 the exchanged
+  // value (escapes); arg2 reaches a load through a phi and is compared
+  // (read only); arg3 is used as a callee (escapes); arg4 is read, written
+  // and laundered, so its walk stops before the gep.
+  Module M;
+  Function *K = M.createFunction(
+      "mix_k", Type::voidTy(),
+      {Type::ptr(), Type::ptr(), Type::ptr(), Type::ptr(), Type::ptr(),
+       Type::i1()});
+  K->addAttr(FnAttr::Kernel);
+  BasicBlock *Entry = K->createBlock("entry");
+  BasicBlock *Skip = K->createBlock("skip");
+  BasicBlock *Join = K->createBlock("join");
+  IRBuilder B(M);
+  B.setInsertPoint(Entry);
+  B.atomicRMW(AtomicOp::Add, K->arg(0), B.i64(1));
+  B.atomicRMW(AtomicOp::Exchange, K->arg(0), K->arg(1));
+  Value *Shifted = B.gep(K->arg(2), 8);
+  B.atomicRMW(AtomicOp::Max, K->arg(4), B.i64(3));
+  B.ptrToInt(K->arg(4));
+  B.load(Type::i64(), B.gep(K->arg(4), 8));
+  B.condBr(K->arg(5), Skip, Join);
+  B.setInsertPoint(Skip);
+  B.br(Join);
+  B.setInsertPoint(Join);
+  Instruction *P = B.phi(Type::ptr());
+  P->addIncoming(K->arg(2), Entry);
+  P->addIncoming(Shifted, Skip);
+  B.load(Type::i64(), P);
+  B.icmpEQ(K->arg(2), B.nullPtr());
+  B.callIndirect(Type::voidTy(), K->arg(3), {});
+  B.retVoid();
+  ASSERT_TRUE(verifyModule(M).empty());
+  AnalysisManager AM(M);
+  const auto U = computeArgUsage(*K, AM);
+  EXPECT_TRUE(U[0].Read && U[0].Written && !U[0].Escaped);
+  EXPECT_TRUE(U[1].Escaped);
+  EXPECT_TRUE(U[2].Read && !U[2].Written && !U[2].Escaped);
+  EXPECT_TRUE(U[3].Escaped);
+  EXPECT_TRUE(U[4].Read && U[4].Written && U[4].Escaped);
+}
+
+TEST(MapInference, RepeatedAndRecursiveCallsTerminate) {
+  // sink(p) stores through p and calls itself; the kernel calls it twice.
+  // The second call reuses the first proof, and the recursion ends.
+  Module M;
+  Function *Sink = M.createFunction("sink", Type::voidTy(), {Type::ptr()});
+  IRBuilder B(M);
+  B.setInsertPoint(Sink->createBlock("entry"));
+  B.store(B.i64(7), Sink->arg(0));
+  B.call(Sink, {Sink->arg(0)});
+  B.retVoid();
+  Function *K = M.createFunction("rec_k", Type::voidTy(), {Type::ptr()});
+  K->addAttr(FnAttr::Kernel);
+  B.setInsertPoint(K->createBlock("entry"));
+  B.call(Sink, {K->arg(0)});
+  B.call(Sink, {K->arg(0)});
+  B.retVoid();
+  ASSERT_TRUE(verifyModule(M).empty());
+  AnalysisManager AM(M);
+  const auto U = computeArgUsage(*K, AM);
+  EXPECT_TRUE(U[0].Written);
+  EXPECT_FALSE(U[0].Read);
+  EXPECT_FALSE(U[0].Escaped);
+}
+
 TEST(MapInference, NativeOpMasksRefineUsage) {
   // One native op, two pointer operands: the declared masks say it reads
   // only through operand 0 and writes only through operand 1.

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "frontend/Driver.hpp"
@@ -240,6 +241,56 @@ TEST_F(AnalysisInvalidationTest, VerifyCachedCatchesOverBroadClaim) {
   const auto Analysis = Remarks.filtered(RemarkKind::Analysis, "liar");
   ASSERT_FALSE(Analysis.empty());
   EXPECT_NE(Analysis.front().Message.find("over-broad"), std::string::npos);
+}
+
+TEST_F(AnalysisInvalidationTest, VerifyCachedNamesEveryStaleKind) {
+  // Cache all five analyses of @f, then rewrite its CFG and drop its only
+  // store behind the manager's back: every cached result now disagrees
+  // with a fresh computation, and the check names each one.
+  ir::Module M;
+  ir::IRBuilder B(M);
+  ir::GlobalVariable *Cell =
+      M.createGlobal("cell", ir::AddrSpace::Shared, 4);
+  ir::Function *F = M.createFunction("f", ir::Type::voidTy(), {});
+  ir::BasicBlock *Entry = F->createBlock("entry");
+  ir::BasicBlock *Zero = F->createBlock("zero");
+  ir::BasicBlock *Rest = F->createBlock("rest");
+  ir::BasicBlock *Join = F->createBlock("join");
+  B.setInsertPoint(Entry);
+  B.condBr(B.icmpEQ(B.threadId(), B.i32(0)), Zero, Rest);
+  B.setInsertPoint(Zero);
+  ir::Instruction *St = B.store(B.i32(1), Cell);
+  B.br(Join);
+  B.setInsertPoint(Rest);
+  B.br(Join);
+  B.setInsertPoint(Join);
+  B.retVoid();
+
+  AnalysisManager AM(M);
+  AM.dominators(*F);
+  AM.postDominators(*F);
+  AM.reachability(*F);
+  AM.divergence(*F);
+  AM.accesses(*F, /*CollectAssumes=*/false);
+  EXPECT_TRUE(AM.verifyCached().empty());
+
+  Zero->erase(St);
+  Entry->erase(Entry->terminator());
+  B.setInsertPoint(Entry);
+  B.br(Zero);
+  const AnalysisKind Kinds[] = {
+      AnalysisKind::Dominators, AnalysisKind::PostDominators,
+      AnalysisKind::Reachability, AnalysisKind::Divergence,
+      AnalysisKind::Accesses};
+  std::vector<std::string> Want;
+  for (AnalysisKind K : Kinds)
+    Want.push_back(std::string(analysis::analysisName(K)) + ":f");
+  EXPECT_EQ(AM.verifyCached(), Want);
+  // Invalidating what the rewrite broke drops each entry once.
+  AM.invalidate(*F, PreservedAnalyses::none());
+  EXPECT_TRUE(AM.verifyCached().empty());
+  for (AnalysisKind K : Kinds)
+    EXPECT_EQ(AM.invalidations(K), 1u) << analysis::analysisName(K);
 }
 
 TEST_F(AnalysisInvalidationTest, CachedEqualsFreshAfterHonestPipeline) {

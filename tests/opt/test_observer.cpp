@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "frontend/Driver.hpp"
+#include "opt/Lint.hpp"
 #include "support/Stats.hpp"
 #include "support/Trace.hpp"
 #include "vgpu/VirtualGPU.hpp"
@@ -161,6 +162,29 @@ TEST_F(ObserverTest, PassTimingsReachCountersOnlyWhenTracing) {
   }
   EXPECT_TRUE(SawPipelineSpan);
   EXPECT_GT(PassSpans, 0u);
+}
+
+TEST_F(ObserverTest, LintRulesRunNamedAndTraced) {
+  // An observed, traced lint pipeline reports each rule by its registry
+  // name and leaves one "lint" span per rule.
+  auto M = makeModule();
+  trace::Tracer::global().setEnabled(true);
+  std::vector<std::string> Passes;
+  OptOptions Options;
+  Options.Pipeline = std::string(LintPipeline);
+  Options.Obs.OnPass = [&](const PassExecution &E) {
+    Passes.push_back(E.Pass);
+  };
+  runPipeline(*M, Options);
+  const std::vector<std::string> Rules = {
+      "lint-barrier-divergence", "lint-shared-race", "lint-assume-misuse",
+      "lint-redundant-map", "lint-missing-map"};
+  EXPECT_EQ(Passes, Rules);
+  std::vector<std::string> Spans;
+  for (const trace::Event &E : trace::Tracer::global().events())
+    if (E.Category == "lint")
+      Spans.push_back(E.Name);
+  EXPECT_EQ(Spans, Rules);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "frontend/Driver.hpp"
@@ -129,6 +130,46 @@ TEST_F(PassManagerTest, ParseRejectsBadSpecs) {
       << "two main fixpoint stages are ambiguous";
   EXPECT_FALSE(PipelineSpec::parse("@(dce)").hasValue())
       << "empty phase name";
+}
+
+TEST_F(PassManagerTest, BadSpecsAndTokensNameTheirFault) {
+  // Pipeline text is outside input: each rejection says what is wrong.
+  const std::pair<const char *, const char *> Texts[] = {
+      {"@a(dce);b(dce)", "pipeline stage must start with '@': 'b(dce)'"},
+      {"@a()", "pipeline stage 'a' has no passes"},
+  };
+  for (const auto &[Text, Want] : Texts) {
+    Expected<PipelineSpec> S = PipelineSpec::parse(Text);
+    ASSERT_FALSE(S.hasValue()) << Text;
+    EXPECT_EQ(S.error().message(), Want);
+  }
+  const std::pair<const char *, const char *> Tokens[] = {
+      {"dce[oops", "malformed pass token 'dce[oops'"},
+      {"nope", "unknown pass 'nope'"},
+      {"spmdization[x]", "pass 'spmdization' does not accept argument 'x'"},
+      {"barrier-elim[x]", "pass 'barrier-elim' does not accept argument 'x'"},
+      {"load-forwarding[x]",
+       "pass 'load-forwarding' does not accept argument 'x'"},
+      {"dead-store-elim[x]",
+       "pass 'dead-store-elim' does not accept argument 'x'"},
+      {"lint-shared-race[x]",
+       "pass 'lint-shared-race' does not accept argument 'x'"},
+  };
+  for (const auto &[Token, Want] : Tokens) {
+    Expected<std::unique_ptr<Pass>> P = PassRegistry::global().create(Token);
+    ASSERT_FALSE(P.hasValue()) << Token;
+    EXPECT_EQ(P.error().message(), Want);
+  }
+  // Specs built in code skip the parser but not validation.
+  PipelineSpec Empty;
+  EXPECT_EQ(PassManager::create(Empty).error().message(), "empty pipeline");
+  PipelineSpec Negative;
+  Negative.Stages.push_back({});
+  Negative.Stages.back().Phase = "seq";
+  Negative.Stages.back().Passes = {"dce"};
+  Negative.Stages.back().MaxRounds = -1;
+  EXPECT_EQ(PassManager::create(Negative).error().message(),
+            "pipeline stage 'seq' has a negative round bound");
 }
 
 TEST_F(PassManagerTest, RegistryTokens) {

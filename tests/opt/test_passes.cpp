@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <optional>
+
 #include "ir/IRBuilder.hpp"
 #include "ir/Verifier.hpp"
+#include "opt/AccessAnalysis.hpp"
+#include "rt/RuntimeABI.hpp"
 
 namespace codesign::opt {
 namespace {
@@ -83,6 +89,116 @@ TEST(ConstantFold, FunctionAddressNullCheck) {
   EXPECT_EQ(CI->value(), 0) << "function addresses are never null";
 }
 
+TEST(ConstantFold, IdentitiesWithOneUnknownOperand) {
+  // Each case folds @f(i64 %x) -> i64 to %x (ToX) or to a constant. @g is
+  // a global, so its address is never null.
+  using Build = std::function<Value *(IRBuilder &, Value *, Value *)>;
+  struct Case {
+    const char *What;
+    std::optional<std::int64_t> Folded;
+    Build Expr; ///< (builder, %x, @g)
+  };
+  constexpr std::nullopt_t ToX = std::nullopt;
+  const auto Bool = [](IRBuilder &B, Value *C) {
+    return B.zext(C, Type::i64());
+  };
+  const std::vector<Case> Cases = {
+      {"x + 0", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.add(X, B.i64(0)); }},
+      {"0 + x", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.add(B.i64(0), X); }},
+      {"x - 0", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.sub(X, B.i64(0)); }},
+      {"x - x", 0, [](IRBuilder &B, Value *X, Value *) { return B.sub(X, X); }},
+      {"x * 1", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.mul(X, B.i64(1)); }},
+      {"1 * x", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.mul(B.i64(1), X); }},
+      {"x * 0", 0,
+       [](IRBuilder &B, Value *X, Value *) { return B.mul(X, B.i64(0)); }},
+      {"x & 0", 0,
+       [](IRBuilder &B, Value *X, Value *) { return B.and_(X, B.i64(0)); }},
+      {"x & x", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.and_(X, X); }},
+      {"x | 0", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.or_(X, B.i64(0)); }},
+      {"0 | x", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.or_(B.i64(0), X); }},
+      {"x | x", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.or_(X, X); }},
+      {"x ^ x", 0,
+       [](IRBuilder &B, Value *X, Value *) { return B.xor_(X, X); }},
+      {"x ^ 0", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.xor_(X, B.i64(0)); }},
+      {"x << 0", ToX,
+       [](IRBuilder &B, Value *X, Value *) { return B.shl(X, B.i64(0)); }},
+      {"x == x", 1,
+       [&](IRBuilder &B, Value *X, Value *) {
+         return Bool(B, B.icmpEQ(X, X));
+       }},
+      {"x != x", 0,
+       [&](IRBuilder &B, Value *X, Value *) {
+         return Bool(B, B.icmpNE(X, X));
+       }},
+      {"x <s x", 0,
+       [&](IRBuilder &B, Value *X, Value *) {
+         return Bool(B, B.icmpSLT(X, X));
+       }},
+      {"(i64)@g != 0", 1,
+       [&](IRBuilder &B, Value *, Value *G) {
+         return Bool(B, B.icmpNE(B.ptrToInt(G), B.i64(0)));
+       }},
+      {"@g == null", 0,
+       [&](IRBuilder &B, Value *, Value *G) {
+         return Bool(B, B.icmpEQ(G, B.nullPtr()));
+       }},
+      {"null != @g", 1,
+       [&](IRBuilder &B, Value *, Value *G) {
+         return Bool(B, B.icmpNE(B.nullPtr(), G));
+       }},
+      {"select(x == 3, x, x)", ToX,
+       [](IRBuilder &B, Value *X, Value *) {
+         return B.select(B.icmpEQ(X, B.i64(3)), X, X);
+       }},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.What);
+    Module M;
+    GlobalVariable *G = M.createGlobal("g", AddrSpace::Global, 8);
+    Function *F = M.createFunction("f", Type::i64(), {Type::i64()});
+    IRBuilder B(M);
+    B.setInsertPoint(F->createBlock("entry"));
+    B.ret(C.Expr(B, F->arg(0), G));
+    ASSERT_TRUE(verifyModule(M).empty());
+    runConstantFold(M);
+    const Value *R = F->entry()->inst(F->entry()->size() - 1)->operand(0);
+    if (!C.Folded) {
+      EXPECT_EQ(R, F->arg(0));
+      continue;
+    }
+    const auto *CI = dynCast<ConstantInt>(R);
+    ASSERT_NE(CI, nullptr);
+    EXPECT_EQ(CI->value(), *C.Folded);
+  }
+}
+
+TEST(ConstantFold, GepOfConstantGepCollapses) {
+  Module M;
+  Function *F = M.createFunction("f", Type::ptr(), {Type::ptr()});
+  IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  B.ret(B.gep(B.gep(F->arg(0), 8), 16));
+  runConstantFold(M);
+  const auto *G = dynCast<Instruction>(
+      F->entry()->inst(F->entry()->size() - 1)->operand(0));
+  ASSERT_NE(G, nullptr);
+  ASSERT_EQ(G->opcode(), Opcode::Gep);
+  EXPECT_EQ(G->operand(0), F->arg(0));
+  const auto *Off = dynCast<ConstantInt>(G->operand(1));
+  ASSERT_NE(Off, nullptr);
+  EXPECT_EQ(Off->value(), 24);
+}
+
 //===----------------------------------------------------------------------===//
 // SimplifyCFG
 //===----------------------------------------------------------------------===//
@@ -125,6 +241,46 @@ TEST(SimplifyCFG, PhiResolvedOnMerge) {
   runSimplifyCFG(M);
   EXPECT_EQ(F->blocks().size(), 1u);
   EXPECT_TRUE(verifyFunction(*F).empty());
+}
+
+TEST(SimplifyCFG, FoldedEdgesLeaveTheirPhisAndDeclarationsAreSkipped) {
+  // @g: a constant branch drops the entry -> join edge, so join's phi
+  // loses that incoming value and g returns 2. @h: a branch whose two
+  // targets agree becomes a plain branch. @ext has no body to simplify.
+  Module M;
+  M.createFunction("ext", Type::voidTy(), {});
+  IRBuilder B(M);
+  Function *G = M.createFunction("g", Type::i32(), {});
+  BasicBlock *Entry = G->createBlock("entry");
+  BasicBlock *Via = G->createBlock("via");
+  BasicBlock *Join = G->createBlock("join");
+  B.setInsertPoint(Entry);
+  B.condBr(B.i1(true), Via, Join);
+  B.setInsertPoint(Via);
+  B.br(Join);
+  B.setInsertPoint(Join);
+  Instruction *P = B.phi(Type::i32());
+  P->addIncoming(B.i32(1), Entry);
+  P->addIncoming(B.i32(2), Via);
+  B.ret(P);
+  Function *H = M.createFunction("h", Type::i32(), {Type::i1()});
+  BasicBlock *HEntry = H->createBlock("entry");
+  BasicBlock *Same = H->createBlock("same");
+  B.setInsertPoint(HEntry);
+  B.condBr(H->arg(0), Same, Same);
+  B.setInsertPoint(Same);
+  B.ret(B.i32(3));
+  ASSERT_TRUE(verifyModule(M).empty());
+  runSimplifyCFG(M);
+  EXPECT_TRUE(verifyModule(M).empty());
+  for (Function *F : {G, H}) {
+    SCOPED_TRACE(F->name());
+    ASSERT_EQ(F->blocks().size(), 1u);
+    const auto *CI = dynCast<ConstantInt>(
+        F->entry()->inst(F->entry()->size() - 1)->operand(0));
+    ASSERT_NE(CI, nullptr);
+    EXPECT_EQ(CI->value(), F == G ? 2 : 3);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -391,6 +547,53 @@ TEST(LoadForwarding, UniformValueForwardedAcrossBarrier) {
   EXPECT_EQ(Fx.K->entry()->inst(Fx.K->entry()->size() - 1)->operand(0), Dim);
 }
 
+TEST(LoadForwarding, UniformPhiForwardedAcrossBarrier) {
+  // A phi joining two team-uniform values under a uniform branch is itself
+  // uniform (analysis::DivergenceAnalysis), so its broadcast forwards too.
+  ForwardingFixture Fx;
+  auto &B = Fx.B;
+  BasicBlock *Entry = Fx.K->entry();
+  BasicBlock *Then = Fx.K->createBlock("then");
+  BasicBlock *Join = Fx.K->createBlock("join");
+  B.condBr(B.icmpEQ(Fx.K->arg(0), B.i32(0)), Then, Join);
+  B.setInsertPoint(Then);
+  Value *Dim = B.blockDim();
+  B.br(Join);
+  B.setInsertPoint(Join);
+  Instruction *P = B.phi(Type::i32());
+  P->addIncoming(Dim, Then);
+  P->addIncoming(Fx.K->arg(0), Entry);
+  B.store(P, B.gep(Fx.State, std::int64_t{0}));
+  B.alignedBarrier();
+  Value *L = Fx.loadState(0);
+  B.ret(L);
+  ASSERT_TRUE(verifyModule(Fx.M).empty());
+  runLoadForwarding(Fx.M, OptOptions{});
+  EXPECT_EQ(Join->inst(Join->size() - 1)->operand(0), P);
+}
+
+TEST(LoadForwarding, OneConstantEverywhereForwardsWithoutBarrier) {
+  // Every write of the shared word stores 5, so every race outcome reads
+  // 5: no broadcast barrier is needed. Zero-initialized state that is
+  // never written reads as 0.0 at any type.
+  ForwardingFixture Fx;
+  auto &B = Fx.B;
+  B.store(B.i32(5), B.gep(Fx.State, std::int64_t{0}));
+  GlobalVariable *Other = Fx.M.createGlobal("other", AddrSpace::Shared, 8);
+  auto *Conv =
+      cast<Instruction>(B.fptosi(B.load(Type::f64(), Other), Type::i32()));
+  B.store(Conv, B.gep(Fx.State, 8));
+  B.ret(Fx.loadState(0));
+  runLoadForwarding(Fx.M, OptOptions{});
+  const auto *CI = dynCast<ConstantInt>(
+      Fx.K->entry()->inst(Fx.K->entry()->size() - 1)->operand(0));
+  ASSERT_NE(CI, nullptr);
+  EXPECT_EQ(CI->value(), 5);
+  const auto *Zero = dynCast<ConstantFP>(Conv->operand(0));
+  ASSERT_NE(Zero, nullptr);
+  EXPECT_EQ(Zero->value(), 0.0);
+}
+
 TEST(LoadForwarding, InvariantPropDisableKeepsLoad) {
   ForwardingFixture Fx;
   auto &B = Fx.B;
@@ -418,6 +621,94 @@ TEST(LoadForwarding, AllocaForwardingIsSequential) {
   B.ret(L);
   runLoadForwarding(M, OptOptions{});
   EXPECT_EQ(K->entry()->inst(K->entry()->size() - 1)->operand(0), K->arg(0));
+}
+
+TEST(AccessAnalysis, ComparesAndFreesKeepAnObjectAndJoinsWiden) {
+  // A compare or free of the pointer touches no memory. Two offsets that
+  // meet in one select widen to an unknown, conditional location.
+  Module M;
+  Function *F = M.createFunction("f", Type::i64(), {Type::i1()});
+  IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  Value *P = B.mallocOp(B.i64(16));
+  Value *Either =
+      B.select(F->arg(0), B.gep(P, std::int64_t{0}), B.gep(P, 8));
+  Value *L = B.load(Type::i64(), Either);
+  B.icmpEQ(P, B.nullPtr());
+  B.freeOp(P);
+  B.ret(L);
+  AccessAnalysis AA(*F, /*CollectAssumes=*/false);
+  const ObjectInfo *O = AA.objectFor(P);
+  ASSERT_NE(O, nullptr);
+  EXPECT_TRUE(O->Analyzable);
+  EXPECT_TRUE(std::any_of(O->Accesses.begin(), O->Accesses.end(),
+                          [&](const MemAccess &A) {
+                            return A.I == L && !A.OffsetKnown &&
+                                   A.Conditional;
+                          }));
+}
+
+//===----------------------------------------------------------------------===//
+// Globalization elimination (Section IV-A2)
+//===----------------------------------------------------------------------===//
+
+/// @k(ptr %out) with one 8-byte __kmpc_alloc_shared; Use adds the uses of
+/// the allocation, and a matching __kmpc_free_shared closes the function.
+struct GlobalizedFixture {
+  Module M;
+  IRBuilder B{M};
+  Function *K = nullptr;
+  Instruction *Alloc = nullptr;
+  RemarkCollector Remarks;
+
+  explicit GlobalizedFixture(
+      const std::function<void(GlobalizedFixture &)> &Use) {
+    Function *AllocFn = M.createFunction(std::string(rt::AllocSharedName),
+                                         Type::ptr(), {Type::i64()});
+    Function *FreeFn = M.createFunction(std::string(rt::FreeSharedName),
+                                        Type::voidTy(),
+                                        {Type::ptr(), Type::i64()});
+    K = M.createFunction("k", Type::voidTy(), {Type::ptr()});
+    K->addAttr(FnAttr::Kernel);
+    B.setInsertPoint(K->createBlock("entry"));
+    Alloc = cast<Instruction>(B.call(AllocFn, {B.i64(8)}));
+    Use(*this);
+    B.call(FreeFn, {Alloc, B.i64(8)});
+    B.retVoid();
+  }
+
+  bool run() {
+    OptOptions O;
+    O.Obs.Remarks = &Remarks;
+    return runGlobalizationElim(M, O, /*AllowTeamScratch=*/true);
+  }
+};
+
+TEST(GlobalizationElim, AtomicsAndComparesStayThreadPrivate) {
+  GlobalizedFixture Fx([](GlobalizedFixture &Fx) {
+    Fx.B.atomicRMW(AtomicOp::Add, Fx.Alloc, Fx.B.i64(1));
+    Fx.B.store(Fx.B.zext(Fx.B.icmpEQ(Fx.Alloc, Fx.B.nullPtr()), Type::i64()),
+               Fx.K->arg(0));
+  });
+  EXPECT_TRUE(Fx.run());
+  EXPECT_EQ(Fx.Remarks.filtered(RemarkKind::Passed).size(), 1u);
+  EXPECT_EQ(Fx.K->entry()->inst(0)->opcode(), Opcode::Alloca);
+}
+
+TEST(GlobalizationElim, EscapingOrOpaqueUsesKeepTheAllocation) {
+  // The pointer as an atomic's operand escapes to memory; a ptrtoint is an
+  // opaque use. Neither is demoted, and neither block is leader-guarded.
+  for (const auto &Use : std::vector<std::function<void(GlobalizedFixture &)>>{
+           [](GlobalizedFixture &Fx) {
+             Fx.B.atomicRMW(AtomicOp::Exchange, Fx.K->arg(0), Fx.Alloc);
+           },
+           [](GlobalizedFixture &Fx) {
+             Fx.B.store(Fx.B.ptrToInt(Fx.Alloc), Fx.K->arg(0));
+           }}) {
+    GlobalizedFixture Fx(Use);
+    EXPECT_FALSE(Fx.run());
+    EXPECT_EQ(Fx.Remarks.filtered(RemarkKind::Missed).size(), 1u);
+  }
 }
 
 TEST(DeadStoreElim, RemovesWriteOnlyState) {

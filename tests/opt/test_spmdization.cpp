@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "ir/IRBuilder.hpp"
 #include "ir/Verifier.hpp"
+#include "rt/RuntimeABI.hpp"
 #include "vgpu/VirtualGPU.hpp"
 
 namespace codesign::opt {
@@ -141,6 +146,124 @@ TEST_F(SpmdizationTest, DisabledPassLeavesGenericMode) {
   std::uint64_t Args[] = {Buf.Bits, N};
   auto R = GPU->launch(*Image, Emitted->Kernel, Args, 2, 33);
   ASSERT_TRUE(R.Ok) << R.Error;
+}
+
+TEST(Spmdization, EveryRefusalIsNamedInItsRemark) {
+  // A hand-built generic kernel: entry calls target_init and dispatches on
+  // tid == 0 to "main" (the sequential region) or "worker". Each case
+  // either breaks that fork-join shape or puts one blocker into main; the
+  // kernel stays generic and the missed remark names the reason.
+  using namespace ir;
+  struct Kernel {
+    Module &M;
+    IRBuilder &B;
+    Function *K;
+    BasicBlock *Entry, *Main, *Worker;
+  };
+  struct Case {
+    const char *Reason;
+    std::function<void(Kernel &)> Build; ///< completes entry and main
+  };
+  // Emit target_init (unless told not to) and the tid == 0 dispatch, or
+  // the given condition, then continue in main.
+  const auto Dispatch = [](Kernel &S, bool Init = true,
+                           Value *Cond = nullptr) {
+    S.B.setInsertPoint(S.Entry);
+    if (Init)
+      S.B.call(S.M.createFunction(std::string(rt::TargetInitName),
+                                  Type::i32(), {}),
+               {});
+    if (!Cond)
+      Cond = S.B.icmpEQ(S.B.threadId(), S.B.i32(0));
+    S.B.condBr(Cond, S.Main, S.Worker);
+    S.B.setInsertPoint(S.Main);
+  };
+  const auto Parallel = [](Kernel &S) {
+    return S.M.createFunction(std::string(rt::ParallelName), Type::voidTy(),
+                              {Type::ptr(), Type::ptr(), Type::i32()});
+  };
+  constexpr const char *Shape = "does not match the fork-join shape";
+  const std::vector<Case> Cases = {
+      {Shape, [&](Kernel &S) { Dispatch(S, /*Init=*/false); }},
+      {Shape,
+       [&](Kernel &S) { // no dispatch at all
+         Dispatch(S);
+         S.Entry->erase(S.Entry->terminator());
+         S.B.setInsertPoint(S.Entry);
+         S.B.br(S.Main);
+         S.B.setInsertPoint(S.Main);
+       }},
+      {Shape,
+       [&](Kernel &S) { // tid != 0
+         S.B.setInsertPoint(S.Entry);
+         Dispatch(S, true, S.B.icmpNE(S.B.threadId(), S.B.i32(0)));
+       }},
+      {Shape,
+       [&](Kernel &S) { // a block id, not a thread id
+         S.B.setInsertPoint(S.Entry);
+         Dispatch(S, true, S.B.icmpEQ(S.B.blockId(), S.B.i32(0)));
+       }},
+      {Shape,
+       [&](Kernel &S) { // main falls into the worker path
+         Dispatch(S);
+         S.B.br(S.Worker);
+         S.B.setInsertPoint(S.Worker);
+       }},
+      {"indirect call in the sequential region",
+       [&](Kernel &S) {
+         Dispatch(S);
+         S.B.callIndirect(Type::voidTy(), S.K->arg(0), {});
+       }},
+      {"parallel region with a num_threads clause",
+       [&](Kernel &S) {
+         Dispatch(S);
+         S.B.call(Parallel(S), {S.K->asValue(), S.K->arg(0), S.B.i32(4)});
+       }},
+      {"parallel region with an unknown outlined function",
+       [&](Kernel &S) {
+         Dispatch(S);
+         S.B.call(Parallel(S), {S.K->arg(0), S.K->arg(0), S.B.i32(0)});
+       }},
+      {"ICV write in the sequential region",
+       [&](Kernel &S) {
+         Dispatch(S);
+         S.B.call(S.M.createFunction(std::string(rt::SetNumThreadsName),
+                                     Type::voidTy(), {Type::i32()}),
+                  {S.B.i32(4)});
+       }},
+      {"opaque call 'ext' in the sequential region",
+       [&](Kernel &S) {
+         Dispatch(S);
+         S.B.call(S.M.createFunction("ext", Type::voidTy(), {}), {});
+       }},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Reason);
+    Module M;
+    IRBuilder B(M);
+    Function *K = M.createFunction("gen_k", Type::voidTy(), {Type::ptr()});
+    K->addAttr(FnAttr::Kernel);
+    K->setExecMode(ExecMode::Generic);
+    BasicBlock *Entry = K->createBlock("entry");
+    BasicBlock *Main = K->createBlock("main");
+    BasicBlock *Worker = K->createBlock("worker");
+    Kernel S{M, B, K, Entry, Main, Worker};
+    C.Build(S);
+    B.retVoid();
+    if (!Worker->terminator()) {
+      B.setInsertPoint(Worker);
+      B.retVoid();
+    }
+    RemarkCollector Remarks;
+    OptOptions Options;
+    Options.Obs.Remarks = &Remarks;
+    EXPECT_FALSE(runSPMDization(M, Options));
+    EXPECT_EQ(K->execMode(), ExecMode::Generic);
+    const auto Missed = Remarks.filtered(RemarkKind::Missed, "spmdization");
+    ASSERT_EQ(Missed.size(), 1u);
+    EXPECT_NE(Missed[0].Message.find(C.Reason), std::string::npos)
+        << Missed[0].Message;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -347,6 +347,26 @@ TEST_F(ServiceTest, InvalidLaunchRequestsFailSynchronously) {
   EXPECT_EQ(Svc.tenantStats("t").Failed, 1u);
 }
 
+TEST_F(ServiceTest, InvalidRegisterAndPipelineRequestsNameTheirFault) {
+  Service Svc(GPU);
+  auto NoModule = Svc.submitRegister("t", nullptr);
+  ASSERT_FALSE(NoModule.hasValue());
+  EXPECT_EQ(NoModule.error().message(),
+            "service: submitRegister requires a module");
+  auto NoLaunch = Svc.submitPipeline("t", {});
+  ASSERT_FALSE(NoLaunch.hasValue());
+  EXPECT_EQ(NoLaunch.error().message(),
+            "service: submitPipeline requires at least one launch");
+  auto BadLaunch = Svc.submitPipeline(
+      "t", {host::LaunchRequest::make("k", {}, 1, 1),
+            host::LaunchRequest::make("", {}, 1, 1)});
+  ASSERT_FALSE(BadLaunch.hasValue());
+  EXPECT_EQ(BadLaunch.error().message().rfind("service: pipeline launch #1: ",
+                                              0),
+            0u)
+      << BadLaunch.error().message();
+}
+
 TEST_F(ServiceTest, DestructionDrainsAcceptedRequests) {
   constexpr unsigned Requests = 64;
   std::vector<Ticket<frontend::CompiledKernel>> Tickets;

@@ -18,6 +18,11 @@ TEST(Json, ScalarKindsAndAccessors) {
   EXPECT_EQ(Value(std::int64_t(-7)).asInt(), -7);
   EXPECT_EQ(Value(std::uint64_t(7)).asUInt(), 7u);
   EXPECT_EQ(Value("hi").asString(), "hi");
+  EXPECT_EQ(Value("hi").find("hi"), nullptr) << "only objects have keys";
+  auto Empty = parse(" [ ] ");
+  ASSERT_TRUE(Empty.hasValue());
+  EXPECT_TRUE(Empty->isArray());
+  EXPECT_EQ(Empty->size(), 0u);
 }
 
 TEST(Json, IntegersRoundTripExactly) {
@@ -79,7 +84,7 @@ TEST(Json, ParseRoundTripsNestedDocument) {
 TEST(Json, ParseRejectsMalformedInput) {
   for (const char *Bad :
        {"", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2",
-        "{\"a\" 1}", "nul"})
+        "{\"a\" 1}", "nul", "\"\\"})
     EXPECT_FALSE(parse(Bad).hasValue()) << "accepted: " << Bad;
 }
 
@@ -88,6 +93,36 @@ TEST(Json, ParseUnicodeEscapes) {
   ASSERT_TRUE(V.hasValue());
   EXPECT_EQ(V->asString(), "\xc3\xa9"
                            "A");
+}
+
+TEST(Json, EveryEscapeAndExponentRoundTrips) {
+  auto V = parse("[\"\\b\\f\\r\\/\\u20AC\", 1.5e3, -2E-1, 7e+0]");
+  ASSERT_TRUE(V.hasValue()) << V.error().message();
+  EXPECT_EQ(V->at(0).asString(), "\b\f\r/\xe2\x82\xac");
+  EXPECT_DOUBLE_EQ(V->at(1).asDouble(), 1500.0);
+  EXPECT_DOUBLE_EQ(V->at(2).asDouble(), -0.2);
+  EXPECT_DOUBLE_EQ(V->at(3).asDouble(), 7.0);
+  EXPECT_EQ(Value(std::string("\b\f\r")).dump(), "\"\\b\\f\\r\"");
+}
+
+TEST(Json, ParseNamesWhatIsMalformed) {
+  // Outside input (BENCH files, committed results): each error path says
+  // what it expected.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"{\"a\":1 \"b\":2}", "expected ',' or '}' in object"},
+      {"[1 2]", "expected ',' or ']' in array"},
+      {"{\"\\q\":1}", "unknown escape"},
+      {"\"\\u12\"", "truncated \\u escape"},
+      {"\"\\u12G4\"", "bad hex digit in \\u escape"},
+      {"-", "malformed number"},
+      {"1e", "malformed number"},
+  };
+  for (const auto &[Text, Want] : Cases) {
+    auto V = parse(Text);
+    ASSERT_FALSE(V.hasValue()) << "accepted: " << Text;
+    EXPECT_NE(V.error().message().find(Want), std::string::npos)
+        << Text << ": " << V.error().message();
+  }
 }
 
 TEST(Json, NonFiniteNumbersSerializeAsNull) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "support/Json.hpp"
 
@@ -72,24 +74,25 @@ TEST_F(TraceTest, DrainEmitsOneValidJsonObjectPerLineAndClears) {
   T.setEnabled(true);
   T.instant("opt", "kernel-cache.hit");
   T.span("frontend", "codegen", 17, {{"insts", 123}});
+  T.counter("vgpu", "teams", 4);
   std::ostringstream OS;
   T.drain(OS);
   EXPECT_EQ(T.size(), 0u);
 
   std::istringstream In(OS.str());
   std::string Line;
-  std::size_t Lines = 0;
+  std::vector<std::string> Kinds;
   while (std::getline(In, Line)) {
-    ++Lines;
     auto Doc = json::parse(Line);
     ASSERT_TRUE(Doc.hasValue()) << "not JSON: " << Line;
     ASSERT_TRUE(Doc->isObject());
     EXPECT_TRUE(Doc->has("seq"));
-    EXPECT_TRUE(Doc->has("kind"));
+    ASSERT_TRUE(Doc->has("kind"));
     EXPECT_TRUE(Doc->has("cat"));
     EXPECT_TRUE(Doc->has("name"));
+    Kinds.push_back(Doc->find("kind")->asString());
   }
-  EXPECT_EQ(Lines, 2u);
+  EXPECT_EQ(Kinds, (std::vector<std::string>{"instant", "span", "counter"}));
 }
 
 TEST_F(TraceTest, TenantScopeStampsAndRestores) {

@@ -4,14 +4,15 @@
 // the tree and bytecode backends (pinned per device with
 // VirtualGPU::setExecBackend) and must produce bit-identical memory (read
 // back after failed launches too), metrics, profiles, and trap messages.
-// The trap-verdict cases run under the native backend too, which must stop
-// with the same message (it models no ALU cycles, so only the verdict is
-// compared there). The suite doubles as a regression net for the
-// ir/Eval.hpp wrapping arithmetic — the cases below (INT64_MIN / -1,
-// overflow wrap, shifts at the type width, i32 canonicalization,
-// float-to-int saturation) are exactly the ones that were UB before the
-// shared evaluators existed, so the whole file is also run under
-// -DCODESIGN_SANITIZE=undefined (ctest -L ubsan).
+// The runAllBackends cases run under every registered backend: native must
+// stop with the same message and leave the same memory (it models no ALU
+// cycles, so only the verdict, the output bytes and the team model's
+// barrier and malloc counts are compared there). The suite doubles as a
+// regression net for the ir/Eval.hpp wrapping arithmetic — the cases below
+// (INT64_MIN / -1, overflow wrap, shifts at the type width, i32
+// canonicalization, float-to-int saturation) are exactly the ones that
+// were UB before the shared evaluators existed, so the whole file is also
+// run under -DCODESIGN_SANITIZE=undefined (ctest -L ubsan).
 // tests/opt/test_value_semantics.cpp covers every value operation.
 //
 //===----------------------------------------------------------------------===//
@@ -24,6 +25,7 @@
 #include <functional>
 #include <limits>
 
+#include "exec/Backend.hpp"
 #include "ir/IRBuilder.hpp"
 #include "ir/Verifier.hpp"
 
@@ -129,16 +131,34 @@ TierRun runBothTiers(const std::function<void(Module &)> &Build,
   return BC;
 }
 
-/// runBothTiers for a single-team trap-verdict case, plus the native
-/// backend, which must reach the same verdict with the same message.
+/// Whether Backend runs the cycle cost model (native charges none).
+bool modelsCycles(std::string_view Backend) { return Backend != "native"; }
+
+/// Run under every registered backend with the tree run as the oracle: a
+/// backend that models cycles must match it in full (expectTierIdentical);
+/// native must reach the same verdict with the same trap text, leave the
+/// same output bytes and count the same barriers and device mallocs, which
+/// the shared team model charges on every backend. Returns the tree run.
 TierRun runAllBackends(const std::function<void(Module &)> &Build,
                        const std::string &Kernel, std::uint64_t BufBytes,
-                       std::uint32_t Threads = 1) {
-  TierRun BC = runBothTiers(Build, Kernel, BufBytes, {}, 1, Threads);
-  TierRun Native = runTier("native", Build, Kernel, BufBytes, {}, 1, Threads);
-  EXPECT_EQ(BC.LR.Ok, Native.LR.Ok) << "native: " << Native.LR.Error;
-  EXPECT_EQ(BC.LR.Error, Native.LR.Error);
-  return BC;
+                       std::uint32_t Threads = 1, std::uint32_t Teams = 1) {
+  TierRun Tree = runTier("tree", Build, Kernel, BufBytes, {}, Teams, Threads);
+  for (const std::string &Name : exec::BackendRegistry::global().names()) {
+    if (Name == "tree")
+      continue;
+    SCOPED_TRACE(Name);
+    TierRun R = runTier(Name, Build, Kernel, BufBytes, {}, Teams, Threads);
+    if (modelsCycles(Name)) {
+      expectTierIdentical(Tree, R);
+      continue;
+    }
+    EXPECT_EQ(Tree.LR.Ok, R.LR.Ok) << Name << ": " << R.LR.Error;
+    EXPECT_EQ(Tree.LR.Error, R.LR.Error);
+    EXPECT_EQ(Tree.Out, R.Out) << "output memory must be bit-identical";
+    EXPECT_EQ(Tree.LR.Metrics.Barriers, R.LR.Metrics.Barriers);
+    EXPECT_EQ(Tree.LR.Metrics.DeviceMallocs, R.LR.Metrics.DeviceMallocs);
+  }
+  return Tree;
 }
 
 std::int64_t loadI64(const TierRun &R, std::size_t Slot) {
@@ -586,6 +606,261 @@ TEST(BytecodeTier, CallsAtomicsAndIndirectDispatchMatch) {
   for (std::int64_t T = 0; T < 32; ++T)
     Want += T * T;
   EXPECT_EQ(loadI64(R, 0), 2 * Want);
+}
+
+TEST(BytecodeTier, DeviceMallocFreeRoundTrip) {
+  // Every lane mallocs 16 bytes, writes and reads back both words, frees
+  // the block, and stores the sum: out[gid] = 4 * gid + 1. A malloc of 0
+  // bytes counts but yields null: out[8 + gid] = 1.
+  TierRun R = runAllBackends(
+      [](Module &M) {
+        Function *K = M.createFunction("mf", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        BasicBlock *Entry = K->createBlock("entry");
+        BasicBlock *Got = K->createBlock("got");
+        BasicBlock *Null = K->createBlock("null");
+        IRBuilder B(M);
+        B.setInsertPoint(Entry);
+        Value *Gid = B.add(B.mul(B.zext(B.blockId(), Type::i64()),
+                                 B.zext(B.blockDim(), Type::i64())),
+                           B.zext(B.threadId(), Type::i64()));
+        Value *Slot = B.gep(K->arg(0), B.mul(Gid, B.i64(8)));
+        Value *Empty = B.mallocOp(B.i64(0));
+        B.store(B.zext(B.icmpEQ(B.ptrToInt(Empty), B.i64(0)), Type::i64()),
+                B.gep(Slot, 8 * 8));
+        Value *P = B.mallocOp(B.i64(16));
+        B.condBr(B.icmpEQ(B.ptrToInt(P), B.i64(0)), Null, Got);
+        B.setInsertPoint(Got);
+        B.store(B.add(B.mul(Gid, B.i64(3)), B.i64(1)), P);
+        B.store(Gid, B.gep(P, 8));
+        Value *Sum = B.add(B.load(Type::i64(), P),
+                           B.load(Type::i64(), B.gep(P, 8)));
+        B.freeOp(P);
+        B.store(Sum, Slot);
+        B.retVoid();
+        B.setInsertPoint(Null);
+        B.store(B.i64(-1), Slot);
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "mf", 16 * 8, /*Threads=*/4, /*Teams=*/2);
+  ASSERT_TRUE(R.LR.Ok) << R.LR.Error;
+  EXPECT_EQ(R.LR.Metrics.DeviceMallocs, 16u);
+  for (std::size_t Gid = 0; Gid < 8; ++Gid) {
+    EXPECT_EQ(loadI64(R, Gid), static_cast<std::int64_t>(4 * Gid + 1))
+        << "gid " << Gid;
+    EXPECT_EQ(loadI64(R, 8 + Gid), 1) << "gid " << Gid;
+  }
+}
+
+TEST(BytecodeTier, AtomicOpsMatchTheEvaluator) {
+  // Lane 0 walks every AtomicOp over an i64 and an i32 word and records
+  // each old value; then every lane of two teams contends with Add, Max
+  // and Min (signed) on three shared global words.
+  TierRun R = runAllBackends(
+      [](Module &M) {
+        Function *K = M.createFunction("at", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        BasicBlock *Entry = K->createBlock("entry");
+        BasicBlock *Walk = K->createBlock("walk");
+        BasicBlock *Contend = K->createBlock("contend");
+        IRBuilder B(M);
+        B.setInsertPoint(Entry);
+        Value *Gid = B.add(B.mul(B.zext(B.blockId(), Type::i64()),
+                                 B.zext(B.blockDim(), Type::i64())),
+                           B.zext(B.threadId(), Type::i64()));
+        B.condBr(B.icmpEQ(Gid, B.i64(0)), Walk, Contend);
+        B.setInsertPoint(Walk);
+        Value *W = K->arg(0);
+        Value *W32 = B.gep(K->arg(0), 14 * 8);
+        B.store(B.i64(10), W);
+        B.store(B.i32(std::numeric_limits<std::int32_t>::max()), W32);
+        storeAll(B, B.gep(K->arg(0), 8),
+                 {B.atomicRMW(AtomicOp::Add, W, B.i64(5)),
+                  B.atomicRMW(AtomicOp::Max, W, B.i64(20)),
+                  B.atomicRMW(AtomicOp::Max, W, B.i64(-3)),
+                  B.atomicRMW(AtomicOp::Min, W, B.i64(-3)),
+                  B.atomicRMW(AtomicOp::Min, W, B.i64(7)),
+                  B.atomicRMW(AtomicOp::Exchange, W, B.i64(42)),
+                  B.sext(B.atomicRMW(AtomicOp::Add, W32, B.i32(1)),
+                         Type::i64()),
+                  B.sext(B.atomicRMW(AtomicOp::Max, W32, B.i32(-5)),
+                         Type::i64()),
+                  B.sext(B.atomicRMW(AtomicOp::Min, W32, B.i32(-5)),
+                         Type::i64()),
+                  B.sext(B.atomicRMW(AtomicOp::Exchange, W32, B.i32(9)),
+                         Type::i64())});
+        B.br(Contend);
+        B.setInsertPoint(Contend);
+        B.atomicRMW(AtomicOp::Add, B.gep(K->arg(0), 11 * 8), Gid);
+        B.atomicRMW(AtomicOp::Max, B.gep(K->arg(0), 12 * 8),
+                    B.sub(Gid, B.i64(3)));
+        B.atomicRMW(AtomicOp::Min, B.gep(K->arg(0), 13 * 8),
+                    B.sub(Gid, B.i64(3)));
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "at", 15 * 8, /*Threads=*/4, /*Teams=*/2);
+  ASSERT_TRUE(R.LR.Ok) << R.LR.Error;
+  constexpr std::int64_t I32Max = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t I32Min = std::numeric_limits<std::int32_t>::min();
+  const std::int64_t Want[] = {42,     10,     15, 20, 20, -3, -3,
+                               I32Max, I32Min, -5, -5, 28, 4,  -3};
+  for (std::size_t Slot = 0; Slot < std::size(Want); ++Slot)
+    EXPECT_EQ(loadI64(R, Slot), Want[Slot]) << "slot " << Slot;
+  EXPECT_EQ(loadU64(R, 14), 9u) << "the i32 word after Exchange";
+}
+
+TEST(BytecodeTier, IndirectCallTrapsMatch) {
+  // The three ways a call can fail at run time: a callee address that is
+  // no function, a callee with no body, and an argument count the callee
+  // does not take (the address comes back from memory, so the verifier
+  // cannot see the callee).
+  struct Case {
+    const char *Trap;
+    std::function<void(IRBuilder &, Module &, Function *)> Call;
+  };
+  const std::vector<Case> Cases = {
+      {"thread 0 of team 0: indirect call to a non-function address",
+       [](IRBuilder &B, Module &, Function *K) {
+         B.callIndirect(Type::voidTy(), K->arg(0), {});
+       }},
+      {"thread 0 of team 0: call to unresolved external function 'ext'",
+       [](IRBuilder &B, Module &M, Function *) {
+         B.call(M.createFunction("ext", Type::i64(), {}), {});
+       }},
+      {"thread 0 of team 0: indirect call argument count mismatch for "
+       "'work'",
+       [](IRBuilder &B, Module &M, Function *K) {
+         Function *Work =
+             M.createFunction("work", Type::i64(), {Type::i64()});
+         Work->addAttr(FnAttr::Internal);
+         BasicBlock *At = B.insertBlock();
+         B.setInsertPoint(Work->createBlock("entry"));
+         B.ret(Work->arg(0));
+         B.setInsertPoint(At);
+         B.store(Work->asValue(), K->arg(0));
+         B.callIndirect(Type::i64(), B.load(Type::ptr(), K->arg(0)), {});
+       }},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Trap);
+    TierRun R = runAllBackends(
+        [&C](Module &M) {
+          Function *K = M.createFunction("k", Type::voidTy(), {Type::ptr()});
+          K->addAttr(FnAttr::Kernel);
+          IRBuilder B(M);
+          B.setInsertPoint(K->createBlock("entry"));
+          C.Call(B, M, K);
+          B.retVoid();
+          ASSERT_TRUE(verifyModule(M).empty());
+        },
+        "k", 8);
+    EXPECT_EQ(R.LR.Error, C.Trap);
+  }
+}
+
+TEST(BytecodeTier, UnverifiedModuleStructuralTrapsMatch) {
+  // Modules the verifier rejects still load; each malformed shape traps
+  // the lane with the tree walker's message on every backend.
+  struct Case {
+    const char *Trap;
+    std::function<void(IRBuilder &, Function *)> Body; ///< from "entry"
+  };
+  const std::vector<Case> Cases = {
+      {"thread 0 of team 0: phi has no incoming value for predecessor",
+       [](IRBuilder &B, Function *K) {
+         BasicBlock *Join = K->createBlock("join");
+         BasicBlock *Other = K->createBlock("other");
+         B.br(Join);
+         B.setInsertPoint(Other);
+         B.br(Join);
+         B.setInsertPoint(Join);
+         Instruction *P = B.phi(Type::i64());
+         P->addIncoming(B.i64(7), Other);
+         B.store(P, K->arg(0));
+         B.retVoid();
+       }},
+      {"thread 0 of team 0: fell off the end of a basic block",
+       [](IRBuilder &B, Function *K) { B.store(B.i64(1), K->arg(0)); }},
+      {"thread 0 of team 0: phi encountered mid-block",
+       [](IRBuilder &B, Function *K) {
+         B.store(B.i64(1), K->arg(0));
+         B.phi(Type::i64());
+         B.retVoid();
+       }},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Trap);
+    TierRun R = runAllBackends(
+        [&C](Module &M) {
+          Function *K = M.createFunction("k", Type::voidTy(), {Type::ptr()});
+          K->addAttr(FnAttr::Kernel);
+          IRBuilder B(M);
+          B.setInsertPoint(K->createBlock("entry"));
+          C.Body(B, K);
+          ASSERT_FALSE(verifyModule(M).empty());
+        },
+        "k", 8);
+    EXPECT_EQ(R.LR.Error, C.Trap);
+  }
+  // A phi at kernel entry has no predecessor to select by. Native assigns
+  // phis on CFG edges only and has no entry edge, so it does not trap
+  // here; the interpreters do.
+  TierRun R = runBothTiers(
+      [](Module &M) {
+        Function *K = M.createFunction("k", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        IRBuilder B(M);
+        BasicBlock *Entry = K->createBlock("entry");
+        B.setInsertPoint(Entry);
+        Instruction *P = B.phi(Type::i64());
+        P->addIncoming(B.i64(7), Entry);
+        B.store(P, K->arg(0));
+        B.retVoid();
+        ASSERT_FALSE(verifyModule(M).empty());
+      },
+      "k", 8);
+  EXPECT_EQ(R.LR.Error,
+            "thread 0 of team 0: phi has no incoming value for predecessor");
+}
+
+TEST(BytecodeTier, SharedStoreAfterReadRaceVerdictIdentical) {
+  // Both lanes read the cell, then lane 1 writes it in the same barrier
+  // interval: the detector reports the store against lane 0's read.
+  const auto Build = [](Module &M) {
+    GlobalVariable *Cell = M.createGlobal("cell", AddrSpace::Shared, 8);
+    Function *K = M.createFunction("war", Type::voidTy(), {Type::ptr()});
+    K->addAttr(FnAttr::Kernel);
+    BasicBlock *Entry = K->createBlock("entry");
+    BasicBlock *Write = K->createBlock("write");
+    BasicBlock *Done = K->createBlock("done");
+    IRBuilder B(M);
+    B.setInsertPoint(Entry);
+    Value *Tid = B.threadId();
+    Value *V = B.load(Type::i64(), Cell);
+    B.condBr(B.icmpEQ(Tid, B.i32(1)), Write, Done);
+    B.setInsertPoint(Write);
+    B.store(B.add(V, B.i64(1)), Cell);
+    B.br(Done);
+    B.setInsertPoint(Done);
+    B.retVoid();
+    ASSERT_TRUE(verifyModule(M).empty());
+  };
+  TierRun R = runBothTiers(Build, "war", 8, {}, /*Teams=*/1, /*Threads=*/2,
+                           /*DetectRaces=*/true);
+  EXPECT_EQ(R.LR.Error,
+            "thread 1 of team 0: shared-memory race: store at shared offset "
+            "0 by thread 1 conflicts with a read by thread 0 in the same "
+            "barrier interval");
+  // Native carries no shadow memory and refuses to bind the kernel.
+  TierRun Native = runTier("native", Build, "war", 8, {}, 1, 2,
+                           /*DetectRaces=*/true);
+  EXPECT_FALSE(Native.LR.Ok);
+  EXPECT_NE(Native.LR.Error.find("DetectRaces needs shadow-memory "
+                                 "instrumentation"),
+            std::string::npos)
+      << Native.LR.Error;
 }
 
 } // namespace

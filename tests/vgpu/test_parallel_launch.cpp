@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "exec/Backend.hpp"
 #include "ir/IRBuilder.hpp"
 #include "ir/Verifier.hpp"
 
@@ -100,8 +101,8 @@ TEST(ParallelLaunch, MetricsBitIdenticalToSerial) {
 }
 
 TEST(ParallelLaunch, TrapReportsLowestTeamLikeSerial) {
-  // Team-dependent trap: every odd team executes unreachable. Serial stops
-  // at team 1; the parallel merge must report the same team.
+  // Team-dependent trap: every odd team loads through a null pointer.
+  // Serial stops at team 1; the parallel merge must report the same team.
   auto RunWith = [&](std::uint32_t HostThreads) {
     Module M;
     Function *K = M.createFunction("trap_odd", Type::voidTy(), {});
@@ -115,7 +116,8 @@ TEST(ParallelLaunch, TrapReportsLowestTeamLikeSerial) {
                           B.i64(1));
     B.condBr(Odd, Bad, Ok);
     B.setInsertPoint(Bad);
-    B.unreachable();
+    B.load(Type::i64(), M.nullPtr());
+    B.retVoid();
     B.setInsertPoint(Ok);
     B.retVoid();
     VirtualGPU GPU(withHostThreads(HostThreads));
@@ -131,7 +133,8 @@ TEST(ParallelLaunch, TrapReportsLowestTeamLikeSerial) {
 }
 
 TEST(ParallelLaunch, DeviceMallocExhaustionYieldsNullNotAbort) {
-  // Kernel: p = malloc(huge); out[0] = (p == null).
+  // Kernel: p = malloc(huge); out[0] = (p == null). Every backend allocates
+  // through the shared team model.
   Module M;
   Function *K = M.createFunction("oom", Type::voidTy(), {Type::ptr()});
   K->addAttr(FnAttr::Kernel);
@@ -142,15 +145,19 @@ TEST(ParallelLaunch, DeviceMallocExhaustionYieldsNullNotAbort) {
   B.store(B.zext(IsNull, Type::i64()), K->arg(0));
   B.retVoid();
   ASSERT_TRUE(verifyModule(M).empty());
-  VirtualGPU GPU(withHostThreads(2));
-  auto Image = GPU.loadImage(M);
-  DeviceAddr Out = GPU.allocate(8);
-  std::uint64_t Args[] = {Out.Bits};
-  LaunchResult R = GPU.launch(*Image, "oom", Args, 1, 1);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  std::uint64_t Flag = 0;
-  GPU.read(Out, std::span(reinterpret_cast<std::uint8_t *>(&Flag), 8));
-  EXPECT_EQ(Flag, 1u) << "device malloc OOM must return null";
+  for (const std::string &Backend : exec::BackendRegistry::global().names()) {
+    SCOPED_TRACE(Backend);
+    VirtualGPU GPU(withHostThreads(2));
+    ASSERT_TRUE(GPU.setExecBackend(Backend).hasValue());
+    auto Image = GPU.loadImage(M);
+    DeviceAddr Out = GPU.allocate(8);
+    std::uint64_t Args[] = {Out.Bits};
+    LaunchResult R = GPU.launch(*Image, "oom", Args, 1, 1);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    std::uint64_t Flag = 0;
+    GPU.read(Out, std::span(reinterpret_cast<std::uint8_t *>(&Flag), 8));
+    EXPECT_EQ(Flag, 1u) << "device malloc OOM must return null";
+  }
 }
 
 TEST(ParallelLaunchDeathTest, ForkedChildLaunchesAfterWorkersStarted) {

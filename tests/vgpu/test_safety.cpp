@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "exec/Backend.hpp"
 #include "ir/IRBuilder.hpp"
 #include "ir/Verifier.hpp"
 
@@ -85,27 +86,46 @@ TEST(Safety, ViolatedAssumeCaughtInDebug) {
   B.setInsertPoint(K->createBlock("entry"));
   B.assume(B.icmpSLT(K->arg(0), B.i64(10)));
   B.retVoid();
-  VirtualGPU GPU;
-  auto Image = GPU.loadImage(M);
-  std::uint64_t Bad[] = {std::uint64_t(50)};
-  LaunchResult R = GPU.launch(*Image, "assuming", Bad, 1, 1);
-  ASSERT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("assumption"), std::string::npos);
+  for (const std::string &Backend : exec::BackendRegistry::global().names()) {
+    SCOPED_TRACE(Backend);
+    VirtualGPU GPU;
+    ASSERT_TRUE(GPU.setExecBackend(Backend).hasValue());
+    auto Image = GPU.loadImage(M);
+    std::uint64_t Bad[] = {std::uint64_t(50)};
+    LaunchResult R = GPU.launch(*Image, "assuming", Bad, 1, 1);
+    ASSERT_FALSE(R.Ok);
+    EXPECT_EQ(R.Error, "thread 0 of team 0: compiler assumption violated at "
+                       "runtime (in @assuming, block 'entry')");
+    std::uint64_t Good[] = {std::uint64_t(5)};
+    EXPECT_TRUE(GPU.launch(*Image, "assuming", Good, 1, 1).Ok);
+  }
 }
 
 TEST(Safety, NullDereferenceTraps) {
+  // A load and an atomic through null, on every backend.
   Module M;
-  Function *K = M.createFunction("nullderef", Type::voidTy(), {});
-  K->addAttr(FnAttr::Kernel);
   IRBuilder B(M);
-  B.setInsertPoint(K->createBlock("entry"));
+  Function *Load = M.createFunction("nullderef", Type::voidTy(), {});
+  Load->addAttr(FnAttr::Kernel);
+  B.setInsertPoint(Load->createBlock("entry"));
   B.load(Type::i64(), B.nullPtr());
   B.retVoid();
-  VirtualGPU GPU;
-  auto Image = GPU.loadImage(M);
-  LaunchResult R = GPU.launch(*Image, "nullderef", {}, 1, 1);
-  ASSERT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("null pointer"), std::string::npos);
+  Function *Atomic = M.createFunction("nullatomic", Type::voidTy(), {});
+  Atomic->addAttr(FnAttr::Kernel);
+  B.setInsertPoint(Atomic->createBlock("entry"));
+  B.atomicRMW(AtomicOp::Add, B.nullPtr(), B.i64(1));
+  B.retVoid();
+  for (const std::string &Backend : exec::BackendRegistry::global().names()) {
+    SCOPED_TRACE(Backend);
+    VirtualGPU GPU;
+    ASSERT_TRUE(GPU.setExecBackend(Backend).hasValue());
+    auto Image = GPU.loadImage(M);
+    for (const char *Kernel : {"nullderef", "nullatomic"}) {
+      LaunchResult R = GPU.launch(*Image, Kernel, {}, 1, 1);
+      ASSERT_FALSE(R.Ok) << Kernel;
+      EXPECT_EQ(R.Error, "thread 0 of team 0: null pointer dereference");
+    }
+  }
 }
 
 TEST(Safety, DivisionByZeroTraps) {
