@@ -132,7 +132,7 @@ public:
       Row.set("backend", json::Value(R.Backend));
     Row.set("output_hash", json::Value(R.OutputHash));
     Row.set("compile", timingJson(R.Compile));
-    if (R.Profile.Collected)
+    if (R.Ok)
       Row.set("profile", profileJson(R.Profile));
   }
 

@@ -62,7 +62,6 @@ int main() {
 
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::XSBenchConfig Cfg;
     Cfg.NLookups = smokeSize<std::uint64_t>(8192, 512);
     Cfg.Teams = smokeSize<std::uint32_t>(64, 8);
@@ -73,7 +72,6 @@ int main() {
   }
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::RSBenchConfig Cfg;
     Cfg.Teams = smokeSize<std::uint32_t>(128, 8);
     Cfg.Threads = smokeSize<std::uint32_t>(64, 16);
@@ -86,7 +84,6 @@ int main() {
   }
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::TestSNAPConfig Cfg;
     Cfg.NAtoms = smokeSize<std::uint32_t>(128, 16);
     Cfg.Teams = smokeSize<std::uint32_t>(64, 8);
@@ -96,7 +93,6 @@ int main() {
   }
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::MiniFMMConfig Cfg;
     Cfg.Teams = smokeSize<std::uint32_t>(32, 4);
     apps::MiniFMM App(GPU, Cfg);

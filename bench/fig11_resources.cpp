@@ -38,7 +38,6 @@ int main() {
 
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::XSBenchConfig Cfg;
     Cfg.NLookups = smokeSize<std::uint64_t>(4096, 512);
     Cfg.Teams = smokeSize<std::uint32_t>(32, 8);
@@ -50,7 +49,6 @@ int main() {
   }
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::RSBenchConfig Cfg;
     Cfg.Teams = smokeSize<std::uint32_t>(64, 8);
     Cfg.Threads = smokeSize<std::uint32_t>(64, 16);
@@ -62,7 +60,6 @@ int main() {
   }
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::GridMiniConfig Cfg;
     Cfg.Volume = smokeSize<std::uint64_t>(4096, 512);
     Cfg.Teams = smokeSize<std::uint32_t>(32, 4);
@@ -74,7 +71,6 @@ int main() {
   }
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::TestSNAPConfig Cfg;
     Cfg.NAtoms = smokeSize<std::uint32_t>(128, 16);
     Cfg.Teams = smokeSize<std::uint32_t>(64, 8);
@@ -85,7 +81,6 @@ int main() {
   }
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::MiniFMMConfig Cfg;
     Cfg.Teams = smokeSize<std::uint32_t>(32, 4);
     apps::MiniFMM App(GPU, Cfg);

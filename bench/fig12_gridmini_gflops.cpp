@@ -26,7 +26,6 @@ int main() {
                   : std::vector<std::uint64_t>{1024, 4096, 16384};
   for (std::uint64_t Volume : Volumes) {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::GridMiniConfig Cfg;
     Cfg.Volume = Volume;
     Cfg.Teams = static_cast<std::uint32_t>(Volume / 128);

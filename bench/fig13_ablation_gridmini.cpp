@@ -54,7 +54,6 @@ int main() {
   banner("Figure 13", "GridMini with one optimization disabled at a time");
   BenchReport Report("fig13_ablation_gridmini");
   vgpu::VirtualGPU GPU;
-  GPU.setProfiling(true);
   apps::GridMiniConfig Cfg;
   // Enough teams per SM that occupancy (gated by surviving runtime state)
   // shows up in wall time, as on the real GPU.

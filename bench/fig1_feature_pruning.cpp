@@ -56,7 +56,6 @@ int main() {
          "feature pruning and zero-overhead debugging");
   BenchReport Report("fig1_feature_pruning");
   vgpu::VirtualGPU GPU;
-  GPU.setProfiling(true);
   const std::int64_t BodyId = registerBody(GPU);
 
   struct Row {
@@ -119,8 +118,7 @@ int main() {
     Row.set("compile", BenchReport::timingJson(CK->Timing));
     if (LR && LR->Ok) {
       Row.set("cycles", json::Value(LR->Metrics.KernelCycles));
-      if (LR->Profile.Collected)
-        Row.set("profile", BenchReport::profileJson(LR->Profile));
+      Row.set("profile", BenchReport::profileJson(LR->Profile));
     }
 
     (void)Mapped;

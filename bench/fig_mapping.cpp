@@ -235,7 +235,6 @@ int main() {
   Report.config().set("launches", json::Value(std::uint64_t(AccumIters) + 2));
 
   vgpu::VirtualGPU GPU;
-  GPU.setProfiling(true);
   const PipelineOps Ops = registerOps(GPU);
 
   frontend::KernelCache::global().clear();
@@ -361,8 +360,8 @@ int main() {
                     TierName, static_cast<unsigned long long>(NaiveBytes),
                     static_cast<unsigned long long>(TotalBytes), Reduction);
       }
-      // The tenant's last profile belongs to the most recent submitLaunch,
-      // so only the naive rows may claim it.
+      // Only the naive rows carry a profile: the tenant's last one, read
+      // right after the naive run's final submitLaunch.
       if (!Inferred)
         if (auto P = Svc.lastProfile(Tenant))
           Row.set("profile", BenchReport::profileJson(*P));

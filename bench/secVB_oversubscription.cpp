@@ -22,7 +22,6 @@ int main() {
   banner("Section V-B", "loop over-subscription assumption effects (XSBench)");
   BenchReport Report("secVB_oversubscription");
   vgpu::VirtualGPU GPU;
-  GPU.setProfiling(true);
   apps::XSBenchConfig Cfg;
   // NLookups == Teams * Threads: one iteration per thread.
   Cfg.Teams = smokeSize<std::uint32_t>(64, 8);
@@ -115,7 +114,7 @@ int main() {
     JRow.set("regs", json::Value(std::uint64_t(CK->Stats.Registers)));
     JRow.set("smem_bytes", json::Value(CK->Stats.SharedMemBytes));
     JRow.set("compile", BenchReport::timingJson(CK->Timing));
-    if (R.Profile.Collected)
+    if (R.Ok)
       JRow.set("profile", BenchReport::profileJson(R.Profile));
   }
   T2.print(std::cout);

@@ -76,7 +76,6 @@ int main() {
   BenchReport Report("secVC_optimization_effects");
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::XSBenchConfig Cfg;
     // Enough teams per SM that surviving runtime state gates occupancy.
     Cfg.Teams = smokeSize<std::uint32_t>(128, 8);
@@ -87,7 +86,6 @@ int main() {
   }
   {
     vgpu::VirtualGPU GPU;
-    GPU.setProfiling(true);
     apps::MiniFMMConfig Cfg;
     Cfg.Teams = smokeSize<std::uint32_t>(32, 4);
     apps::MiniFMM App(GPU, Cfg);

@@ -106,7 +106,6 @@ int main() {
   Report.config().set("n", json::Value(N));
 
   vgpu::VirtualGPU GPU;
-  GPU.setProfiling(true);
   const std::int64_t SaxpyId = GPU.registry().add(vgpu::NativeOpInfo{
       "saxpy_element",
       [](vgpu::NativeCtx &Ctx) {

@@ -67,7 +67,7 @@ struct AppRunResult {
   vgpu::LaunchMetrics Metrics;
   vgpu::KernelStaticStats Stats;
   /// Launch profile (op classes, byte traffic, barrier waits, team
-  /// imbalance); Collected only when the device had profiling enabled.
+  /// imbalance); filled when the launch succeeded.
   vgpu::LaunchProfile Profile;
   /// Per-phase compile timing; populated only when tracing is enabled.
   frontend::CompilePhaseTiming Compile;

@@ -10,9 +10,14 @@
 // backend only supplies two hooks, mirroring Halide's CodeGen_GPU_Dev split
 // (add_kernel / compile):
 //
-//   bindKernel     one-time per-(image, kernel) work: legality checks, the
-//                  module's lowering or compile, a launchable handle
-//   runTeam        execute one team (called concurrently for distinct teams)
+//   bindKernel     one-time per-(image, kernel) work: legality checks and
+//                  everything the backend derives from the image (the tree
+//                  walker's slot layouts, the bytecode lowering and its
+//                  resolved constant pools, the native compile), kept in
+//                  the image's launch plan as the bound kernel
+//   runTeam        execute one team (called concurrently for distinct
+//                  teams) and return its outcome: its error, its cycles and
+//                  its counters, which the engine folds into the result
 //
 // A device (VirtualGPU) resolves its backend's registry name once, when it
 // is built or re-pointed, and launches through that backend instead of
@@ -42,12 +47,9 @@ struct LaunchEnv {
   const vgpu::NativeRegistry &Registry;
 };
 
-/// Outcome of one team's execution. Metrics/profile accumulate into the
-/// per-team shards the launch engine hands to runTeam.
-using TeamOutcome = vgpu::TeamRunOutcome;
-
 /// A kernel bound by a backend for execution: whatever per-(image, kernel)
-/// state runTeam needs (resolved constant pools, dlopen'd symbols, ...).
+/// state runTeam needs (slot layouts, resolved constant pools, dlopen'd
+/// symbols, ...).
 class BoundKernel {
 public:
   virtual ~BoundKernel() = default;
@@ -72,15 +74,13 @@ public:
   bindKernel(const vgpu::ModuleImage &Image, const ir::Function *Kernel,
              const LaunchEnv &Env) = 0;
 
-  /// Execute one team. Called concurrently for distinct teams; Metrics and
-  /// Profile are this team's private shards.
-  virtual void runTeam(BoundKernel &Bound, const LaunchEnv &Env,
-                       const vgpu::ModuleImage &Image,
-                       const ir::Function *Kernel,
-                       std::span<const std::uint64_t> Args,
-                       std::uint32_t TeamId, std::uint32_t NumTeams,
-                       std::uint32_t NumThreads, vgpu::LaunchMetrics &Metrics,
-                       vgpu::LaunchProfile *Profile, TeamOutcome &Out) = 0;
+  /// Execute one team and return its outcome. Called concurrently for
+  /// distinct teams.
+  virtual vgpu::TeamRunOutcome
+  runTeam(BoundKernel &Bound, const LaunchEnv &Env,
+          const vgpu::ModuleImage &Image, const ir::Function *Kernel,
+          std::span<const std::uint64_t> Args, std::uint32_t TeamId,
+          std::uint32_t NumTeams, std::uint32_t NumThreads) = 0;
 };
 
 /// Name-indexed registry of execution backends. The global() instance is
@@ -110,8 +110,8 @@ private:
 
 /// Execute a launch through backend B: validate, find or build the image's
 /// launch plan (stats + bound kernel), compute occupancy, fan teams out on
-/// the process's executor and merge the per-team shards in team-ID order
-/// (bit-identical to a serial run).
+/// the process's executor and fold their outcomes into the result in
+/// team-ID order (bit-identical to a serial run).
 [[nodiscard]] vgpu::LaunchResult
 launch(Backend &B, const LaunchEnv &Env, const vgpu::ModuleImage &Image,
        const ir::Function *Kernel, std::span<const std::uint64_t> Args,

@@ -4,13 +4,15 @@
 // old vgpu::KernelLauncher: argument/geometry validation, the occupancy
 // calculation linking Figure 11's resource columns to Figure 10's kernel
 // times, the launch plan kept on the image, the parallel team fan-out on
-// the process's executor, and the deterministic merge of per-team metric
-// shards in team-ID order. Backends only supply bindKernel/runTeam.
+// the process's executor, and the deterministic fold of the teams'
+// outcomes into the launch result in team-ID order. Backends only supply
+// bindKernel/runTeam.
 //
 //===----------------------------------------------------------------------===//
 #include "exec/Backend.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "exec/BuiltinBackends.hpp"
 #include "support/ThreadPool.hpp"
@@ -71,10 +73,48 @@ std::vector<std::string> BackendRegistry::names() const {
 //===----------------------------------------------------------------------===//
 
 using vgpu::KernelStaticStats;
-using vgpu::LaunchMetrics;
-using vgpu::LaunchProfile;
 using vgpu::LaunchResult;
 using vgpu::ModuleImage;
+using vgpu::TeamRunOutcome;
+
+namespace {
+
+/// The outcome array of the last launch this host thread finished. The
+/// next launch on the thread takes it over; a launch nested in a team
+/// finds it taken and allocates its own.
+thread_local std::vector<TeamRunOutcome> SpareOutcomes;
+
+/// Fold one team's outcome into the launch result: its counters into the
+/// metrics and the profile, its cycles into the team distribution.
+void addTeam(LaunchResult &R, const TeamRunOutcome &T) {
+  const vgpu::HotCounters &C = T.Counters;
+  vgpu::LaunchMetrics &M = R.Metrics;
+  M.DynamicInstructions += C.DynamicInstructions;
+  M.GlobalLoads += C.GlobalLoads;
+  M.GlobalStores += C.GlobalStores;
+  M.SharedLoads += C.SharedLoads;
+  M.SharedStores += C.SharedStores;
+  M.LocalAccesses += C.LocalAccesses;
+  M.Atomics += C.Atomics;
+  M.Barriers += C.Barriers;
+  M.Calls += C.Calls;
+  M.NativeCycles += C.NativeCycles;
+  M.DeviceMallocs += C.DeviceMallocs;
+  vgpu::LaunchProfile &P = R.Profile;
+  for (std::size_t K = 0; K < vgpu::NumOpClasses; ++K)
+    P.OpCounts[K] += C.Ops[K];
+  P.GlobalBytesRead += C.GlobalBytesRead;
+  P.GlobalBytesWritten += C.GlobalBytesWritten;
+  P.SharedBytesRead += C.SharedBytesRead;
+  P.SharedBytesWritten += C.SharedBytesWritten;
+  P.BarrierWaitCycles += C.BarrierWaitCycles;
+  ++P.Teams;
+  P.TeamCyclesMin = std::min(P.TeamCyclesMin, T.Cycles);
+  P.TeamCyclesMax = std::max(P.TeamCyclesMax, T.Cycles);
+  P.TeamCyclesTotal += T.Cycles;
+}
+
+} // namespace
 
 LaunchResult launch(Backend &B, const LaunchEnv &Env,
                     const vgpu::ModuleImage &Image, const ir::Function *Kernel,
@@ -139,27 +179,25 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
   Occupancy = std::max<std::uint32_t>(Occupancy, 1);
   Result.Metrics.TeamsPerSM = Occupancy;
 
-  // Execute the teams. Each team runs against a private metrics shard and
-  // touches no mutable state besides global memory (reached via atomics),
-  // so teams can execute on any number of host threads. The shards are
-  // merged in team-ID order below, which makes every reported number — and
-  // the error reported for a trapping launch — bit-identical to a serial
-  // run. On failure the merge reports the lowest-numbered trapping team —
-  // exactly the team a serial sweep would have stopped at (every team below
-  // it completes cleanly in both modes).
-  struct TeamShard {
-    bool Ran = false;
-    TeamOutcome Out;
-    LaunchMetrics Metrics;
-    LaunchProfile Profile;
-  };
-  std::vector<TeamShard> Shards(NumTeams);
+  // Execute the teams. Each team counts into its own team model and hands
+  // its outcome back into its slot of Outcomes; teams touch no other
+  // mutable state besides global memory (reached via atomics), so they can
+  // execute on any number of host threads. The outcomes are folded in
+  // team-ID order below, which makes every reported number — and the error
+  // reported for a trapping launch — bit-identical to a serial run: the
+  // fold stops at the lowest-numbered trapping team, exactly the team a
+  // serial sweep stops at (every team below it completes cleanly in both
+  // modes).
+  struct OutcomesLease {
+    std::vector<TeamRunOutcome> V = std::exchange(SpareOutcomes, {});
+    ~OutcomesLease() { SpareOutcomes = std::move(V); }
+  } Lease;
+  std::vector<TeamRunOutcome> &Outcomes = Lease.V;
+  Outcomes.resize(NumTeams);
   const auto RunTeam = [&](std::uint64_t Team) {
-    TeamShard &S = Shards[Team];
-    B.runTeam(Bound, Env, Image, Kernel, Args,
-              static_cast<std::uint32_t>(Team), NumTeams, NumThreads,
-              S.Metrics, Config.CollectProfile ? &S.Profile : nullptr, S.Out);
-    S.Ran = true;
+    Outcomes[Team] =
+        B.runTeam(Bound, Env, Image, Kernel, Args,
+                  static_cast<std::uint32_t>(Team), NumTeams, NumThreads);
   };
   const std::uint32_t Width = std::min<std::uint32_t>(
       support::resolveHostThreads(Config.HostThreads), NumTeams);
@@ -168,28 +206,20 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
     // like the original engine.
     for (std::uint32_t Team = 0; Team < NumTeams; ++Team) {
       RunTeam(Team);
-      if (Shards[Team].Out.Err)
+      if (Outcomes[Team].Err)
         break;
     }
   } else {
     support::ThreadPool::global().parallelFor(Width, NumTeams, RunTeam);
   }
 
-  // Deterministic merge in team-ID order.
+  // Deterministic fold in team-ID order.
   for (std::uint32_t Team = 0; Team < NumTeams; ++Team) {
-    TeamShard &S = Shards[Team];
-    if (!S.Ran)
-      break; // serial fallback stopped at a lower team's trap
-    if (S.Out.Err) {
-      Result.Error = *S.Out.Err;
+    if (Outcomes[Team].Err) {
+      Result.Error = *Outcomes[Team].Err;
       return Result;
     }
-    Result.Metrics.accumulate(S.Metrics);
-    if (Config.CollectProfile) {
-      Result.Profile.Collected = true;
-      Result.Profile.accumulate(S.Profile);
-      Result.Profile.addTeam(S.Out.Cycles);
-    }
+    addTeam(Result, Outcomes[Team]);
   }
   // Wall time per SM: teams go to SMs round-robin, and each SM runs its
   // teams in waves of `Occupancy`; a wave lasts as long as its slowest
@@ -198,7 +228,7 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
     std::uint64_t Wall = 0, WaveMax = 0;
     std::uint32_t InWave = 0;
     for (std::uint32_t Team = SM; Team < NumTeams; Team += Config.NumSMs) {
-      WaveMax = std::max(WaveMax, Shards[Team].Out.Cycles);
+      WaveMax = std::max(WaveMax, Outcomes[Team].Cycles);
       if (++InWave == Occupancy) {
         Wall += WaveMax;
         WaveMax = 0;

@@ -273,6 +273,7 @@ struct LaneFiber {
 };
 
 struct HostTeam {
+  /// The team running on this scratch; runTeam sets it before each team.
   vgpu::TeamModel *Team = nullptr;
   abi::cg_team T;
   std::vector<abi::cg_lane> Lanes;
@@ -483,17 +484,17 @@ public:
     return {std::move(Bound)};
   }
 
-  void runTeam(BoundKernel &Bound, const LaunchEnv &Env,
-               const vgpu::ModuleImage &Image, const ir::Function *Kernel,
-               std::span<const std::uint64_t> Args, std::uint32_t TeamId,
-               std::uint32_t NumTeams, std::uint32_t NumThreads,
-               vgpu::LaunchMetrics &Metrics, vgpu::LaunchProfile *Profile,
-               TeamOutcome &Out) override {
+  vgpu::TeamRunOutcome runTeam(BoundKernel &Bound, const LaunchEnv &Env,
+                               const vgpu::ModuleImage &Image,
+                               const ir::Function *Kernel,
+                               std::span<const std::uint64_t> Args,
+                               std::uint32_t TeamId, std::uint32_t NumTeams,
+                               std::uint32_t NumThreads) override {
     auto &BK = static_cast<NativeBound &>(Bound);
     CODESIGN_ASSERT(Args.size() == Kernel->numArgs(),
                     "argument count validated by the launch engine");
     vgpu::TeamModel Team(Env.Config, Env.GM, Env.Registry, Image, TeamId,
-                         NumTeams, NumThreads, Metrics, Profile);
+                         NumTeams, NumThreads);
 
     // One scratch HostTeam per worker thread, reused across the thousands
     // of teams a launch sweeps: the lane and slot arrays keep their
@@ -550,9 +551,7 @@ public:
       }
     }
 
-    Out.Err = Team.run([&H](vgpu::Lane &L) { runLane(H, L); });
-    Out.Cycles = Team.teamCycles();
-    H.Team = nullptr;
+    return Team.run([&H](vgpu::Lane &L) { runLane(H, L); });
   }
 
 private:

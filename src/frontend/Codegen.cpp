@@ -64,16 +64,44 @@ private:
       if (S.K == StmtKind::For)
         return makeError("kernel '", Spec.Name,
                          "': 'for' must be nested inside 'parallel'");
+      std::optional<Error> E;
       if (S.K == StmtKind::Parallel)
-        if (auto E = validateParallel(S, /*Depth=*/1))
-          return E;
+        E = validateParallel(S, /*Depth=*/1);
+      else if (S.K != StmtKind::SetNumThreads)
+        E = validateBody(S.Body, S.K == StmtKind::DistributeParallelFor,
+                         S.ScratchBytes > 0);
+      if (E)
+        return E;
     }
     if (Spec.Stmts.empty())
       return makeError("kernel '", Spec.Name, "': empty target region");
     return std::nullopt;
   }
 
+  /// A body's arguments must be ones its region supplies under every
+  /// lowering: the iteration variable and the scratch pointer only in a
+  /// worksharing loop's body, the scratch pointer only in a region that
+  /// allocates scratch (a direct parallel body never receives it).
+  std::optional<Error> validateBody(const NativeBody &Body, bool InLoop,
+                                    bool HasScratch) {
+    for (const BodyArg &A : Body.Args) {
+      const bool IsScratch = A.K == BodyArg::Kind::Scratch;
+      if (!InLoop && (IsScratch || A.K == BodyArg::Kind::IterVar))
+        return makeError("kernel '", Spec.Name, "': ",
+                         IsScratch ? "scratch pointer" : "iteration variable",
+                         " outside a worksharing loop");
+      if (IsScratch && !HasScratch)
+        return makeError("kernel '", Spec.Name,
+                         "': scratch pointer in a region without scratch");
+    }
+    return std::nullopt;
+  }
+
   std::optional<Error> validateParallel(const Stmt &P, int Depth) {
+    if (P.HasDirectBody)
+      if (auto E = validateBody(P.Body, /*InLoop=*/false,
+                                /*HasScratch=*/false))
+        return E;
     for (const Stmt &S : P.Children) {
       switch (S.K) {
       case StmtKind::Serial:
@@ -87,10 +115,18 @@ private:
         if (Depth > 1)
           return makeError("kernel '", Spec.Name,
                            "': worksharing inside a nested parallel");
+        if (auto E = validateBody(S.Body, /*InLoop=*/true,
+                                  P.ScratchBytes > 0))
+          return E;
         break;
       case StmtKind::Parallel:
-        if (S.HasDirectBody)
-          break; // direct-body parallels are fine at any depth
+        if (S.HasDirectBody) {
+          // Direct-body parallels are fine at any depth.
+          if (auto E = validateBody(S.Body, /*InLoop=*/false,
+                                    /*HasScratch=*/false))
+            return E;
+          break;
+        }
         if (Depth >= 2)
           return makeError("kernel '", Spec.Name,
                            "': parallel nesting deeper than two levels");

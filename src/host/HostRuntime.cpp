@@ -1,8 +1,18 @@
 #include "host/HostRuntime.hpp"
 
 #include <cstring>
+#include <utility>
 
 namespace codesign::host {
+
+namespace {
+
+/// The marshalled argument bits of the last launch this host thread
+/// finished. The next launch on the thread takes them over; a launch
+/// nested in another finds them taken and allocates its own.
+thread_local std::vector<std::uint64_t> SpareBits;
+
+} // namespace
 
 HostRuntime::~HostRuntime() {
   // Release leaked mappings so the device allocator stays usable for the
@@ -162,8 +172,12 @@ const ir::Function *HostRuntime::findKernel(std::string_view Name) const {
   return It == Kernels.end() ? nullptr : It->second.Kernel;
 }
 
-Expected<LaunchResult> HostRuntime::launch(const LaunchRequest &Request) {
-  if (auto Valid = Request.validate(); !Valid)
+Expected<LaunchResult> HostRuntime::launch(std::string_view KernelName,
+                                           std::span<const KernelArg> Args,
+                                           std::uint32_t NumTeams,
+                                           std::uint32_t NumThreads) {
+  if (auto Valid = validateLaunch(KernelName, Args, {NumTeams, NumThreads});
+      !Valid)
     return Valid.error();
   // Resolve and pin the kernel's image: with the entry copied out and the
   // in-flight count raised, unregisterImage refuses to drop the image while
@@ -171,9 +185,9 @@ Expected<LaunchResult> HostRuntime::launch(const LaunchRequest &Request) {
   KernelEntry Entry;
   {
     std::lock_guard<std::mutex> Lock(ImagesMutex);
-    auto It = Kernels.find(Request.Kernel);
+    auto It = Kernels.find(KernelName);
     if (It == Kernels.end())
-      return makeError("launch: no registered kernel named '", Request.Kernel,
+      return makeError("launch: no registered kernel named '", KernelName,
                        "'");
     Entry = It->second;
     Entry.InFlight->fetch_add(1);
@@ -190,7 +204,7 @@ Expected<LaunchResult> HostRuntime::launch(const LaunchRequest &Request) {
   std::vector<std::size_t> MappedBufs;
   auto UnwindBuffers = [&] {
     for (auto It = MappedBufs.rbegin(); It != MappedBufs.rend(); ++It) {
-      const KernelArg &A = Request.Args[*It];
+      const KernelArg &A = Args[*It];
       // Rollback is bookkeeping only: a failed launch must not write
       // half-initialized device bytes back over host data.
       (void)exitDataImpl(const_cast<void *>(A.HostPtr), /*CopyFrom=*/false,
@@ -198,10 +212,14 @@ Expected<LaunchResult> HostRuntime::launch(const LaunchRequest &Request) {
     }
     MappedBufs.clear();
   };
-  std::vector<std::uint64_t> Bits;
-  Bits.reserve(Request.Args.size());
-  for (std::size_t Idx = 0; Idx < Request.Args.size(); ++Idx) {
-    const KernelArg &A = Request.Args[Idx];
+  struct BitsLease {
+    std::vector<std::uint64_t> V = std::exchange(SpareBits, {});
+    ~BitsLease() { SpareBits = std::move(V); }
+  } Lease;
+  std::vector<std::uint64_t> &Bits = Lease.V;
+  Bits.clear();
+  for (std::size_t Idx = 0; Idx < Args.size(); ++Idx) {
+    const KernelArg &A = Args[Idx];
     switch (A.K) {
     case KernelArg::Kind::I64:
       Bits.push_back(static_cast<std::uint64_t>(A.I));
@@ -216,7 +234,7 @@ Expected<LaunchResult> HostRuntime::launch(const LaunchRequest &Request) {
       auto Addr = lookup(A.HostPtr);
       if (!Addr) {
         UnwindBuffers();
-        return makeError("launch '", Request.Kernel, "': argument #",
+        return makeError("launch '", KernelName, "': argument #",
                          std::to_string(Idx),
                          " is not device-mapped (map it with enterData "
                          "first): ",
@@ -233,7 +251,7 @@ Expected<LaunchResult> HostRuntime::launch(const LaunchRequest &Request) {
                                 TransferCause::LaunchMap, &Scope);
       if (!Addr) {
         UnwindBuffers();
-        return makeError("launch '", Request.Kernel, "': argument #",
+        return makeError("launch '", KernelName, "': argument #",
                          std::to_string(Idx), " could not be mapped (",
                          ir::mapKindName(A.Map), ", ",
                          std::to_string(A.Bytes),
@@ -246,14 +264,13 @@ Expected<LaunchResult> HostRuntime::launch(const LaunchRequest &Request) {
     }
   }
   LaunchResult R =
-      Device.launch(*Entry.Image, Entry.Kernel, Bits, Request.Config.NumTeams,
-                    Request.Config.NumThreads);
+      Device.launch(*Entry.Image, Entry.Kernel, Bits, NumTeams, NumThreads);
   // Unmap buffer arguments. From-motion follows the clause but is
   // suppressed when the kernel trapped (its output is not meaningful) and,
   // per present-table rules, when an outer mapping keeps the buffer
   // resident — the delayed motion happens at that mapping's releasing exit.
   for (auto It = MappedBufs.rbegin(); It != MappedBufs.rend(); ++It) {
-    const KernelArg &A = Request.Args[*It];
+    const KernelArg &A = Args[*It];
     (void)exitDataImpl(const_cast<void *>(A.HostPtr),
                        /*CopyFrom=*/R.Ok && ir::mapCopiesFrom(A.Map),
                        TransferCause::LaunchUnmap, &Scope);

@@ -55,8 +55,8 @@ public:
   /// unregisterImage first). Fails — registering nothing — when any kernel
   /// name in M is already registered: silently overwriting would leave
   /// launches bound to an ambiguous image. A pre-lowered bytecode module
-  /// (CompiledKernel::Bytecode) is attached to the image when provided so
-  /// bytecode-tier launches skip the lazy lowering.
+  /// (CompiledKernel::Bytecode) is attached to the image when provided, so
+  /// the bytecode backend binds its kernels without lowering M again.
   Expected<void>
   registerImage(const ir::Module &M,
                 std::shared_ptr<const vgpu::BytecodeModule> Bytecode = nullptr);
@@ -112,27 +112,28 @@ public:
   // --- Kernel launches ---------------------------------------------------------
 
   /// Launch a registered kernel ("omp target teams ..."): the one validated
-  /// entry point every path funnels through. Marshals the request's
-  /// arguments (translating mapped pointers, auto-mapping Buffer arguments
-  /// for the duration of the launch per their map clauses), pins the
-  /// kernel's image for the duration, and blocks until completion. The
-  /// result's LaunchProfile carries the transfers this launch caused.
-  Expected<LaunchResult> launch(const LaunchRequest &Request);
+  /// entry point every path funnels through. Marshals the arguments
+  /// (translating mapped pointers, auto-mapping Buffer arguments for the
+  /// duration of the launch per their map clauses), pins the kernel's image
+  /// for the duration, and blocks until completion. The result's
+  /// LaunchProfile carries the transfers this launch caused. A warm launch
+  /// copies nothing and, on one host thread, allocates nothing: the
+  /// marshalled bits reuse the host thread's spare vector.
+  Expected<LaunchResult> launch(std::string_view KernelName,
+                                std::span<const KernelArg> Args,
+                                std::uint32_t NumTeams,
+                                std::uint32_t NumThreads);
+
+  /// The same launch, described by a request.
+  Expected<LaunchResult> launch(const LaunchRequest &Request) {
+    return launch(Request.Kernel, Request.Args, Request.Config.NumTeams,
+                  Request.Config.NumThreads);
+  }
 
   /// The registered kernel function behind a name, or null. Lets callers
   /// (the service's pipeline planner, benches) consult declared/inferred
   /// map clauses before building launch requests.
   [[nodiscard]] const ir::Function *findKernel(std::string_view Name) const;
-
-  /// Classic positional form; thin wrapper that builds a LaunchRequest.
-  Expected<LaunchResult> launch(std::string_view KernelName,
-                                std::span<const KernelArg> Args,
-                                std::uint32_t NumTeams,
-                                std::uint32_t NumThreads) {
-    return launch(LaunchRequest::make(
-        std::string(KernelName), {Args.begin(), Args.end()}, NumTeams,
-        NumThreads));
-  }
 
 private:
   struct Mapping {

@@ -11,7 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/MapKind.hpp"
@@ -57,6 +59,28 @@ struct LaunchConfig {
   std::uint32_t NumThreads = 1;
 };
 
+/// Structural validation shared by every launch entry point: a named
+/// kernel, a non-degenerate geometry and well-formed buffer arguments.
+/// (Whether the kernel exists and the args are mapped is checked against
+/// runtime state at launch time.)
+[[nodiscard]] inline Expected<void>
+validateLaunch(std::string_view Kernel, std::span<const KernelArg> Args,
+               LaunchConfig Config) {
+  if (Kernel.empty())
+    return makeError("launch request: empty kernel name");
+  if (Config.NumTeams == 0 || Config.NumThreads == 0)
+    return makeError("launch request '", Kernel,
+                     "': NumTeams and NumThreads must be nonzero");
+  for (std::size_t Idx = 0; Idx < Args.size(); ++Idx) {
+    const KernelArg &A = Args[Idx];
+    if (A.K == KernelArg::Kind::Buffer && (!A.HostPtr || A.Bytes == 0))
+      return makeError("launch request '", Kernel, "': buffer argument #",
+                       std::to_string(Idx),
+                       " needs a non-null pointer and a nonzero size");
+  }
+  return {};
+}
+
 /// A fully described kernel launch. `Tenant` is optional attribution: the
 /// service uses it to isolate per-client stats and trace events; library
 /// callers may leave it empty.
@@ -78,23 +102,9 @@ struct LaunchRequest {
     return R;
   }
 
-  /// Structural validation shared by every entry point: a named kernel and
-  /// a non-degenerate geometry. (Whether the kernel exists and the args are
-  /// mapped is checked against runtime state at launch time.)
+  /// validateLaunch over this request.
   [[nodiscard]] Expected<void> validate() const {
-    if (Kernel.empty())
-      return makeError("launch request: empty kernel name");
-    if (Config.NumTeams == 0 || Config.NumThreads == 0)
-      return makeError("launch request '", Kernel,
-                       "': NumTeams and NumThreads must be nonzero");
-    for (std::size_t Idx = 0; Idx < Args.size(); ++Idx) {
-      const KernelArg &A = Args[Idx];
-      if (A.K == KernelArg::Kind::Buffer && (!A.HostPtr || A.Bytes == 0))
-        return makeError("launch request '", Kernel, "': buffer argument #",
-                         std::to_string(Idx),
-                         " needs a non-null pointer and a nonzero size");
-    }
-    return {};
+    return validateLaunch(Kernel, Args, Config);
   }
 };
 

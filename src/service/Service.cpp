@@ -246,10 +246,7 @@ Service::submitLaunch(host::LaunchRequest Request) {
           if (Ok) {
             ++T.Stats.Launches;
             T.Stats.LaunchWallMicros.add(WallMicros);
-            if (R->Profile.Collected) {
-              T.LastProfile = R->Profile;
-              T.HasProfile = true;
-            }
+            T.LastProfile = R->Profile;
           }
         });
         finishTenant(Tenant, Ok);
@@ -369,7 +366,10 @@ Service::submitPipeline(std::string Tenant,
           FirstError = Res.Launches.back().Error;
           break;
         }
-        withTenant(Tenant, [](TenantState &T) { ++T.Stats.Launches; });
+        withTenant(Tenant, [&](TenantState &T) {
+          ++T.Stats.Launches;
+          T.LastProfile = Res.Launches.back().Profile;
+        });
       }
       // Epilogue: release residency. From-motion only when the whole
       // pipeline succeeded — partial outputs stay on the device side.
@@ -396,10 +396,9 @@ Service::submitPipeline(std::string Tenant,
 Expected<vgpu::LaunchProfile> Service::lastProfile(std::string_view Tenant) const {
   std::lock_guard<std::mutex> Lock(TenantsMutex);
   auto It = Tenants.find(Tenant);
-  if (It == Tenants.end() || !It->second.HasProfile)
+  if (It == Tenants.end() || It->second.Stats.Launches == 0)
     return makeError("service: tenant '", std::string(Tenant),
-                     "' has no profiled launch (enable profiling with "
-                     "VirtualGPU::setProfiling)");
+                     "' has no successful launch");
   return It->second.LastProfile;
 }
 

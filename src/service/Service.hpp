@@ -140,9 +140,8 @@ public:
 
   // --- Tenant-scoped results (thread-safe) ---------------------------------
 
-  /// The tenant's most recent successful launch profile. Errors when the
-  /// tenant never completed a profiled launch (enable profiling on the
-  /// device with VirtualGPU::setProfiling).
+  /// The profile of the tenant's most recent successful launch, alone or
+  /// in a pipeline. Errors when the tenant has no successful launch.
   Expected<vgpu::LaunchProfile> lastProfile(std::string_view Tenant) const;
 
   /// Snapshot of the tenant's stats (zeroes for unknown tenants).
@@ -180,8 +179,7 @@ private:
   /// Mutable per-tenant state behind TenantStats.
   struct TenantState {
     TenantStats Stats;
-    vgpu::LaunchProfile LastProfile;
-    bool HasProfile = false;
+    vgpu::LaunchProfile LastProfile; ///< valid once Stats.Launches > 0
   };
 
   /// Admission control + enqueue; returns the request id or the rejection.

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "ir/BasicBlock.hpp"
-#include "vgpu/Interpreter.hpp"
 #include "vgpu/TeamModel.hpp"
 
 namespace codesign::vgpu {
@@ -38,7 +37,7 @@ public:
   void run() {
     Out.NumArgs = F.numArgs();
     // Slot numbering: args first, then every non-void instruction in block
-    // order — the same dense numbering ModuleImage::FunctionLayout uses.
+    // order — the same dense numbering as the tree walker's FunctionLayout.
     for (const auto &A : F.args())
       Slots[A.get()] = NumSlots++;
     for (const auto &BB : F.blocks())
@@ -374,56 +373,6 @@ BytecodeEmitter::lower(const ir::Module &M) {
     FunctionLowering(*F, *BM, BM->Functions[Idx]).run();
   }
   return BM;
-}
-
-//===----------------------------------------------------------------------===//
-// ModuleImage bytecode cache (declared in Interpreter.hpp)
-//===----------------------------------------------------------------------===//
-
-void ModuleImage::setBytecode(std::shared_ptr<const BytecodeModule> BC) const {
-  CODESIGN_ASSERT(!BC || BC->M == &M, "bytecode lowered from another module");
-  std::lock_guard<std::mutex> Lock(BCMutex);
-  if (!BCMod)
-    BCMod = std::move(BC);
-}
-
-void ModuleImage::materializeBytecodeLocked() const {
-  if (BCPoolsReady)
-    return;
-  if (!BCMod)
-    BCMod = BytecodeEmitter::lower(M);
-  BCPools.resize(BCMod->Functions.size());
-  for (const BCFunction &BF : BCMod->Functions) {
-    std::vector<std::uint64_t> &Pool = BCPools[BF.Index];
-    Pool.reserve(BF.Pool.size());
-    for (const BCConst &Cst : BF.Pool) {
-      switch (Cst.K) {
-      case BCConst::Kind::Lit:
-        Pool.push_back(Cst.Bits);
-        break;
-      case BCConst::Kind::Global:
-        Pool.push_back(addressOf(Cst.G).Bits);
-        break;
-      case BCConst::Kind::Func:
-        Pool.push_back(functionAddress(Cst.F).Bits);
-        break;
-      }
-    }
-  }
-  BCPoolsReady = true;
-}
-
-const BytecodeModule &ModuleImage::bytecode() const {
-  std::lock_guard<std::mutex> Lock(BCMutex);
-  materializeBytecodeLocked();
-  return *BCMod;
-}
-
-const std::vector<std::vector<std::uint64_t>> &
-ModuleImage::bytecodePools() const {
-  std::lock_guard<std::mutex> Lock(BCMutex);
-  materializeBytecodeLocked();
-  return BCPools;
 }
 
 } // namespace codesign::vgpu

@@ -3,17 +3,17 @@
 // The second execution tier of the virtual GPU. Each compiled module is
 // lowered ONCE into flat, register-allocated bytecode: one dense BCInst
 // array per function, SSA values pre-assigned to integer slots (the same
-// args-then-instructions numbering ModuleImage uses), every operand
-// pre-resolved to a slot index or a constant-pool index, branch targets as
-// instruction indices, and phi nodes compiled into per-edge parallel-copy
-// trampolines. Apart from those trampolines, every bytecode instruction is
+// args-then-instructions numbering the tree walker's FunctionLayout uses),
+// every operand pre-resolved to a slot index or a constant-pool index,
+// branch targets as instruction indices, and phi nodes compiled into
+// per-edge parallel-copy trampolines. Apart from those trampolines, every bytecode instruction is
 // exactly one IR instruction, so each counts and charges once.
 //
 // The bytecode is pure program text: it references ir::GlobalVariable /
-// ir::Function symbols through typed constant-pool entries that each
-// ModuleImage resolves to concrete device addresses, so one lowering is
-// shared by every image (and cached by the frontend's KernelCache next to
-// the optimized module).
+// ir::Function symbols through typed constant-pool entries that the
+// bytecode backend resolves to an image's device addresses when it binds a
+// kernel, so one lowering is shared by every image (and cached by the
+// frontend's KernelCache next to the optimized module).
 //
 //===----------------------------------------------------------------------===//
 #pragma once
@@ -77,7 +77,7 @@ struct BCInst {
 };
 
 /// A typed constant-pool entry. Literals carry canonical value bits;
-/// global / function entries are resolved per ModuleImage into device
+/// global / function entries are resolved per image into device
 /// address bits.
 struct BCConst {
   enum class Kind : std::uint8_t { Lit, Global, Func };
@@ -114,8 +114,8 @@ struct BCFunction {
 };
 
 /// A module lowered to bytecode. Immutable after construction; shared
-/// between the kernel cache, every ModuleImage of the module, and all
-/// executing teams.
+/// between the kernel cache, the images loaded with it, the bytecode
+/// backend's bound kernels, and all executing teams.
 struct BytecodeModule {
   const ir::Module *M = nullptr;
   std::vector<BCFunction> Functions; ///< module function order

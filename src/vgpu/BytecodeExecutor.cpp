@@ -92,10 +92,8 @@ public:
                  const std::vector<std::vector<std::uint64_t>> &Pools,
                  std::uint32_t TeamId, std::uint32_t NumTeams,
                  std::uint32_t NumThreads, const ir::Function *Kernel,
-                 std::span<const std::uint64_t> Args, LaunchMetrics &Metrics,
-                 LaunchProfile *Profile)
-      : Team(Config, GM, Registry, Image, TeamId, NumTeams, NumThreads,
-             Metrics, Profile),
+                 std::span<const std::uint64_t> Args)
+      : Team(Config, GM, Registry, Image, TeamId, NumTeams, NumThreads),
         Config(Config), Image(Image), BC(BC), Pools(Pools),
         Stacks(std::exchange(Spares.Stacks, {})),
         NativeArgScratch(std::exchange(Spares.NativeArgScratch, {})),
@@ -130,10 +128,7 @@ public:
   }
 
   TeamRunOutcome run() {
-    TeamRunOutcome Out;
-    Out.Err = Team.run([this](Lane &L) { stepThread(L); });
-    Out.Cycles = Team.teamCycles();
-    return Out;
+    return Team.run([this](Lane &L) { stepThread(L); });
   }
 
 private:
@@ -524,10 +519,9 @@ TeamRunOutcome runBytecodeTeam(
     const BytecodeModule &BC,
     const std::vector<std::vector<std::uint64_t>> &Pools,
     std::uint32_t TeamId, std::uint32_t NumTeams, std::uint32_t NumThreads,
-    const ir::Function *Kernel, std::span<const std::uint64_t> Args,
-    LaunchMetrics &Metrics, LaunchProfile *Profile) {
+    const ir::Function *Kernel, std::span<const std::uint64_t> Args) {
   return BCTeamExecutor(Config, GM, Registry, Image, BC, Pools, TeamId,
-                        NumTeams, NumThreads, Kernel, Args, Metrics, Profile)
+                        NumTeams, NumThreads, Kernel, Args)
       .run();
 }
 

@@ -17,16 +17,16 @@
 
 namespace codesign::vgpu {
 
-/// Execute team TeamId of a launch over bytecode. Pools holds the image's
-/// resolved constant pools, one per BytecodeModule function
-/// (ModuleImage::bytecodePools()).
+/// Execute team TeamId of a launch over bytecode. Pools holds BC's
+/// constant pools resolved to Image's device addresses, one per
+/// BytecodeModule function, indexed by BCFunction::Index (the bytecode
+/// backend resolves them when it binds a kernel).
 TeamRunOutcome runBytecodeTeam(
     const DeviceConfig &Config, GlobalMemory &GM,
     const NativeRegistry &Registry, const ModuleImage &Image,
     const BytecodeModule &BC,
     const std::vector<std::vector<std::uint64_t>> &Pools,
     std::uint32_t TeamId, std::uint32_t NumTeams, std::uint32_t NumThreads,
-    const ir::Function *Kernel, std::span<const std::uint64_t> Args,
-    LaunchMetrics &Metrics, LaunchProfile *Profile);
+    const ir::Function *Kernel, std::span<const std::uint64_t> Args);
 
 } // namespace codesign::vgpu

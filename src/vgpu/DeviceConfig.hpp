@@ -57,7 +57,7 @@ struct DeviceConfig {
   std::uint64_t MaxDynamicInstPerThread = 1ULL << 27;
   /// Host threads used by the launch engine to execute teams in parallel.
   /// Teams share no mutable state except global memory reached via atomics,
-  /// and per-team metrics are merged in team-ID order, so the reported
+  /// and their outcomes are folded in team-ID order, so the reported
   /// numbers are bit-identical to a serial run regardless of this setting.
   /// 0 = one per hardware thread; 1 = serial execution in the caller.
   std::uint32_t HostThreads = 0;
@@ -65,10 +65,6 @@ struct DeviceConfig {
   /// aligned, assertions checked) exactly like the paper's debug builds
   /// (Section III-G).
   bool DebugChecks = true;
-  /// Collect a LaunchProfile (op-class histogram, byte traffic, barrier
-  /// waits, team imbalance) for every launch. Off by default: profiling
-  /// adds per-instruction work in the interpreter.
-  bool CollectProfile = false;
   /// Dynamic race detection: shadow every shared-memory byte with its last
   /// reader/writer and the barrier epoch they ran in; two plain accesses to
   /// the same byte from different threads in the same epoch with at least

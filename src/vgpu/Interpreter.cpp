@@ -4,7 +4,8 @@
 #include <utility>
 
 #include "ir/BasicBlock.hpp"
-#include "vgpu/TeamModel.hpp"
+#include "vgpu/Bytecode.hpp"
+#include "vgpu/KernelStats.hpp"
 
 namespace codesign::vgpu {
 
@@ -17,21 +18,25 @@ using ir::ValueKind;
 // ModuleImage
 //===----------------------------------------------------------------------===//
 
-ModuleImage::ModuleImage(const Module &M, GlobalMemory &GM) : M(M), GM(GM) {
+ModuleImage::ModuleImage(const Module &M, GlobalMemory &GM,
+                         std::shared_ptr<const BytecodeModule> Bytecode)
+    : M(M), GM(GM), Bytecode(std::move(Bytecode)) {
+  CODESIGN_ASSERT(!this->Bytecode || this->Bytecode->M == &M,
+                  "bytecode lowered from another module");
+  SharedSize = layoutSharedSegment(
+      M, [this](const GlobalVariable *G, std::uint64_t Off) {
+        GlobalAddrs[G] = DeviceAddr::make(MemSpace::Shared, Off);
+      });
   // Device statics: compute total size, allocate one block, lay out inside.
   std::uint64_t Off = 0;
   std::vector<std::pair<const GlobalVariable *, std::uint64_t>> DeviceStatics;
   for (const auto &G : M.globals()) {
+    if (G->space() == ir::AddrSpace::Shared)
+      continue;
     const std::uint64_t Align = std::max<unsigned>(G->alignment(), 1);
-    if (G->space() == ir::AddrSpace::Shared) {
-      SharedSize = (SharedSize + Align - 1) & ~(Align - 1);
-      GlobalAddrs[G.get()] = DeviceAddr::make(MemSpace::Shared, SharedSize);
-      SharedSize += G->sizeBytes();
-    } else {
-      Off = (Off + Align - 1) & ~(Align - 1);
-      DeviceStatics.emplace_back(G.get(), Off);
-      Off += G->sizeBytes();
-    }
+    Off = (Off + Align - 1) & ~(Align - 1);
+    DeviceStatics.emplace_back(G.get(), Off);
+    Off += G->sizeBytes();
   }
   StaticsSize = Off;
   if (StaticsSize > 0) {
@@ -62,19 +67,6 @@ ModuleImage::ModuleImage(const Module &M, GlobalMemory &GM) : M(M), GM(GM) {
     FunctionIndex[F.get()] =
         static_cast<std::uint32_t>(FunctionsByIndex.size());
     FunctionsByIndex.push_back(F.get());
-  }
-  // Precompute every function's slot layout now so that layout() is a pure
-  // read — team executors running on parallel launch threads query it
-  // concurrently.
-  for (const auto &F : M.functions()) {
-    FunctionLayout L;
-    for (const auto &A : F->args())
-      L.Slots[A.get()] = L.NumSlots++;
-    for (const auto &BB : F->blocks())
-      for (const auto &I : BB->instructions())
-        if (!I->type().isVoid())
-          L.Slots[I.get()] = L.NumSlots++;
-    Layouts.emplace(F.get(), std::move(L));
   }
 }
 
@@ -111,13 +103,6 @@ const Function *ModuleImage::functionFor(DeviceAddr A) const {
   return FunctionsByIndex[Idx];
 }
 
-const ModuleImage::FunctionLayout &
-ModuleImage::layout(const Function *F) const {
-  auto It = Layouts.find(F);
-  CODESIGN_ASSERT(It != Layouts.end(), "function not in image");
-  return It->second;
-}
-
 const ModuleImage::LaunchPlan *
 ModuleImage::findPlanLocked(const exec::Backend *Backend,
                             const Function *Kernel, bool DetectRaces) const {
@@ -148,12 +133,26 @@ const ModuleImage::LaunchPlan &ModuleImage::addPlan(LaunchPlan Plan) const {
 // Team execution
 //===----------------------------------------------------------------------===//
 
+ModuleLayouts layoutFunctions(const Module &M) {
+  ModuleLayouts Layouts;
+  for (const auto &F : M.functions()) {
+    FunctionLayout &L = Layouts[F.get()];
+    for (const auto &A : F->args())
+      L.Slots[A.get()] = L.NumSlots++;
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->instructions())
+        if (!I->type().isVoid())
+          L.Slots[I.get()] = L.NumSlots++;
+  }
+  return Layouts;
+}
+
 namespace {
 
 struct Frame {
   /// Start an activation of Callee in this frame, reusing its slot storage
   /// (zeroed). The caller fills the argument slots.
-  void enter(const Function *Callee, const ModuleImage::FunctionLayout &L,
+  void enter(const Function *Callee, const FunctionLayout &L,
              const Instruction *Site, std::uint64_t Watermark) {
     Fn = Callee;
     Layout = &L;
@@ -166,7 +165,7 @@ struct Frame {
   }
 
   const Function *Fn = nullptr;
-  const ModuleImage::FunctionLayout *Layout = nullptr;
+  const FunctionLayout *Layout = nullptr;
   const BasicBlock *Block = nullptr;
   std::size_t InstIdx = 0;
   const BasicBlock *PrevBlock = nullptr;
@@ -199,17 +198,15 @@ class TeamExecutor {
 public:
   TeamExecutor(const DeviceConfig &Config, GlobalMemory &GM,
                const NativeRegistry &Registry, const ModuleImage &Image,
-               std::uint32_t TeamId, std::uint32_t NumTeams,
-               std::uint32_t NumThreads, const Function *Kernel,
-               std::span<const std::uint64_t> Args, LaunchMetrics &Metrics,
-               LaunchProfile *Profile)
-      : Team(Config, GM, Registry, Image, TeamId, NumTeams, NumThreads,
-             Metrics, Profile),
-        Config(Config), Image(Image),
+               const ModuleLayouts &Layouts, std::uint32_t TeamId,
+               std::uint32_t NumTeams, std::uint32_t NumThreads,
+               const Function *Kernel, std::span<const std::uint64_t> Args)
+      : Team(Config, GM, Registry, Image, TeamId, NumTeams, NumThreads),
+        Config(Config), Image(Image), Layouts(Layouts),
         Stacks(std::exchange(Spares.Stacks, {})),
         PhiBuf(std::exchange(Spares.PhiBuf, {})),
         NativeArgScratch(std::exchange(Spares.NativeArgScratch, {})) {
-    const ModuleImage::FunctionLayout &Layout = Image.layout(Kernel);
+    const FunctionLayout &Layout = layoutOf(Kernel);
     // Stacks only grow: a narrower team leaves the wider team's stacks for
     // the next.
     if (Stacks.size() < NumThreads)
@@ -235,13 +232,16 @@ public:
   }
 
   TeamRunOutcome run() {
-    TeamRunOutcome Out;
-    Out.Err = Team.run([this](Lane &L) { stepThread(L, Stacks[L.Tid]); });
-    Out.Cycles = Team.teamCycles();
-    return Out;
+    return Team.run([this](Lane &L) { stepThread(L, Stacks[L.Tid]); });
   }
 
 private:
+  const FunctionLayout &layoutOf(const Function *F) const {
+    auto It = Layouts.find(F);
+    CODESIGN_ASSERT(It != Layouts.end(), "function not in the module");
+    return It->second;
+  }
+
   std::uint64_t operandValue(const Value *V, const Frame &F) const {
     switch (V->kind()) {
     case ValueKind::Instruction:
@@ -295,6 +295,7 @@ private:
   TeamModel Team;
   const DeviceConfig &Config;
   const ModuleImage &Image;
+  const ModuleLayouts &Layouts;
   std::vector<FrameStack> Stacks; ///< per lane, indexed by Tid
   /// Team-level scratch: lanes step one at a time and native ops cannot
   /// re-enter the walker, so one buffer of each kind suffices.
@@ -488,7 +489,7 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
         S.Frames.emplace_back();
       const Frame &Caller = S.Frames[S.Depth - 1];
       Frame &NewF = S.Frames[S.Depth];
-      const ModuleImage::FunctionLayout &Layout = Image.layout(Callee);
+      const FunctionLayout &Layout = layoutOf(Callee);
       NewF.enter(Callee, Layout, I, T.Local.watermark());
       for (unsigned A = 0; A < Callee->numArgs(); ++A)
         NewF.Slots[Layout.Slots.at(Callee->arg(A))] =
@@ -569,13 +570,13 @@ void TeamExecutor::stepThread(Lane &T, FrameStack &S) {
 
 TeamRunOutcome runTreeTeam(const DeviceConfig &Config, GlobalMemory &GM,
                            const NativeRegistry &Registry,
-                           const ModuleImage &Image, std::uint32_t TeamId,
+                           const ModuleImage &Image,
+                           const ModuleLayouts &Layouts, std::uint32_t TeamId,
                            std::uint32_t NumTeams, std::uint32_t NumThreads,
                            const Function *Kernel,
-                           std::span<const std::uint64_t> Args,
-                           LaunchMetrics &Metrics, LaunchProfile *Profile) {
-  return TeamExecutor(Config, GM, Registry, Image, TeamId, NumTeams,
-                      NumThreads, Kernel, Args, Metrics, Profile)
+                           std::span<const std::uint64_t> Args) {
+  return TeamExecutor(Config, GM, Registry, Image, Layouts, TeamId, NumTeams,
+                      NumThreads, Kernel, Args)
       .run();
 }
 

@@ -1,22 +1,21 @@
 //===- vgpu/Interpreter.hpp - IR interpreter with GPU execution model -----===//
 //
 // Module images (the device-resident layout of a module's globals and
-// functions) and the tree-walking interpreter: each lane of a team walks
-// the IR instruction objects directly until it blocks at a team barrier,
-// finishes, or traps. Scheduling, the barrier rendezvous, memory and
-// accounting are the shared team model's (TeamModel.hpp), and value
-// operations are ir/Eval.hpp's evaluators, which is what
-// reproduces the execution semantics the paper's runtime relies on —
-// including the generic-mode state machine, which is pure barrier
-// choreography between the main thread and the workers (paper Section
-// II-C).
+// functions, and the launch plans kept for it) and the tree-walking
+// interpreter: each lane of a team walks the IR instruction objects
+// directly until it blocks at a team barrier, finishes, or traps.
+// Scheduling, the barrier rendezvous, memory and accounting are the shared
+// team model's (TeamModel.hpp), and value operations are ir/Eval.hpp's
+// evaluators, which is what reproduces the execution semantics the paper's
+// runtime relies on — including the generic-mode state machine, which is
+// pure barrier choreography between the main thread and the workers (paper
+// Section II-C).
 //
 //===----------------------------------------------------------------------===//
 #pragma once
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -27,6 +26,7 @@
 #include "vgpu/Memory.hpp"
 #include "vgpu/Metrics.hpp"
 #include "vgpu/NativeRegistry.hpp"
+#include "vgpu/TeamModel.hpp"
 
 namespace codesign::exec {
 class Backend;
@@ -43,16 +43,22 @@ using ir::Instruction;
 using ir::Module;
 using ir::Value;
 
-/// A module prepared for execution: device-resident statics laid out and
-/// initialized, shared-space statics assigned per-team offsets, functions
-/// given dense value-slot numberings, and function addresses assigned for
-/// indirect calls (e.g. the work-function slot of the state machine).
+/// A module prepared for execution: its device layout (device-resident
+/// statics laid out and initialized, shared-space statics assigned
+/// per-team offsets, function addresses assigned for indirect calls, e.g.
+/// the work-function slot of the state machine) and the launch plans kept
+/// for its kernels. What a backend derives from the module lives in its
+/// bound kernel, inside a plan.
 class ModuleImage {
 public:
   /// Lay out M's globals. Global/Constant-space variables are allocated in
   /// GM immediately and initialized; Shared-space variables get offsets in
-  /// the per-team static segment.
-  ModuleImage(const Module &M, GlobalMemory &GM);
+  /// the per-team static segment. Bytecode, when given, is a lowering of M
+  /// (the frontend caches one per compiled kernel and shares it across
+  /// images); the bytecode backend binds kernels over it instead of
+  /// lowering M again.
+  ModuleImage(const Module &M, GlobalMemory &GM,
+              std::shared_ptr<const BytecodeModule> Bytecode = nullptr);
   ~ModuleImage();
   ModuleImage(const ModuleImage &) = delete;
   ModuleImage &operator=(const ModuleImage &) = delete;
@@ -78,26 +84,11 @@ public:
   /// Reverse lookup; null when the address is not a function address.
   [[nodiscard]] const Function *functionFor(DeviceAddr A) const;
 
-  /// Dense SSA slot numbering for F. Layouts for every module function are
-  /// precomputed at image construction so lookups are safe from concurrent
-  /// team-executor threads (the parallel launch engine).
-  struct FunctionLayout {
-    std::unordered_map<const Value *, std::uint32_t> Slots;
-    std::uint32_t NumSlots = 0;
-  };
-  [[nodiscard]] const FunctionLayout &layout(const Function *F) const;
-
-  /// Attach a pre-lowered bytecode module (the frontend caches one lowering
-  /// per compiled kernel and shares it across images). Ignored after the
-  /// image has already materialized a lowering of its own.
-  void setBytecode(std::shared_ptr<const BytecodeModule> BC) const;
-  /// The module's bytecode; lowered on first use when none was attached.
-  /// Definitions live in Bytecode.cpp.
-  [[nodiscard]] const BytecodeModule &bytecode() const;
-  /// Per-function constant pools with global/function symbols resolved to
-  /// this image's device addresses, indexed by BCFunction::Index.
-  [[nodiscard]] const std::vector<std::vector<std::uint64_t>> &
-  bytecodePools() const;
+  /// The lowering the image was loaded with, or null.
+  [[nodiscard]] const std::shared_ptr<const BytecodeModule> &
+  bytecode() const {
+    return Bytecode;
+  }
 
   /// What launching Kernel through Backend needs besides its arguments and
   /// geometry: the kernel's static stats and the backend's bound kernel.
@@ -120,7 +111,6 @@ public:
   const LaunchPlan &addPlan(LaunchPlan Plan) const;
 
 private:
-  void materializeBytecodeLocked() const;
   const LaunchPlan *findPlanLocked(const exec::Backend *Backend,
                                    const Function *Kernel,
                                    bool DetectRaces) const;
@@ -134,13 +124,8 @@ private:
   std::vector<std::uint8_t> SharedInit;
   std::vector<const Function *> FunctionsByIndex;
   std::unordered_map<const Function *, std::uint32_t> FunctionIndex;
-  std::unordered_map<const Function *, FunctionLayout> Layouts;
-  // Bytecode tier state: lazily materialized, guarded for the parallel
-  // launch engine (mutable so a const image can serve launches).
-  mutable std::mutex BCMutex;
-  mutable std::shared_ptr<const BytecodeModule> BCMod;
-  mutable std::vector<std::vector<std::uint64_t>> BCPools;
-  mutable bool BCPoolsReady = false;
+  const std::shared_ptr<const BytecodeModule> Bytecode;
+  // The plan table: the only state a launch adds to a const image.
   mutable std::mutex PlanMutex;
   mutable std::vector<std::unique_ptr<const LaunchPlan>> Plans;
 };
@@ -150,28 +135,33 @@ struct LaunchResult {
   bool Ok = false;
   std::string Error;      ///< populated when !Ok (trap, deadlock, assert)
   LaunchMetrics Metrics;  ///< populated when Ok
-  LaunchProfile Profile;  ///< populated when Ok and DeviceConfig::CollectProfile
+  LaunchProfile Profile;  ///< populated when Ok
 };
 
-/// Outcome of one team's execution under any backend (the per-team result
-/// the exec::Backend architecture fans out over; launch orchestration lives
-/// in exec/LaunchEngine.cpp).
-struct TeamRunOutcome {
-  std::optional<std::string> Err; ///< trap/deadlock message, empty = clean
-  std::uint64_t Cycles = 0;       ///< the team's modeled wall time
+/// Dense SSA slot numbering of one function for the tree walker: arguments
+/// first, then every non-void instruction in block order (the numbering
+/// the bytecode lowering uses too).
+struct FunctionLayout {
+  std::unordered_map<const Value *, std::uint32_t> Slots;
+  std::uint32_t NumSlots = 0;
 };
+/// The slot layout of every function of a module. The tree backend builds
+/// it when it binds a kernel and keeps it in the launch plan, where
+/// concurrently running teams only read it.
+using ModuleLayouts = std::unordered_map<const Function *, FunctionLayout>;
+[[nodiscard]] ModuleLayouts layoutFunctions(const Module &M);
 
 /// Execute team TeamId of a launch by walking the IR instruction tree
-/// directly (the original engine, kept as the semantic reference). Teams
-/// share no mutable state except global memory reached via atomics, so
-/// distinct teams may run concurrently; Metrics/Profile are this team's
-/// private shards.
+/// directly (the original engine, kept as the semantic reference). Layouts
+/// is layoutFunctions(Image.module()). Teams share no mutable state except
+/// global memory reached via atomics, so distinct teams may run
+/// concurrently.
 TeamRunOutcome runTreeTeam(const DeviceConfig &Config, GlobalMemory &GM,
                            const NativeRegistry &Registry,
-                           const ModuleImage &Image, std::uint32_t TeamId,
+                           const ModuleImage &Image,
+                           const ModuleLayouts &Layouts, std::uint32_t TeamId,
                            std::uint32_t NumTeams, std::uint32_t NumThreads,
                            const Function *Kernel,
-                           std::span<const std::uint64_t> Args,
-                           LaunchMetrics &Metrics, LaunchProfile *Profile);
+                           std::span<const std::uint64_t> Args);
 
 } // namespace codesign::vgpu

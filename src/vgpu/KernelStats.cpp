@@ -10,7 +10,6 @@ namespace codesign::vgpu {
 KernelStaticStats computeKernelStats(const ir::Function &Kernel,
                                      const NativeRegistry &Registry) {
   KernelStaticStats Stats;
-  const ir::Module &M = *Kernel.parent();
 
   // Collect functions reachable from the kernel. Address-taken functions
   // (potential indirect-call targets, e.g. outlined parallel regions routed
@@ -48,16 +47,9 @@ KernelStaticStats computeKernelStats(const ir::Function &Kernel,
   constexpr unsigned BaseRegisters = 8;
   Stats.Registers = BaseRegisters + MaxLive + MaxNativeRegs;
 
-  // Per-team shared segment: identical to ModuleImage's layout computation.
-  std::uint64_t SharedSize = 0;
-  for (const auto &G : M.globals()) {
-    if (G->space() != ir::AddrSpace::Shared)
-      continue;
-    const std::uint64_t Align = std::max<unsigned>(G->alignment(), 1);
-    SharedSize = (SharedSize + Align - 1) & ~(Align - 1);
-    SharedSize += G->sizeBytes();
-  }
-  Stats.SharedMemBytes = SharedSize;
+  Stats.SharedMemBytes =
+      layoutSharedSegment(*Kernel.parent(), [](const ir::GlobalVariable *,
+                                              std::uint64_t) {});
   return Stats;
 }
 

@@ -1,11 +1,33 @@
 //===- vgpu/KernelStats.hpp - Static resource usage of a kernel -----------===//
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+
 #include "ir/Module.hpp"
 #include "vgpu/Metrics.hpp"
 #include "vgpu/NativeRegistry.hpp"
 
 namespace codesign::vgpu {
+
+/// Lay out M's per-team static shared segment: every Shared-space global,
+/// in module order, at the next offset its alignment allows. Calls
+/// Place(const ir::GlobalVariable *, std::uint64_t Offset) for each and
+/// returns the segment's size. ModuleImage places its shared statics with
+/// it, and computeKernelStats sizes the segment with it.
+template <typename PlaceFn>
+std::uint64_t layoutSharedSegment(const ir::Module &M, PlaceFn &&Place) {
+  std::uint64_t Size = 0;
+  for (const auto &G : M.globals()) {
+    if (G->space() != ir::AddrSpace::Shared)
+      continue;
+    const std::uint64_t Align = std::max<unsigned>(G->alignment(), 1);
+    Size = (Size + Align - 1) & ~(Align - 1);
+    Place(G.get(), Size);
+    Size += G->sizeBytes();
+  }
+  return Size;
+}
 
 /// Compute the static resource usage of Kernel within its module, after
 /// optimization:

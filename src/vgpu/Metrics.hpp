@@ -35,28 +35,9 @@ struct LaunchMetrics {
   std::uint64_t NativeCycles = 0;
   /// Device mallocs performed by the runtime (thread states, stack overflow).
   std::uint64_t DeviceMallocs = 0;
-  /// High-water mark of the runtime's shared stack across teams (bytes).
-  std::uint64_t SharedStackPeak = 0;
   /// Concurrent teams per SM this launch achieved (occupancy), limited by
   /// shared-memory and register usage.
   std::uint32_t TeamsPerSM = 0;
-
-  /// Merge counters from another launch segment (one team).
-  void accumulate(const LaunchMetrics &O) {
-    DynamicInstructions += O.DynamicInstructions;
-    GlobalLoads += O.GlobalLoads;
-    GlobalStores += O.GlobalStores;
-    SharedLoads += O.SharedLoads;
-    SharedStores += O.SharedStores;
-    LocalAccesses += O.LocalAccesses;
-    Atomics += O.Atomics;
-    Barriers += O.Barriers;
-    Calls += O.Calls;
-    NativeCycles += O.NativeCycles;
-    DeviceMallocs += O.DeviceMallocs;
-    if (O.SharedStackPeak > SharedStackPeak)
-      SharedStackPeak = O.SharedStackPeak;
-  }
 };
 
 /// Coarse dynamic-instruction classification for kernel profiles (the
@@ -79,14 +60,12 @@ inline constexpr std::size_t NumOpClasses = 11;
 /// Stable snake_case label for an op class (JSON report keys).
 const char *opClassName(OpClass C);
 
-/// Optional per-launch execution profile, collected when
-/// DeviceConfig::CollectProfile is set. Every field is derived from the
-/// deterministic interpreter model (no wall-clock input), and per-team
-/// shards merge in team-ID order, so a profile is bit-identical across
-/// HostThreads settings.
+/// Per-launch execution profile, carried by every successful launch: the
+/// teams count it alongside the metrics at no extra cost. Every field is
+/// derived from the deterministic interpreter model (no wall-clock input),
+/// and the teams' counters fold in team-ID order, so a profile is
+/// bit-identical across HostThreads settings.
 struct LaunchProfile {
-  /// True when the launch actually collected a profile.
-  bool Collected = false;
   /// Dynamic instructions by class.
   std::array<std::uint64_t, NumOpClasses> OpCounts{};
   /// Memory traffic in bytes (shared vs global is the paper's Figure 11
@@ -117,28 +96,8 @@ struct LaunchProfile {
   std::uint64_t TeamCyclesMax = 0;
   std::uint64_t TeamCyclesTotal = 0;
 
-  /// Merge another team's shard (OpCounts/bytes/barrier waits).
-  void accumulate(const LaunchProfile &O) {
-    for (std::size_t I = 0; I < NumOpClasses; ++I)
-      OpCounts[I] += O.OpCounts[I];
-    GlobalBytesRead += O.GlobalBytesRead;
-    GlobalBytesWritten += O.GlobalBytesWritten;
-    SharedBytesRead += O.SharedBytesRead;
-    SharedBytesWritten += O.SharedBytesWritten;
-    BarrierWaitCycles += O.BarrierWaitCycles;
-  }
-  /// Record one team's cycle total (called during the team-ID-ordered
-  /// merge).
-  void addTeam(std::uint64_t Cycles) {
-    ++Teams;
-    if (Cycles < TeamCyclesMin)
-      TeamCyclesMin = Cycles;
-    if (Cycles > TeamCyclesMax)
-      TeamCyclesMax = Cycles;
-    TeamCyclesTotal += Cycles;
-  }
   /// Minimum team cycle total. TeamCyclesMin itself holds a UINT64_MAX
-  /// sentinel until the first addTeam() call; this accessor reports 0 for
+  /// sentinel until the first team is recorded; this accessor reports 0 for
   /// a profile with no teams so serialized reports never contain the
   /// sentinel. Always read the minimum through here.
   [[nodiscard]] std::uint64_t teamCyclesMin() const {

@@ -20,13 +20,11 @@ thread_local std::vector<std::uint8_t> SpareSharedArena;
 TeamModel::TeamModel(const DeviceConfig &Config, GlobalMemory &GM,
                      const NativeRegistry &Registry, const ModuleImage &Image,
                      std::uint32_t TeamId, std::uint32_t NumTeams,
-                     std::uint32_t NumThreads, LaunchMetrics &Metrics,
-                     LaunchProfile *Profile)
+                     std::uint32_t NumThreads)
     : Config(Config), TeamId(TeamId), NumTeams(NumTeams),
       NumThreads(NumThreads), Lanes(std::exchange(SpareLanes, {})),
       GMBase(GM.data(0, 0)), GMCap(GM.capacity()), GM(GM),
-      Registry(Registry), Metrics(Metrics), Profile(Profile),
-      SharedArena(std::exchange(SpareSharedArena, {})) {
+      Registry(Registry), SharedArena(std::exchange(SpareSharedArena, {})) {
   // initTeamShared rewrites every byte it is given; bytes past them are
   // zeroed again as the arena grows.
   SharedArena.resize(std::max<std::uint64_t>(Image.sharedStaticSize(), 1));
@@ -121,13 +119,6 @@ OpClass classifyOpcode(ir::Opcode Op) {
   CODESIGN_UNREACHABLE("unknown opcode");
 }
 
-std::uint64_t TeamModel::teamCycles() const {
-  std::uint64_t Max = 0;
-  for (const Lane &L : Lanes)
-    Max = std::max(Max, L.Cycles);
-  return Max;
-}
-
 void TeamModel::trap(Lane &L, std::string Msg) {
   L.Status = LaneStatus::Trapped;
   L.TrapMsg = std::move(Msg);
@@ -175,8 +166,7 @@ std::optional<std::string> TeamModel::rendezvous() {
   for (Lane &L : Lanes) {
     if (L.Status != LaneStatus::AtBarrier)
       continue;
-    if (Profile)
-      Cnt.BarrierWaitCycles += MaxArrival - L.Cycles;
+    Cnt.BarrierWaitCycles += MaxArrival - L.Cycles;
     L.Cycles = Release;
     L.Status = LaneStatus::Running;
   }
@@ -184,29 +174,6 @@ std::optional<std::string> TeamModel::rendezvous() {
   // open a new happens-before interval.
   ++BarrierEpoch;
   return std::nullopt;
-}
-
-void TeamModel::flush() {
-  Metrics.DynamicInstructions += Cnt.DynamicInstructions;
-  Metrics.GlobalLoads += Cnt.GlobalLoads;
-  Metrics.GlobalStores += Cnt.GlobalStores;
-  Metrics.SharedLoads += Cnt.SharedLoads;
-  Metrics.SharedStores += Cnt.SharedStores;
-  Metrics.LocalAccesses += Cnt.LocalAccesses;
-  Metrics.Atomics += Cnt.Atomics;
-  Metrics.Calls += Cnt.Calls;
-  Metrics.Barriers += Cnt.Barriers;
-  Metrics.NativeCycles += Cnt.NativeCycles;
-  Metrics.DeviceMallocs += Cnt.DeviceMallocs;
-  if (!Profile)
-    return;
-  for (std::size_t K = 0; K < NumOpClasses; ++K)
-    Profile->OpCounts[K] += Cnt.Ops[K];
-  Profile->GlobalBytesRead += Cnt.GlobalBytesRead;
-  Profile->GlobalBytesWritten += Cnt.GlobalBytesWritten;
-  Profile->SharedBytesRead += Cnt.SharedBytesRead;
-  Profile->SharedBytesWritten += Cnt.SharedBytesWritten;
-  Profile->BarrierWaitCycles += Cnt.BarrierWaitCycles;
 }
 
 void TeamModel::trapCrossThreadLocal(Lane &L, std::uint16_t Owner) {

@@ -13,7 +13,7 @@
 //     wait-cycle accounting, and release at max(arrival) + BarrierCost;
 //   - device-address resolution and its trap messages, local-memory
 //     allocation, and the cost-model charge of every access, counted into
-//     one set of hot counters that is flushed into the team's shard once;
+//     one set of counters that the team hands back when it finishes;
 //   - the shared-memory race shadow (DeviceConfig::DetectRaces);
 //   - the NativeCtx that registered native ops run against, and the one
 //     call (TeamModel::callNative) that runs an op and decides its result;
@@ -84,10 +84,10 @@ struct Lane {
   BumpArena Local;
 };
 
-/// A team's metric and profile counters. They accumulate here while the
-/// team runs and are added to its shard once, when it retires: the shards
-/// of concurrently running teams are adjacent, so per-event increments
-/// would ping-pong cache lines between host threads.
+/// A team's metric and profile counters. They accumulate in the team model
+/// while the team runs and leave it once, in the team's outcome: the
+/// outcomes of concurrently running teams are adjacent, so per-event
+/// increments there would ping-pong cache lines between host threads.
 struct HotCounters {
   std::uint64_t DynamicInstructions = 0;
   std::array<std::uint64_t, NumOpClasses> Ops{};
@@ -98,6 +98,14 @@ struct HotCounters {
   std::uint64_t GlobalBytesRead = 0, GlobalBytesWritten = 0;
   std::uint64_t SharedBytesRead = 0, SharedBytesWritten = 0;
   std::uint64_t BarrierWaitCycles = 0;
+};
+
+/// What one team hands back to the launch engine, which folds it into the
+/// launch result in team-ID order.
+struct TeamRunOutcome {
+  std::optional<std::string> Err; ///< trap/deadlock message, empty = clean
+  std::uint64_t Cycles = 0;       ///< the team's modeled wall time
+  HotCounters Counters;
 };
 
 /// The op class an IR opcode counts under in the profile histogram
@@ -136,8 +144,7 @@ struct HotCounters {
 //===----------------------------------------------------------------------===//
 
 /// One team of one launch. Teams share no mutable state except global
-/// memory reached through atomics, so distinct teams may run concurrently;
-/// Metrics/Profile are this team's private shards.
+/// memory reached through atomics, so distinct teams may run concurrently.
 class TeamModel {
 public:
   /// Takes the host thread's spare lane array and shared arena (a team
@@ -147,8 +154,7 @@ public:
   TeamModel(const DeviceConfig &Config, GlobalMemory &GM,
             const NativeRegistry &Registry, const ModuleImage &Image,
             std::uint32_t TeamId, std::uint32_t NumTeams,
-            std::uint32_t NumThreads, LaunchMetrics &Metrics,
-            LaunchProfile *Profile);
+            std::uint32_t NumThreads);
   /// Hands the lane array and shared arena back to the host thread, so the
   /// next team reuses their storage.
   ~TeamModel();
@@ -157,11 +163,8 @@ public:
 
   /// Run the team to completion: Step(Lane &) advances one running lane
   /// until it is done, trapped or blocked at a barrier. Returns the trap or
-  /// rendezvous error that stopped the team.
-  template <typename StepFn> std::optional<std::string> run(StepFn &&Step);
-
-  /// The team's modeled wall time: its slowest lane's clock.
-  [[nodiscard]] std::uint64_t teamCycles() const;
+  /// rendezvous error that stopped the team, its cycles and its counters.
+  template <typename StepFn> TeamRunOutcome run(StepFn &&Step);
 
   /// Stop lane L with Msg.
   void trap(Lane &L, std::string Msg);
@@ -234,7 +237,6 @@ private:
   };
 
   std::optional<std::string> rendezvous();
-  void flush();
   [[nodiscard]] std::string laneError(const Lane &L) const;
   void trapCrossThreadLocal(Lane &L, std::uint16_t Owner);
   /// Race check for a plain shared access; false after trapping L.
@@ -253,8 +255,6 @@ private:
 
   GlobalMemory &GM;
   const NativeRegistry &Registry;
-  LaunchMetrics &Metrics;
-  LaunchProfile *Profile;
   std::vector<std::uint8_t> SharedArena;
   // Race detector state (only touched under DetectRaces). Epochs start at 1
   // so a zero-initialized cell never matches.
@@ -268,28 +268,29 @@ private:
 // Inline definitions: the scheduler and the per-access paths
 //===----------------------------------------------------------------------===//
 
-template <typename StepFn>
-std::optional<std::string> TeamModel::run(StepFn &&Step) {
-  std::optional<std::string> Err;
+template <typename StepFn> TeamRunOutcome TeamModel::run(StepFn &&Step) {
+  TeamRunOutcome Out;
   for (;;) {
     bool AllDone = true;
     for (Lane &L : Lanes) {
       if (L.Status == LaneStatus::Running)
         Step(L);
       if (L.Status == LaneStatus::Trapped) {
-        Err = laneError(L);
+        Out.Err = laneError(L);
         break;
       }
       if (L.Status != LaneStatus::Done)
         AllDone = false;
     }
-    if (Err || AllDone)
+    if (Out.Err || AllDone)
       break;
-    if ((Err = rendezvous()))
+    if ((Out.Err = rendezvous()))
       break;
   }
-  flush();
-  return Err;
+  for (const Lane &L : Lanes) // the slowest lane's clock
+    Out.Cycles = std::max(Out.Cycles, L.Cycles);
+  Out.Counters = Cnt;
+  return Out;
 }
 
 inline std::uint8_t *TeamModel::resolve(Lane &L, DeviceAddr A,

@@ -89,15 +89,12 @@ public:
   /// Prepare a module for execution (global layout + initialization).
   /// The module must outlive the image. A pre-lowered bytecode module (the
   /// frontend caches one per compiled kernel) can be attached so the
-  /// bytecode tier skips re-lowering; when absent, the image lowers lazily
-  /// on the first bytecode-tier launch.
+  /// bytecode backend skips re-lowering; when absent, the bytecode backend
+  /// lowers the module when it binds a kernel of the image.
   std::unique_ptr<ModuleImage>
   loadImage(const Module &M,
             std::shared_ptr<const BytecodeModule> Bytecode = nullptr) {
-    auto Image = std::make_unique<ModuleImage>(M, GM);
-    if (Bytecode)
-      Image->setBytecode(std::move(Bytecode));
-    return Image;
+    return std::make_unique<ModuleImage>(M, GM, std::move(Bytecode));
   }
 
   /// Launch a kernel by function pointer through the device's execution
@@ -129,9 +126,6 @@ public:
 
   /// Toggle debug executions (runtime invariant verification).
   void setDebugChecks(bool On) { Config.DebugChecks = On; }
-
-  /// Toggle launch profiling (LaunchResult::Profile collection).
-  void setProfiling(bool On) { Config.CollectProfile = On; }
 
   /// Toggle the dynamic shared-memory race / divergent-aligned-barrier
   /// detector (the lint passes' runtime oracle).

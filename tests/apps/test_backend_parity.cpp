@@ -27,7 +27,6 @@ namespace {
 
 vgpu::DeviceConfig withBackend(const char *Backend) {
   vgpu::DeviceConfig C;
-  C.CollectProfile = true;
   C.ExecBackend = Backend;
   return C;
 }
@@ -35,8 +34,8 @@ vgpu::DeviceConfig withBackend(const char *Backend) {
 void expectIdenticalProfiles(const vgpu::LaunchProfile &A,
                              const vgpu::LaunchProfile &B,
                              const std::string &Build) {
-  ASSERT_TRUE(A.Collected) << Build;
-  ASSERT_TRUE(B.Collected) << Build;
+  ASSERT_GT(A.Teams, 0u) << Build;
+  ASSERT_GT(B.Teams, 0u) << Build;
   for (std::size_t I = 0; I < vgpu::NumOpClasses; ++I)
     EXPECT_EQ(A.OpCounts[I], B.OpCounts[I])
         << Build << ": op class "
@@ -75,7 +74,6 @@ void expectIdentical(const AppRunResult &T, const AppRunResult &C,
   EXPECT_EQ(A.Calls, B.Calls) << Build;
   EXPECT_EQ(A.NativeCycles, B.NativeCycles) << Build;
   EXPECT_EQ(A.DeviceMallocs, B.DeviceMallocs) << Build;
-  EXPECT_EQ(A.SharedStackPeak, B.SharedStackPeak) << Build;
   EXPECT_EQ(A.TeamsPerSM, B.TeamsPerSM) << Build;
   expectIdenticalProfiles(T.Profile, C.Profile, Build);
 }
@@ -94,7 +92,7 @@ void expectNativeParity(const AppRunResult &T, const AppRunResult &N,
   EXPECT_EQ(T.Metrics.TeamsPerSM, N.Metrics.TeamsPerSM) << Build;
   EXPECT_EQ(T.Metrics.Barriers, N.Metrics.Barriers) << Build;
   EXPECT_EQ(T.Metrics.DeviceMallocs, N.Metrics.DeviceMallocs) << Build;
-  ASSERT_TRUE(N.Profile.Collected) << Build;
+  ASSERT_GT(N.Profile.Teams, 0u) << Build;
   EXPECT_EQ(T.Profile.Teams, N.Profile.Teams) << Build;
 }
 

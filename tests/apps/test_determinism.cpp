@@ -3,8 +3,8 @@
 // The launch engine's headline guarantee, checked end to end: every proxy
 // app under every build configuration reports bit-identical results and
 // metrics whether teams execute serially (HostThreads=1) or on several
-// host threads. Per-team metric shards merged in team-ID order make this
-// exact, not approximate.
+// host threads. Team outcomes folded in team-ID order make this exact, not
+// approximate.
 //
 //===----------------------------------------------------------------------===//
 #include "apps/GridMini.hpp"
@@ -21,15 +21,14 @@ namespace {
 vgpu::DeviceConfig withHostThreads(std::uint32_t N) {
   vgpu::DeviceConfig C;
   C.HostThreads = N;
-  C.CollectProfile = true;
   return C;
 }
 
 void expectIdenticalProfiles(const vgpu::LaunchProfile &A,
                              const vgpu::LaunchProfile &B,
                              const std::string &Build) {
-  ASSERT_TRUE(A.Collected) << Build;
-  ASSERT_TRUE(B.Collected) << Build;
+  ASSERT_GT(A.Teams, 0u) << Build;
+  ASSERT_GT(B.Teams, 0u) << Build;
   for (std::size_t I = 0; I < vgpu::NumOpClasses; ++I)
     EXPECT_EQ(A.OpCounts[I], B.OpCounts[I])
         << Build << ": op class "
@@ -67,7 +66,6 @@ void expectIdentical(const AppRunResult &S, const AppRunResult &P,
   EXPECT_EQ(A.Calls, B.Calls) << Build;
   EXPECT_EQ(A.NativeCycles, B.NativeCycles) << Build;
   EXPECT_EQ(A.DeviceMallocs, B.DeviceMallocs) << Build;
-  EXPECT_EQ(A.SharedStackPeak, B.SharedStackPeak) << Build;
   EXPECT_EQ(A.TeamsPerSM, B.TeamsPerSM) << Build;
   EXPECT_EQ(S.Stats.Registers, P.Stats.Registers) << Build;
   EXPECT_EQ(S.Stats.SharedMemBytes, P.Stats.SharedMemBytes) << Build;

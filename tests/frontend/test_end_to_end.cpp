@@ -278,6 +278,11 @@ TEST_F(EndToEnd, NumThreadsWritesAndNestedRegionsLowerEverywhere) {
 
 TEST_F(EndToEnd, InvalidNestingIsRejectedByName) {
   NativeBody Body{SaxpyId, {BodyArg::iter()}, {}};
+  // Body arguments a region cannot supply under every lowering: the
+  // iteration variable outside a loop body, and the scratch pointer outside
+  // a loop body or in a region that allocates none.
+  NativeBody IterScratch{SaxpyId, {BodyArg::iter(), BodyArg::scratch()}, {}};
+  NativeBody ScratchOnly{SaxpyId, {BodyArg::scratch()}, {}};
   const std::pair<Stmt, const char *> Cases[] = {
       {Stmt::parallel(
            {Stmt::distributeParallelFor(TripCount::argument(0), Body)}),
@@ -285,15 +290,34 @@ TEST_F(EndToEnd, InvalidNestingIsRejectedByName) {
       {Stmt::parallel({Stmt::parallel(
            {Stmt::forLoop(TripCount::argument(0), Body)})}),
        "worksharing inside a nested parallel"},
+      {Stmt::serial(Body), "iteration variable outside a worksharing loop"},
+      {Stmt::parallelWork(Body),
+       "iteration variable outside a worksharing loop"},
+      {Stmt::serial(ScratchOnly),
+       "scratch pointer outside a worksharing loop"},
+      {Stmt::parallel({Stmt::parallelWork(ScratchOnly)}, 0,
+                      /*ScratchBytes=*/16),
+       "scratch pointer outside a worksharing loop"},
+      {Stmt::parallel({Stmt::parallel({Stmt::parallelWork(ScratchOnly)})}, 0,
+                      /*ScratchBytes=*/16),
+       "scratch pointer outside a worksharing loop"},
+      {Stmt::parallel({Stmt::forLoop(TripCount::argument(0), IterScratch)}),
+       "scratch pointer in a region without scratch"},
+      {Stmt::distributeParallelFor(TripCount::argument(0), IterScratch),
+       "scratch pointer in a region without scratch"},
   };
   for (const auto &[Top, Want] : Cases) {
     KernelSpec Spec;
     Spec.Name = "bad";
     Spec.Params = {{ir::Type::i64(), "n"}};
     Spec.Stmts = {Top};
-    auto CG = emitKernel(Spec, CodegenOptions{});
-    ASSERT_FALSE(CG.hasValue()) << Want;
-    EXPECT_EQ(CG.error().message(), std::string("kernel 'bad': ") + Want);
+    for (RuntimeKind RT : {RuntimeKind::Native, RuntimeKind::NewRT}) {
+      CodegenOptions Opts;
+      Opts.RT = RT;
+      auto CG = emitKernel(Spec, Opts);
+      ASSERT_FALSE(CG.hasValue()) << Want;
+      EXPECT_EQ(CG.error().message(), std::string("kernel 'bad': ") + Want);
+    }
   }
 }
 

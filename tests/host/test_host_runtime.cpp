@@ -254,6 +254,21 @@ TEST_F(HostRuntimeTest, UnregisterImageAllowsReRegistration) {
   EXPECT_TRUE(RT.launch("swap_k", {}, 1, 1).hasValue());
 }
 
+TEST_F(HostRuntimeTest, UnregisterImageKeepsOtherImagesLaunchable) {
+  HostRuntime RT(GPU);
+  Module First, Second;
+  addKernel(First, "first_k");
+  addKernel(Second, "second_k");
+  ASSERT_TRUE(RT.registerImage(First).hasValue());
+  ASSERT_TRUE(RT.registerImage(Second).hasValue());
+  ASSERT_TRUE(RT.unregisterImage(First).hasValue());
+  EXPECT_FALSE(RT.launch("first_k", {}, 1, 1).hasValue());
+  auto LR = RT.launch("second_k", {}, 1, 1);
+  ASSERT_TRUE(LR.hasValue()) << LR.error().message();
+  EXPECT_TRUE(LR->Ok) << LR->Error;
+  EXPECT_EQ(RT.findKernel("second_k"), Second.findFunction("second_k"));
+}
+
 TEST_F(HostRuntimeTest, UnregisterUnknownModuleReportsError) {
   HostRuntime RT(GPU);
   Module Unknown;

@@ -256,7 +256,6 @@ TEST_F(ServiceTest, BlockPolicyAcceptsEverythingEventually) {
 }
 
 TEST_F(ServiceTest, PerTenantProfileAndTraceIsolation) {
-  GPU.setProfiling(true);
   trace::Tracer::global().setEnabled(true);
   Service Svc(GPU);
   ASSERT_TRUE(Svc.submitCompile("setup", spec("iso"),

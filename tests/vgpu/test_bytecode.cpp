@@ -54,7 +54,6 @@ TierRun runTier(std::string_view Backend,
   Module M;
   Build(M);
   DeviceConfig C;
-  C.CollectProfile = true;
   C.MaxDynamicInstPerThread = InstBudget;
   VirtualGPU GPU(C);
   // Pin: overrides any CODESIGN_EXEC_BACKEND ambient.
@@ -96,12 +95,11 @@ void expectTierIdentical(const TierRun &Tree, const TierRun &BC) {
   EXPECT_EQ(A.Calls, B.Calls);
   EXPECT_EQ(A.NativeCycles, B.NativeCycles);
   EXPECT_EQ(A.DeviceMallocs, B.DeviceMallocs);
-  EXPECT_EQ(A.SharedStackPeak, B.SharedStackPeak);
   EXPECT_EQ(A.TeamsPerSM, B.TeamsPerSM);
   if (!Tree.LR.Ok)
     return;
   const LaunchProfile &PA = Tree.LR.Profile, &PB = BC.LR.Profile;
-  ASSERT_EQ(PA.Collected, PB.Collected);
+  ASSERT_EQ(PA.Teams, PB.Teams);
   for (std::size_t I = 0; I < NumOpClasses; ++I)
     EXPECT_EQ(PA.OpCounts[I], PB.OpCounts[I])
         << "op class " << opClassName(static_cast<OpClass>(I));
@@ -725,6 +723,15 @@ TEST(BytecodeTier, IndirectCallTrapsMatch) {
        [](IRBuilder &B, Module &, Function *K) {
          B.callIndirect(Type::voidTy(), K->arg(0), {});
        }},
+      {"thread 0 of team 0: indirect call to a non-function address",
+       [](IRBuilder &B, Module &, Function *) {
+         // An invalid-space address past the image's function table.
+         const DeviceAddr PastTable = DeviceAddr::make(MemSpace::Invalid, 1000);
+         B.callIndirect(Type::voidTy(),
+                        B.intToPtr(B.i64(static_cast<std::int64_t>(
+                            PastTable.Bits))),
+                        {});
+       }},
       {"thread 0 of team 0: call to unresolved external function 'ext'",
        [](IRBuilder &B, Module &M, Function *) {
          B.call(M.createFunction("ext", Type::i64(), {}), {});
@@ -823,6 +830,26 @@ TEST(BytecodeTier, UnverifiedModuleStructuralTrapsMatch) {
       "k", 8);
   EXPECT_EQ(R.LR.Error,
             "thread 0 of team 0: phi has no incoming value for predecessor");
+  // The instruction budget running out exactly at a mid-block phi: the phi
+  // counts like any instruction, so the budget check stops the lane first.
+  // Native has no budget.
+  const auto MidBlockPhi = [](Module &M) {
+    Function *K = M.createFunction("k", Type::voidTy(), {Type::ptr()});
+    K->addAttr(FnAttr::Kernel);
+    IRBuilder B(M);
+    B.setInsertPoint(K->createBlock("entry"));
+    B.store(B.i64(1), K->arg(0));
+    B.phi(Type::i64());
+    B.retVoid();
+  };
+  const TierRun Tree = runTier("tree", MidBlockPhi, "k", 8, {}, 1, 1,
+                               /*DetectRaces=*/false, /*InstBudget=*/1);
+  const TierRun BC = runTier("bytecode", MidBlockPhi, "k", 8, {}, 1, 1,
+                             /*DetectRaces=*/false, /*InstBudget=*/1);
+  expectTierIdentical(Tree, BC);
+  EXPECT_EQ(BC.LR.Error, "thread 0 of team 0: dynamic instruction budget "
+                         "exceeded (runaway kernel?)");
+  EXPECT_EQ(loadI64(BC, 0), 1) << "the store within the budget ran";
 }
 
 TEST(BytecodeTier, SharedStoreAfterReadRaceVerdictIdentical) {

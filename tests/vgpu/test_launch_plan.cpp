@@ -38,35 +38,41 @@ void buildStoreTid(Module &M, const std::string &Name) {
   B.retVoid();
 }
 
-/// The tree interpreter behind a counter of binds, which can be told to
-/// refuse the next binds.
+/// The registered tree backend behind a counter of binds, which can be
+/// told to refuse the next binds.
 class CountingBackend final : public exec::Backend {
 public:
   std::string_view name() const override { return "counting-tree"; }
 
   Expected<std::unique_ptr<exec::BoundKernel>>
-  bindKernel(const ModuleImage &, const Function *,
-             const exec::LaunchEnv &) override {
+  bindKernel(const ModuleImage &Image, const Function *Kernel,
+             const exec::LaunchEnv &Env) override {
     Binds.fetch_add(1);
     if (Refuse.load() > 0) {
       Refuse.fetch_sub(1);
       return Error("refused on purpose");
     }
-    return std::make_unique<exec::BoundKernel>();
+    return tree().bindKernel(Image, Kernel, Env);
   }
 
-  void runTeam(exec::BoundKernel &, const exec::LaunchEnv &Env,
-               const ModuleImage &Image, const Function *Kernel,
-               std::span<const std::uint64_t> Args, std::uint32_t TeamId,
-               std::uint32_t NumTeams, std::uint32_t NumThreads,
-               LaunchMetrics &Metrics, LaunchProfile *Profile,
-               exec::TeamOutcome &Out) override {
-    Out = runTreeTeam(Env.Config, Env.GM, Env.Registry, Image, TeamId,
-                      NumTeams, NumThreads, Kernel, Args, Metrics, Profile);
+  TeamRunOutcome runTeam(exec::BoundKernel &Bound, const exec::LaunchEnv &Env,
+                         const ModuleImage &Image, const Function *Kernel,
+                         std::span<const std::uint64_t> Args,
+                         std::uint32_t TeamId, std::uint32_t NumTeams,
+                         std::uint32_t NumThreads) override {
+    return tree().runTeam(Bound, Env, Image, Kernel, Args, TeamId, NumTeams,
+                          NumThreads);
   }
 
   std::atomic<unsigned> Binds{0};
   std::atomic<unsigned> Refuse{0};
+
+private:
+  static exec::Backend &tree() {
+    static exec::Backend &Tree =
+        **exec::BackendRegistry::global().lookup("tree");
+    return Tree;
+  }
 };
 
 /// The process's one CountingBackend, registered on first use.

@@ -141,7 +141,6 @@ struct TwinRun {
 /// and no two teams write the same bytes.
 TwinRun runTwin(const char *Backend, bool Block, Range Where) {
   DeviceConfig C;
-  C.CollectProfile = true;
   C.HostThreads = 1;
   VirtualGPU GPU(C);
   pin(GPU, Backend);
@@ -201,7 +200,7 @@ void expectSameCharges(const TwinRun &A, const TwinRun &B, const std::string &Wh
   EXPECT_EQ(X.LocalAccesses, Y.LocalAccesses) << What;
   EXPECT_EQ(X.Atomics, Y.Atomics) << What;
   const LaunchProfile &P = A.LR.Profile, &Q = B.LR.Profile;
-  EXPECT_EQ(P.Collected, Q.Collected) << What;
+  EXPECT_EQ(P.Teams, Q.Teams) << What;
   EXPECT_EQ(P.OpCounts, Q.OpCounts) << What;
   EXPECT_EQ(P.GlobalBytesRead, Q.GlobalBytesRead) << What;
   EXPECT_EQ(P.GlobalBytesWritten, Q.GlobalBytesWritten) << What;

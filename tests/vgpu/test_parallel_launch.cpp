@@ -96,7 +96,6 @@ TEST(ParallelLaunch, MetricsBitIdenticalToSerial) {
   EXPECT_EQ(S.Calls, P.Calls);
   EXPECT_EQ(S.NativeCycles, P.NativeCycles);
   EXPECT_EQ(S.DeviceMallocs, P.DeviceMallocs);
-  EXPECT_EQ(S.SharedStackPeak, P.SharedStackPeak);
   EXPECT_EQ(S.TeamsPerSM, P.TeamsPerSM);
 }
 

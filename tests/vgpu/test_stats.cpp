@@ -183,5 +183,14 @@ TEST(KernelStats, SharedGlobalInitializerAppliedPerTeam) {
   }
 }
 
+TEST(LaunchProfile, EveryOpClassHasItsReportName) {
+  // The names are the keys of every BENCH JSON op-class histogram.
+  const char *const Names[NumOpClasses] = {
+      "int_alu", "int_muldiv",   "float", "memory",    "atomic", "control_flow",
+      "call",    "intrinsic",    "sync",  "meta",      "native"};
+  for (std::size_t I = 0; I < NumOpClasses; ++I)
+    EXPECT_STREQ(opClassName(static_cast<OpClass>(I)), Names[I]) << I;
+}
+
 } // namespace
 } // namespace codesign::vgpu
