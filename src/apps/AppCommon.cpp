@@ -1,20 +1,65 @@
 #include "apps/AppCommon.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "frontend/Driver.hpp"
 #include "support/Hash.hpp"
+#include "support/ThreadPool.hpp"
 
 namespace codesign::apps {
 
 namespace {
 
-bool matches(const AppOutput &O) {
-  return std::equal(O.Data.begin(), O.Data.end(), O.Expected.begin(),
-                    O.Expected.end(), [&](double Out, double Ref) {
-                      return withinTolerance(Out, Ref, O.Tolerance);
-                    });
+/// Step 5 of the run protocol: fill Result's OutputHash and Verified from
+/// the read-back Outputs, on at most HostThreads threads.
+void hashAndCheck(std::initializer_list<AppOutput> Outputs,
+                  unsigned HostThreads, AppRunResult &Result) {
+  bool SizesMatch = true;
+  std::size_t Elements = 0;
+  for (const AppOutput &O : Outputs) {
+    SizesMatch = SizesMatch && O.Data.size() == O.Expected.size();
+    Elements += O.Data.size();
+  }
+  constexpr std::size_t Chunk = AppHarness::CheckChunk;
+  const std::size_t Chunks = SizesMatch ? (Elements + Chunk - 1) / Chunk : 0;
+  std::uint64_t Hash = 0;
+  std::atomic<bool> Pass{true};
+  const auto Item = [&](std::uint64_t I) {
+    if (I == 0) {
+      // Each output's hash seeds the next one's, so the chain covers the
+      // outputs in order.
+      for (const AppOutput &O : Outputs)
+        Hash = xxh64(O.Data.data(), O.Data.size() * sizeof(double), Hash);
+      return;
+    }
+    // Item I checks elements [Begin, End) of the outputs laid end to end
+    // in output order.
+    const std::size_t Begin = (I - 1) * Chunk, End = Begin + Chunk;
+    std::size_t Base = 0;
+    for (const AppOutput &O : Outputs) {
+      const std::size_t Lo = std::max(Begin, Base);
+      const std::size_t Hi = std::min(End, Base + O.Data.size());
+      if (Lo < Hi &&
+          !std::equal(O.Data.begin() + (Lo - Base),
+                      O.Data.begin() + (Hi - Base),
+                      O.Expected.begin() + (Lo - Base),
+                      [&](double Out, double Ref) {
+                        return withinTolerance(Out, Ref, O.Tolerance);
+                      }))
+        Pass.store(false);
+      Base += O.Data.size();
+    }
+  };
+  // At most one thread per check chunk, so outputs that fit one chunk stay
+  // on the caller and wake no helper.
+  const std::size_t Width =
+      std::min<std::size_t>(support::resolveHostThreads(HostThreads), Chunks);
+  support::ThreadPool::global().parallelFor(static_cast<unsigned>(Width),
+                                            1 + Chunks, Item);
+  Result.OutputHash = Hash;
+  Result.Verified = SizesMatch && Pass.load();
 }
 
 } // namespace
@@ -82,8 +127,7 @@ AppHarness::run(const BuildConfig &Build, const frontend::KernelSpec &Spec,
            "' failed: " + E.message();
   };
   for (const AppOutput &O : Outputs) {
-    std::fill(O.Data.begin(), O.Data.end(), 0.0);
-    if (auto Reset = Host.updateTo(O.Data.data()); !Reset) {
+    if (auto Reset = Host.memsetDevice(O.Data.data(), 0); !Reset) {
       Result.Error = TransferError("reset", O, Reset.error());
       return Result;
     }
@@ -103,19 +147,14 @@ AppHarness::run(const BuildConfig &Build, const frontend::KernelSpec &Spec,
   Result.Metrics = LR->Metrics;
   Result.Profile = LR->Profile;
 
-  // Each output's hash seeds the next one's, so the chain covers the
-  // outputs in order.
-  Result.OutputHash = 0;
   for (const AppOutput &O : Outputs) {
     if (auto Back = Host.updateFrom(O.Data.data()); !Back) {
       Result.Error = TransferError("readback", O, Back.error());
       return Result;
     }
-    Result.OutputHash = xxh64(O.Data.data(), O.Data.size() * sizeof(double),
-                              Result.OutputHash);
   }
   Result.Ok = true;
-  Result.Verified = std::all_of(Outputs.begin(), Outputs.end(), matches);
+  hashAndCheck(Outputs, GPU.config().HostThreads, Result);
   return Result;
 }
 

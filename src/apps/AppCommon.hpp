@@ -7,13 +7,19 @@
 //
 //   1. compile the app's kernel spec under the build and swap the module
 //      into the runtime, replacing the previous build's module;
-//   2. zero every output buffer and upload it (updateTo);
+//   2. zero every output's device copy on the device (memsetDevice): no
+//      host bytes move, and the readback in step 4 overwrites the host
+//      copy;
 //   3. launch through HostRuntime::launch, timed into WallMicros;
-//   4. read every output back (updateFrom) and chain XXH64 over them, in
-//      the app's output order, into OutputHash (support/Hash.hpp: each
-//      output's hash is seeded with the previous one's);
-//   5. compare every element of every output against the app's host
-//      reference.
+//   4. read every output back (updateFrom, one per output);
+//   5. hash and check the read-back outputs in one job on the process's
+//      executor, at the device's HostThreads width: item 0 chains XXH64
+//      over the outputs, in the app's output order, into OutputHash
+//      (support/Hash.hpp: each output's hash is seeded with the previous
+//      one's), and every other item compares one CheckChunk-element chunk
+//      of the outputs, laid end to end in output order, against the app's
+//      host reference. The job allocates nothing and its results do not
+//      depend on the width.
 //
 // The result carries the launch metrics plus the static resource stats:
 // everything Figures 10-13 need.
@@ -21,7 +27,7 @@
 // Reference cache. An app's reference values are computed once, on its
 // first run, and reused by every later run, build and backend. This relies
 // on one condition: an app's inputs are fixed after construction. Runs
-// reset and read back only the outputs, so nothing a reference reads ever
+// zero and read back only the outputs, so nothing a reference reads ever
 // changes. Every run still reads back, hashes and compares every output
 // element, so a wrong output is caught on any run, not only the first.
 //
@@ -107,8 +113,9 @@ inline bool withinTolerance(double Out, double Ref, double Tol) {
 struct AppOutput {
   /// Names the buffer in error messages.
   std::string_view Name;
-  /// The host copy, mapped in the harness's runtime. Zeroed and uploaded
-  /// before the launch, read back after it.
+  /// The host copy, mapped in the harness's runtime. Its device copy is
+  /// zeroed on the device before the launch, and the readback after the
+  /// launch overwrites this copy.
   std::vector<double> &Data;
   /// The value each element of Data must hold, one per element.
   std::span<const double> Expected;
@@ -120,6 +127,10 @@ struct AppOutput {
 /// app's cached reference values. Not thread-safe, like the apps.
 class AppHarness {
 public:
+  /// Output elements one check item of step 5 compares: a chunk of the
+  /// run's outputs laid end to end, so small outputs share one item.
+  static constexpr std::size_t CheckChunk = 8192;
+
   /// App names the app in error messages. Reference computes the app's
   /// expected output values from its inputs; it runs at most once.
   AppHarness(std::string App, vgpu::VirtualGPU &GPU,
@@ -132,11 +143,12 @@ public:
   /// unchanged. Valid only while the app's inputs stay as constructed.
   const std::vector<double> &reference();
 
-  /// Compile Spec under Build, launch it with Args on Teams x Threads, and
-  /// read back, hash and verify Outputs. OnCompiled, when set, sees the
-  /// compiled kernel before the launch, for expected values that depend on
-  /// how the kernel was lowered. A failed transfer is returned as Error,
-  /// naming the app, the buffer and the runtime's message.
+  /// Compile Spec under Build, zero Outputs on the device, launch Spec's
+  /// kernel with Args on Teams x Threads, and read back, hash and verify
+  /// Outputs. OnCompiled, when set, sees the compiled kernel before the
+  /// launch, for expected values that depend on how the kernel was
+  /// lowered. A failed reset or transfer is returned as Error, naming the
+  /// app, the buffer and the runtime's message.
   AppRunResult
   run(const BuildConfig &Build, const frontend::KernelSpec &Spec,
       std::span<const host::KernelArg> Args, std::uint32_t Teams,

@@ -16,6 +16,7 @@
 
 #include "exec/BuiltinBackends.hpp"
 #include "support/ThreadPool.hpp"
+#include "vgpu/Bytecode.hpp"
 #include "vgpu/KernelStats.hpp"
 
 namespace codesign::exec {
@@ -146,6 +147,8 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
   // lowering, the native compile) before the fan-out, so no team pays it
   // under contention, and a backend that cannot execute this kernel fails
   // the whole launch with an explicit error. A refused bind is not kept.
+  // The stats come with the compile's lowering when the image was loaded
+  // with one; an image of a bare module computes them here.
   const ModuleImage::LaunchPlan *Plan =
       Image.findPlan(&B, Kernel, Config.DetectRaces);
   if (!Plan) {
@@ -155,9 +158,14 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
           std::string(B.name()) + " backend: " + Bound.error().message();
       return Result;
     }
-    Plan = &Image.addPlan({&B, Kernel, Config.DetectRaces,
-                           vgpu::computeKernelStats(*Kernel, Env.Registry),
-                           Bound.takeValue()});
+    const vgpu::BCFunction *Lowered =
+        Image.bytecode() ? Image.bytecode()->functionFor(Kernel) : nullptr;
+    Plan = &Image.addPlan(
+        {&B, Kernel, Config.DetectRaces,
+         Lowered && Lowered->Stats
+             ? *Lowered->Stats
+             : vgpu::computeKernelStats(*Kernel, Env.Registry),
+         Bound.takeValue()});
   }
   const KernelStaticStats &Stats = Plan->Stats;
   BoundKernel &Bound = *Plan->Bound;

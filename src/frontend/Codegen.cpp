@@ -67,9 +67,10 @@ private:
       std::optional<Error> E;
       if (S.K == StmtKind::Parallel)
         E = validateParallel(S, /*Depth=*/1);
+      else if (S.K == StmtKind::DistributeParallelFor)
+        E = validateLoop(S, /*HasScratch=*/S.ScratchBytes > 0);
       else if (S.K != StmtKind::SetNumThreads)
-        E = validateBody(S.Body, S.K == StmtKind::DistributeParallelFor,
-                         S.ScratchBytes > 0);
+        E = validateBody(S.Body, /*InLoop=*/false, /*HasScratch=*/false);
       if (E)
         return E;
     }
@@ -81,7 +82,8 @@ private:
   /// A body's arguments must be ones its region supplies under every
   /// lowering: the iteration variable and the scratch pointer only in a
   /// worksharing loop's body, the scratch pointer only in a region that
-  /// allocates scratch (a direct parallel body never receives it).
+  /// allocates scratch (a direct parallel body never receives it), and a
+  /// kernel argument only when the kernel has that parameter.
   std::optional<Error> validateBody(const NativeBody &Body, bool InLoop,
                                     bool HasScratch) {
     for (const BodyArg &A : Body.Args) {
@@ -93,8 +95,40 @@ private:
       if (IsScratch && !HasScratch)
         return makeError("kernel '", Spec.Name,
                          "': scratch pointer in a region without scratch");
+      if (A.K == BodyArg::Kind::KernelArg)
+        if (auto E = validateParam("body argument", A.ArgIndex))
+          return E;
     }
     return std::nullopt;
+  }
+
+  /// A worksharing loop (For or DistributeParallelFor): its trip count and
+  /// its body. An argument trip count must name an i64 parameter, and a
+  /// loaded one must load through a pointer parameter.
+  std::optional<Error> validateLoop(const Stmt &Loop, bool HasScratch) {
+    const TripCount &T = Loop.Trip;
+    if (T.K != TripCount::Kind::Constant) {
+      if (auto E = validateParam("trip count", T.ArgIndex))
+        return E;
+      const ParamSpec &P = Spec.Params[T.ArgIndex];
+      if (T.K == TripCount::Kind::Argument && P.Ty != Type::i64())
+        return makeError("kernel '", Spec.Name, "': trip count parameter '",
+                         P.Name, "' is ", P.Ty.name(), ", not i64");
+      if (T.K == TripCount::Kind::LoadFromArgPtr && !P.Ty.isPointer())
+        return makeError("kernel '", Spec.Name,
+                         "': trip count loads through parameter '", P.Name,
+                         "', which is ", P.Ty.name(), ", not a pointer");
+    }
+    return validateBody(Loop.Body, /*InLoop=*/true, HasScratch);
+  }
+
+  /// Fails unless the kernel has parameter #Index, which What names.
+  std::optional<Error> validateParam(const char *What, unsigned Index) {
+    if (Index < Spec.Params.size())
+      return std::nullopt;
+    return makeError("kernel '", Spec.Name, "': ", What, " names parameter #",
+                     std::to_string(Index), ", but the kernel has ",
+                     std::to_string(Spec.Params.size()));
   }
 
   std::optional<Error> validateParallel(const Stmt &P, int Depth) {
@@ -115,8 +149,7 @@ private:
         if (Depth > 1)
           return makeError("kernel '", Spec.Name,
                            "': worksharing inside a nested parallel");
-        if (auto E = validateBody(S.Body, /*InLoop=*/true,
-                                  P.ScratchBytes > 0))
+        if (auto E = validateLoop(S, /*HasScratch=*/P.ScratchBytes > 0))
           return E;
         break;
       case StmtKind::Parallel:

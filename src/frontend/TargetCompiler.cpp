@@ -210,8 +210,10 @@ Expected<CompiledKernel> compileUncached(const KernelSpec &Spec,
   Out.M = std::move(CG->AppModule);
   Out.Stats = vgpu::computeKernelStats(*Out.Kernel, Registry);
   // Lower to bytecode while the verified module is at hand; the lowering
-  // is immutable and shared by every image (and by cache hits below).
-  Out.Bytecode = vgpu::BytecodeEmitter::lower(*Out.M);
+  // is immutable and shared by every image (and by cache hits below). It
+  // carries the stats, so no launch plan recomputes them.
+  const vgpu::KernelDescriptor Kernels[] = {{Out.Kernel, Out.Stats}};
+  Out.Bytecode = vgpu::BytecodeEmitter::lower(*Out.M, Kernels);
   Timing.StatsMicros = Clock.lap("stats");
   Out.Timing = Timing;
   return Out;

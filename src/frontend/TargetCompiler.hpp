@@ -150,7 +150,8 @@ struct CompiledKernel {
   /// The module lowered to the virtual GPU's dense bytecode (the fast
   /// execution tier). Produced once per compile after verification, cached
   /// alongside the module, and attached to every image loaded from it so
-  /// launches never re-lower.
+  /// launches never re-lower. It carries Stats as the kernel's descriptor,
+  /// so no launch plan recomputes them.
   std::shared_ptr<const vgpu::BytecodeModule> Bytecode;
 };
 

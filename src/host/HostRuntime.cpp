@@ -153,6 +153,16 @@ Expected<void> HostRuntime::updateFrom(void *HostPtr) {
   return {};
 }
 
+Expected<void> HostRuntime::memsetDevice(const void *HostPtr,
+                                         std::uint8_t Byte) {
+  std::lock_guard<std::mutex> Lock(TableMutex);
+  auto It = Table.find(HostPtr);
+  if (It == Table.end())
+    return makeError("memsetDevice: pointer is not mapped");
+  Device.fill(It->second.Addr, It->second.Size, Byte);
+  return {};
+}
+
 Expected<DeviceAddr> HostRuntime::lookup(const void *HostPtr) const {
   std::lock_guard<std::mutex> Lock(TableMutex);
   auto It = Table.find(HostPtr);

@@ -9,7 +9,8 @@
 // auto-map Buffer arguments per their map(to/from/tofrom/alloc) clauses.
 // Every byte of host<->device motion goes through the owned TransferEngine,
 // which costs and accounts it (per-launch profile, lifetime stats, BENCH
-// JSON "transfers" section).
+// JSON "transfers" section). memsetDevice fills a device copy in place and
+// moves no host bytes, so it is not a transfer.
 //
 // All entry points are safe to call concurrently: the present table and the
 // image/kernel tables are guarded independently, and launches pin their
@@ -56,7 +57,8 @@ public:
   /// name in M is already registered: silently overwriting would leave
   /// launches bound to an ambiguous image. A pre-lowered bytecode module
   /// (CompiledKernel::Bytecode) is attached to the image when provided, so
-  /// the bytecode backend binds its kernels without lowering M again.
+  /// the bytecode backend binds its kernels without lowering M again and
+  /// no launch recomputes the kernel stats the compile carried in it.
   Expected<void>
   registerImage(const ir::Module &M,
                 std::shared_ptr<const vgpu::BytecodeModule> Bytecode = nullptr);
@@ -93,6 +95,12 @@ public:
   /// unmapped pointers.
   Expected<void> updateTo(const void *HostPtr);
   Expected<void> updateFrom(void *HostPtr);
+
+  /// Set every byte of a mapping's device copy to Byte on the device
+  /// (OpenMP 6.0's omp_target_memset over the whole mapping). No host
+  /// bytes move, so the TransferEngine accounts nothing. Fails with a
+  /// "pointer is not mapped" error for unmapped pointers.
+  Expected<void> memsetDevice(const void *HostPtr, std::uint8_t Byte);
 
   /// Device address of a mapped host pointer (error when not present).
   Expected<DeviceAddr> lookup(const void *HostPtr) const;

@@ -9,8 +9,14 @@ namespace codesign::support {
 unsigned resolveHostThreads(unsigned Requested) {
   if (Requested != 0)
     return Requested;
-  const unsigned HW = std::thread::hardware_concurrency();
-  return HW != 0 ? HW : 1;
+  // hardware_concurrency() asks the OS on every call, a few microseconds
+  // that every launch and app run would pay; the count is fixed for the
+  // process's life.
+  static const unsigned HW = [] {
+    const unsigned N = std::thread::hardware_concurrency();
+    return N != 0 ? N : 1;
+  }();
+  return HW;
 }
 
 /// One parallelFor call. Lives on its caller's stack; it is the open job

@@ -356,7 +356,8 @@ private:
 } // namespace
 
 std::shared_ptr<const BytecodeModule>
-BytecodeEmitter::lower(const ir::Module &M) {
+BytecodeEmitter::lower(const ir::Module &M,
+                       std::span<const KernelDescriptor> Kernels) {
   auto BM = std::make_shared<BytecodeModule>();
   BM->M = &M;
   BM->Functions.resize(M.functions().size());
@@ -371,6 +372,12 @@ BytecodeEmitter::lower(const ir::Module &M) {
     if (F->isDeclaration())
       continue;
     FunctionLowering(*F, *BM, BM->Functions[Idx]).run();
+  }
+  for (const KernelDescriptor &D : Kernels) {
+    const BCFunction *BF = BM->functionFor(D.Kernel);
+    CODESIGN_ASSERT(BF,
+                    "kernel descriptor names a function of another module");
+    BM->Functions[BF->Index].Stats = D.Stats;
   }
   return BM;
 }

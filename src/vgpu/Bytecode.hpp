@@ -13,17 +13,23 @@
 // ir::Function symbols through typed constant-pool entries that the
 // bytecode backend resolves to an image's device addresses when it binds a
 // kernel, so one lowering is shared by every image (and cached by the
-// frontend's KernelCache next to the optimized module).
+// frontend's KernelCache next to the optimized module). A compile's
+// lowering also carries its kernels' static stats, as a GPU code object
+// carries its kernel descriptors, so the launch plan of an image loaded
+// with it runs no liveness pass.
 //
 //===----------------------------------------------------------------------===//
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "ir/Module.hpp"
+#include "vgpu/Metrics.hpp"
 
 namespace codesign::vgpu {
 
@@ -111,6 +117,16 @@ struct BCFunction {
     std::uint32_t Src = 0;
   };
   std::vector<std::vector<PhiCopy>> Bundles;
+  /// A kernel's static stats as its compile computed them; empty when the
+  /// lowering was made without them.
+  std::optional<KernelStaticStats> Stats;
+};
+
+/// A kernel's static stats, handed to the lowering by the compile that
+/// computed them.
+struct KernelDescriptor {
+  const ir::Function *Kernel = nullptr;
+  KernelStaticStats Stats;
 };
 
 /// A module lowered to bytecode. Immutable after construction; shared
@@ -131,8 +147,10 @@ struct BytecodeModule {
 class BytecodeEmitter {
 public:
   /// Lower every function of M (declarations become body-less entries so
-  /// indirect calls to them can trap with the tree walker's message).
-  static std::shared_ptr<const BytecodeModule> lower(const ir::Module &M);
+  /// indirect calls to them can trap with the tree walker's message), and
+  /// keep each descriptor's stats on its kernel's BCFunction.
+  static std::shared_ptr<const BytecodeModule>
+  lower(const ir::Module &M, std::span<const KernelDescriptor> Kernels = {});
 };
 
 } // namespace codesign::vgpu

@@ -56,7 +56,8 @@ public:
   /// the per-team static segment. Bytecode, when given, is a lowering of M
   /// (the frontend caches one per compiled kernel and shares it across
   /// images); the bytecode backend binds kernels over it instead of
-  /// lowering M again.
+  /// lowering M again, and a launch plan takes the kernel stats it carries
+  /// instead of computing them.
   ModuleImage(const Module &M, GlobalMemory &GM,
               std::shared_ptr<const BytecodeModule> Bytecode = nullptr);
   ~ModuleImage();
@@ -91,10 +92,11 @@ public:
   }
 
   /// What launching Kernel through Backend needs besides its arguments and
-  /// geometry: the kernel's static stats and the backend's bound kernel.
-  /// The first such launch builds it (exec/LaunchEngine.cpp) and the image
-  /// keeps it. DetectRaces is part of the key because a backend may refuse
-  /// to bind under it, and a refused bind is never kept.
+  /// geometry: the kernel's static stats (the lowering's, when it carries
+  /// them) and the backend's bound kernel. The first such launch builds it
+  /// (exec/LaunchEngine.cpp) and the image keeps it. DetectRaces is part of
+  /// the key because a backend may refuse to bind under it, and a refused
+  /// bind is never kept.
   struct LaunchPlan {
     const exec::Backend *Backend = nullptr;
     const Function *Kernel = nullptr;

@@ -108,6 +108,12 @@ void GlobalMemory::read(std::uint64_t Offset,
   std::memcpy(Out.data(), Base + Offset, Out.size());
 }
 
+void GlobalMemory::fill(std::uint64_t Offset, std::uint64_t Size,
+                        std::uint8_t Byte) {
+  CODESIGN_ASSERT(Offset + Size <= ArenaSize, "global fill out of bounds");
+  std::memset(Base + Offset, Byte, Size);
+}
+
 std::uint8_t *GlobalMemory::data(std::uint64_t Offset, std::uint64_t Size) {
   CODESIGN_ASSERT(Offset + Size <= ArenaSize, "global access out of bounds");
   return Base + Offset;

@@ -54,6 +54,8 @@ public:
   /// Raw access. Offset+Size must be in bounds.
   void write(std::uint64_t Offset, std::span<const std::uint8_t> Data);
   void read(std::uint64_t Offset, std::span<std::uint8_t> Out) const;
+  /// Set Size bytes at Offset to Byte.
+  void fill(std::uint64_t Offset, std::uint64_t Size, std::uint8_t Byte);
   [[nodiscard]] std::uint8_t *data(std::uint64_t Offset, std::uint64_t Size);
 
 private:

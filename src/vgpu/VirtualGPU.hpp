@@ -9,11 +9,13 @@
 //===----------------------------------------------------------------------===//
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string_view>
 
 #include "exec/Backend.hpp"
+#include "support/ThreadPool.hpp"
 #include "support/Trace.hpp"
 #include "vgpu/Interpreter.hpp"
 #include "vgpu/TeamModel.hpp"
@@ -71,15 +73,33 @@ public:
     CODESIGN_ASSERT(A.space() == MemSpace::Global, "release of non-global");
     GM.release(A.offset());
   }
+  /// Copies and fills of more than CopyChunk bytes are split into pieces
+  /// of this size, run on the device's host threads (HostThreads). A
+  /// launch leaves its outputs in the caches of the threads that ran its
+  /// teams, and one core alone copies a few MB at a fraction of the rate
+  /// four reach.
+  static constexpr std::uint64_t CopyChunk = 256 * 1024;
   /// Copy host -> device.
   void write(DeviceAddr A, std::span<const std::uint8_t> Data) {
     CODESIGN_ASSERT(A.space() == MemSpace::Global, "write to non-global");
-    GM.write(A.offset(), Data);
+    inChunks(Data.size(), [&](std::uint64_t Lo, std::uint64_t Len) {
+      GM.write(A.offset() + Lo, Data.subspan(Lo, Len));
+    });
   }
   /// Copy device -> host.
   void read(DeviceAddr A, std::span<std::uint8_t> Out) const {
     CODESIGN_ASSERT(A.space() == MemSpace::Global, "read from non-global");
-    GM.read(A.offset(), Out);
+    inChunks(Out.size(), [&](std::uint64_t Lo, std::uint64_t Len) {
+      GM.read(A.offset() + Lo, Out.subspan(Lo, Len));
+    });
+  }
+  /// Set Size bytes at A to Byte on the device (cudaMemset analogue): no
+  /// host bytes move.
+  void fill(DeviceAddr A, std::uint64_t Size, std::uint8_t Byte) {
+    CODESIGN_ASSERT(A.space() == MemSpace::Global, "fill of non-global");
+    inChunks(Size, [&](std::uint64_t Lo, std::uint64_t Len) {
+      GM.fill(A.offset() + Lo, Len, Byte);
+    });
   }
   /// Bytes currently allocated (leak checking in tests).
   [[nodiscard]] std::uint64_t bytesInUse() const { return GM.bytesInUse(); }
@@ -89,8 +109,10 @@ public:
   /// Prepare a module for execution (global layout + initialization).
   /// The module must outlive the image. A pre-lowered bytecode module (the
   /// frontend caches one per compiled kernel) can be attached so the
-  /// bytecode backend skips re-lowering; when absent, the bytecode backend
-  /// lowers the module when it binds a kernel of the image.
+  /// bytecode backend skips re-lowering and the launch plan takes the
+  /// kernel stats it carries; when absent, the bytecode backend lowers the
+  /// module when it binds a kernel of the image, and the first launch of a
+  /// kernel computes its stats.
   std::unique_ptr<ModuleImage>
   loadImage(const Module &M,
             std::shared_ptr<const BytecodeModule> Bytecode = nullptr) {
@@ -158,6 +180,20 @@ public:
   }
 
 private:
+  /// Part(Lo, Len) over [0, Size) in CopyChunk pieces, on at most
+  /// HostThreads threads; one piece runs on the caller.
+  template <typename PartT>
+  void inChunks(std::uint64_t Size, const PartT &Part) const {
+    const std::uint64_t Chunks = std::max<std::uint64_t>(
+        1, Size / CopyChunk + (Size % CopyChunk != 0));
+    support::ThreadPool::global().parallelFor(
+        support::resolveHostThreads(Config.HostThreads), Chunks,
+        [&](std::uint64_t I) {
+          const std::uint64_t Lo = I * CopyChunk;
+          Part(Lo, std::min(CopyChunk, Size - Lo));
+        });
+  }
+
   DeviceConfig Config;
   GlobalMemory GM;
   NativeRegistry Registry;

@@ -1,13 +1,15 @@
 //===- tests/apps/test_app_harness.cpp - The shared app run protocol ------===//
 //
-// AppHarness runs every proxy app: compile, image swap, output reset,
-// launch, readback, hash and a check against a host reference computed once
-// per app. These tests pin down what the reference cache must not change:
-// the reference is computed exactly once, yet every run still checks every
-// element, so a wrong output on a later run is still caught and every
-// run's hash equals a fresh app's. They also cover the comparison's NaN
-// handling, transfer errors, and the harness holding only the current
-// module.
+// AppHarness runs every proxy app: compile, image swap, output reset on the
+// device, launch, readback, hash and a check against a host reference
+// computed once per app. These tests pin down what the reference cache must
+// not change: the reference is computed exactly once, yet every run still
+// checks every element, so a wrong output on a later run is still caught
+// and every run's hash equals a fresh app's. They also cover the reset (an
+// output the kernel leaves unwritten reads as zero, not as the previous
+// run's), every check chunk at one and at four host threads, the
+// comparison's NaN handling, transfer errors, and the harness holding only
+// the current module.
 //
 //===----------------------------------------------------------------------===//
 #include "apps/GridMini.hpp"
@@ -22,86 +24,10 @@
 #include <limits>
 #include <map>
 
+#include "SaxpyApp.hpp"
+
 namespace codesign::apps {
 namespace {
-
-using frontend::BodyArg;
-using frontend::NativeBody;
-using frontend::Stmt;
-using frontend::TripCount;
-
-/// A minimal app on the harness: out = A * x + y. Its reference assumes
-/// A = 2.5; a test that changes A makes the kernel compute something else
-/// while the cached reference stays as it was.
-class SaxpyApp {
-public:
-  static constexpr std::uint64_t N = 256;
-
-  explicit SaxpyApp(vgpu::VirtualGPU &GPU, bool MapOutput = true)
-      : Harness("Saxpy", GPU, [this] {
-          ++ReferenceCalls;
-          std::vector<double> Ref(N);
-          for (std::uint64_t I = 0; I < N; ++I)
-            Ref[I] = 2.5 * X[I] + Y[I];
-          return Ref;
-        }) {
-    Rng R(11);
-    for (std::uint64_t I = 0; I < N; ++I) {
-      X.push_back(R.uniform(-1.0, 1.0));
-      Y.push_back(R.uniform(-1.0, 1.0));
-    }
-    Out.assign(N, 0.0);
-    host::HostRuntime &Host = Harness.host();
-    EXPECT_TRUE(Host.enterData(X.data(), N * 8).hasValue());
-    EXPECT_TRUE(Host.enterData(Y.data(), N * 8).hasValue());
-    if (MapOutput) {
-      EXPECT_TRUE(Host.enterData(Out.data(), N * 8).hasValue());
-    }
-    BodyId = GPU.registry().add(vgpu::NativeOpInfo{
-        "harness_saxpy",
-        [](vgpu::NativeCtx &Ctx) {
-          const std::int64_t I = Ctx.argI64(0);
-          const double X = Ctx.loadF64(Ctx.argPtr(2).advance(I * 8));
-          const double Y = Ctx.loadF64(Ctx.argPtr(3).advance(I * 8));
-          Ctx.storeF64(Ctx.argPtr(1).advance(I * 8), Ctx.argF64(4) * X + Y);
-        },
-        6});
-  }
-
-  AppRunResult run(const BuildConfig &Build) {
-    frontend::KernelSpec Spec;
-    Spec.Name = "harness_saxpy_kernel";
-    Spec.Params = {{ir::Type::ptr(), "out"},
-                   {ir::Type::ptr(), "x"},
-                   {ir::Type::ptr(), "y"},
-                   {ir::Type::f64(), "a"},
-                   {ir::Type::i64(), "n"}};
-    NativeBody Body;
-    Body.NativeId = BodyId;
-    Body.Args = {BodyArg::iter(), BodyArg::arg(0), BodyArg::arg(1),
-                 BodyArg::arg(2), BodyArg::arg(3)};
-    Spec.Stmts = {Stmt::distributeParallelFor(TripCount::argument(4), Body)};
-    const host::KernelArg Args[] = {
-        host::KernelArg::mapped(Out.data()), host::KernelArg::mapped(X.data()),
-        host::KernelArg::mapped(Y.data()), host::KernelArg::f64(A),
-        host::KernelArg::i64(static_cast<std::int64_t>(N))};
-    return Harness.run(Build, Spec, Args, 4, 64,
-                       {{"out", Out, Harness.reference()}});
-  }
-
-  double A = 2.5;
-  int ReferenceCalls = 0;
-
-private:
-  AppHarness Harness;
-  std::int64_t BodyId = 0;
-  std::vector<double> X, Y, Out;
-};
-
-BuildConfig defaultBuild() {
-  return {"New RT - w/o Assumptions",
-          frontend::CompileOptions::newRTNoAssumptions()};
-}
 
 TEST(AppHarness, ComparisonFailsNaNAndInfinity) {
   const double Tol = 1e-9;
@@ -158,9 +84,64 @@ TEST(AppHarness, WrongOutputCaughtAfterReferenceCached) {
   EXPECT_EQ(App.ReferenceCalls, 1);
 }
 
+TEST(AppHarness, UnwrittenOutputIsZeroNotTheLastRuns) {
+  vgpu::VirtualGPU GPU;
+  SaxpyApp App(GPU);
+  AppRunResult Full = App.run(defaultBuild());
+  ASSERT_TRUE(Full.Ok) << Full.Error;
+  EXPECT_TRUE(Full.Verified);
+
+  // The device copy still holds the full run's correct output: only the
+  // reset before the launch keeps the unwritten half from passing.
+  App.Len /= 2;
+  AppRunResult Half = App.run(defaultBuild());
+  ASSERT_TRUE(Half.Ok) << Half.Error;
+  EXPECT_FALSE(Half.Verified) << "stale device bytes must not verify";
+  for (std::size_t I = static_cast<std::size_t>(App.Len); I < App.out().size();
+       ++I)
+    ASSERT_EQ(App.out()[I], 0.0) << "element " << I;
+}
+
+TEST(AppHarness, EveryCheckChunkFailsAtEveryWidth) {
+  constexpr std::uint64_t Chunk = AppHarness::CheckChunk;
+  // Four chunks, the last one partial.
+  constexpr std::uint64_t N = 3 * Chunk + 17;
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  std::map<unsigned, std::vector<std::uint64_t>> Hashes;
+  for (unsigned Width : {1u, 4u}) {
+    vgpu::DeviceConfig Config;
+    Config.HostThreads = Width;
+    vgpu::VirtualGPU GPU(Config);
+    SaxpyApp App(GPU, N);
+    AppRunResult Clean = App.run(defaultBuild());
+    ASSERT_TRUE(Clean.Ok) << Clean.Error;
+    EXPECT_TRUE(Clean.Verified) << "width " << Width;
+    Hashes[Width].push_back(Clean.OutputHash);
+    // The first chunk's first and last element, one in a middle chunk, and
+    // the last element of the partial last chunk.
+    for (std::uint64_t At : {std::uint64_t{0}, Chunk - 1, Chunk + Chunk / 2,
+                             N - 1})
+      for (double Bad : {5.0, NaN}) {
+        const double Was = App.x(At);
+        App.setX(At, Bad);
+        AppRunResult R = App.run(defaultBuild());
+        App.setX(At, Was);
+        ASSERT_TRUE(R.Ok) << R.Error;
+        EXPECT_FALSE(R.Verified)
+            << "width " << Width << ", element " << At << ", x = " << Bad;
+        Hashes[Width].push_back(R.OutputHash);
+      }
+    AppRunResult Again = App.run(defaultBuild());
+    EXPECT_TRUE(Again.Verified) << "width " << Width;
+    EXPECT_EQ(Again.OutputHash, Clean.OutputHash) << "width " << Width;
+    EXPECT_EQ(App.ReferenceCalls, 1);
+  }
+  EXPECT_EQ(Hashes[1], Hashes[4]);
+}
+
 TEST(AppHarness, UnmappedOutputIsAnErrorNotAnAbort) {
   vgpu::VirtualGPU GPU;
-  SaxpyApp App(GPU, /*MapOutput=*/false);
+  SaxpyApp App(GPU, /*N=*/256, /*MapOutput=*/false);
   AppRunResult R = App.run(defaultBuild());
   EXPECT_FALSE(R.Ok);
   EXPECT_FALSE(R.Verified);

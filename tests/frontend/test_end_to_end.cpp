@@ -321,6 +321,62 @@ TEST_F(EndToEnd, InvalidNestingIsRejectedByName) {
   }
 }
 
+TEST_F(EndToEnd, SpecParameterMisuseIsRejectedByName) {
+  // Parameter references the kernel cannot honour: an index at or past the
+  // parameter count (in kernel scope and in an outlined body), an argument
+  // trip count that is not i64, and a loaded trip count whose parameter is
+  // not a pointer. Each is caller input, so each is an error, not an abort.
+  const auto Body = [&](std::initializer_list<BodyArg> Args) {
+    return NativeBody{SaxpyId, Args, {}};
+  };
+  const std::pair<Stmt, const char *> Cases[] = {
+      {Stmt::distributeParallelFor(TripCount::argument(0),
+                                   Body({BodyArg::iter(), BodyArg::arg(5)})),
+       "body argument names parameter #5, but the kernel has 3"},
+      {Stmt::parallel({Stmt::forLoop(
+           TripCount::argument(0), Body({BodyArg::iter(), BodyArg::arg(3)}))}),
+       "body argument names parameter #3, but the kernel has 3"},
+      {Stmt::serial(Body({BodyArg::arg(4)})),
+       "body argument names parameter #4, but the kernel has 3"},
+      {Stmt::parallel({Stmt::parallelWork(Body({BodyArg::arg(9)}))}),
+       "body argument names parameter #9, but the kernel has 3"},
+      {Stmt::distributeParallelFor(TripCount::argument(3),
+                                   Body({BodyArg::iter()})),
+       "trip count names parameter #3, but the kernel has 3"},
+      {Stmt::parallel({Stmt::forLoop(TripCount::loadFrom(7, 0),
+                                     Body({BodyArg::iter()}))}),
+       "trip count names parameter #7, but the kernel has 3"},
+      {Stmt::distributeParallelFor(TripCount::argument(1),
+                                   Body({BodyArg::iter()})),
+       "trip count parameter 'a' is f64, not i64"},
+      {Stmt::parallel({Stmt::forLoop(TripCount::argument(2),
+                                     Body({BodyArg::iter()}))}),
+       "trip count parameter 'bounds' is ptr, not i64"},
+      {Stmt::distributeParallelFor(TripCount::loadFrom(0, 8),
+                                   Body({BodyArg::iter()})),
+       "trip count loads through parameter 'n', which is i64, not a pointer"},
+  };
+  KernelSpec Spec;
+  Spec.Name = "bad";
+  Spec.Params = {{ir::Type::i64(), "n"},
+                 {ir::Type::f64(), "a"},
+                 {ir::Type::ptr(), "bounds"}};
+  for (const auto &[Top, Want] : Cases) {
+    Spec.Stmts = {Top};
+    for (RuntimeKind RT : {RuntimeKind::Native, RuntimeKind::NewRT}) {
+      CodegenOptions Opts;
+      Opts.RT = RT;
+      auto CG = emitKernel(Spec, Opts);
+      ASSERT_FALSE(CG.hasValue()) << Want;
+      EXPECT_EQ(CG.error().message(), std::string("kernel 'bad': ") + Want);
+    }
+  }
+  // The same parameters used as they are meant to be compile.
+  Spec.Stmts = {Stmt::distributeParallelFor(
+      TripCount::loadFrom(2, 8), Body({BodyArg::iter(), BodyArg::arg(1)}))};
+  EXPECT_TRUE(emitKernel(Spec, {}).hasValue());
+}
+
 TEST_F(EndToEnd, UnoptimizedCostOrdering) {
   // Before any optimization the expected ordering holds: the legacy
   // runtime is slowest, the new runtime cheaper, native cheapest.

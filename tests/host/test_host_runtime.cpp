@@ -66,6 +66,43 @@ TEST_F(HostRuntimeTest, ErrorsOnUnmappedPointers) {
   EXPECT_FALSE(RT.enterData(&X, 0).hasValue());
 }
 
+TEST_F(HostRuntimeTest, MemsetDeviceFillsExactlyItsMappingAndMovesNothing) {
+  HostRuntime RT(GPU);
+  // Sizes that keep the 16-byte-aligned first-fit allocations adjacent.
+  std::vector<std::uint8_t> Before(48, 0x11), Target(64, 0x22),
+      After(32, 0x33);
+  std::vector<std::uint64_t> Offsets;
+  for (std::vector<std::uint8_t> *V : {&Before, &Target, &After}) {
+    auto Addr = RT.enterData(V->data(), V->size());
+    ASSERT_TRUE(Addr.hasValue());
+    Offsets.push_back(Addr->offset());
+  }
+  ASSERT_EQ(Offsets[1], Offsets[0] + Before.size());
+  ASSERT_EQ(Offsets[2], Offsets[1] + Target.size());
+
+  const TransferStats Moved = RT.transfers().stats();
+  ASSERT_TRUE(RT.memsetDevice(Target.data(), 0xAB).hasValue());
+  const TransferStats Now = RT.transfers().stats();
+  EXPECT_EQ(Now.TransfersToDevice, Moved.TransfersToDevice);
+  EXPECT_EQ(Now.TransfersFromDevice, Moved.TransfersFromDevice);
+  EXPECT_EQ(Now.BytesToDevice, Moved.BytesToDevice);
+  EXPECT_EQ(Now.BytesFromDevice, Moved.BytesFromDevice);
+  EXPECT_EQ(Now.ModeledCycles, Moved.ModeledCycles);
+
+  for (std::vector<std::uint8_t> *V : {&Before, &Target, &After}) {
+    std::fill(V->begin(), V->end(), 0);
+    ASSERT_TRUE(RT.updateFrom(V->data()).hasValue());
+  }
+  EXPECT_EQ(Before, std::vector<std::uint8_t>(48, 0x11));
+  EXPECT_EQ(Target, std::vector<std::uint8_t>(64, 0xAB));
+  EXPECT_EQ(After, std::vector<std::uint8_t>(32, 0x33));
+
+  int Unmapped = 0;
+  auto Bad = RT.memsetDevice(&Unmapped, 0);
+  ASSERT_FALSE(Bad.hasValue());
+  EXPECT_EQ(Bad.error().message(), "memsetDevice: pointer is not mapped");
+}
+
 TEST_F(HostRuntimeTest, ExitWithCopyFrom) {
   HostRuntime RT(GPU);
   std::vector<std::int64_t> Buf{7};

@@ -5,13 +5,17 @@
 // the way timings do, so this binary counts what a warm
 // HostRuntime::launch of a saxpy kernel costs the host:
 //
-//   - heap allocations, through the global operator new/delete this binary
-//     replaces (the replacement acts on this process only);
+//   - heap allocations and the bytes they request, through the global
+//     operator new/delete this binary replaces (the replacement acts on
+//     this process only);
 //   - host threads started, through the pthread_create this binary wraps.
 //
 // Each case runs under tree, bytecode and native. On one host thread a
 // warm launch allocates nothing: the argument bits, the teams' outcomes and
-// every team's state come from the host thread's spares.
+// every team's state come from the host thread's spares. A warm
+// apps::AppHarness run around such a launch allocates as often, and as
+// many bytes, at 65536 output elements as at 256: the reset, the readback,
+// the hash and the check allocate nothing that grows with the output.
 //
 //===----------------------------------------------------------------------===//
 #include <atomic>
@@ -19,6 +23,7 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <dlfcn.h>
@@ -26,16 +31,19 @@
 
 #include <gtest/gtest.h>
 
+#include "../apps/SaxpyApp.hpp"
 #include "frontend/TargetCompiler.hpp"
 #include "host/HostRuntime.hpp"
 
 namespace {
 std::atomic<std::uint64_t> Allocations{0};
+std::atomic<std::uint64_t> AllocatedBytes{0};
 std::atomic<std::uint64_t> ThreadsStarted{0};
 } // namespace
 
 void *operator new(std::size_t Size) {
   Allocations.fetch_add(1, std::memory_order_relaxed);
+  AllocatedBytes.fetch_add(Size, std::memory_order_relaxed);
   if (void *P = std::malloc(Size ? Size : 1))
     return P;
   throw std::bad_alloc();
@@ -43,6 +51,7 @@ void *operator new(std::size_t Size) {
 
 void *operator new(std::size_t Size, std::align_val_t Align) {
   Allocations.fetch_add(1, std::memory_order_relaxed);
+  AllocatedBytes.fetch_add(Size, std::memory_order_relaxed);
   const auto A = static_cast<std::size_t>(Align);
   if (void *P = std::aligned_alloc(A, (Size + A - 1) / A * A))
     return P;
@@ -199,6 +208,33 @@ TEST(Overhead, WarmLaunchAllocationsDoNotGrowWithTeams) {
     EXPECT_EQ(allocationsOf(Rig, 1, 1, 0), 0u) << Backend;
     EXPECT_EQ(allocationsOf(Rig, 64, 64, 0), 0u) << Backend;
     EXPECT_EQ(allocationsOf(Rig, 64, 64, N), 0u) << Backend;
+  }
+}
+
+TEST(Overhead, WarmAppRunAllocationsDoNotGrowWithOutputSize) {
+  for (const char *Backend : Backends) {
+    // Allocations and bytes allocated: one buffer sized by the output would
+    // keep the count equal.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> Counts;
+    for (std::uint64_t Elements : {256u, 65536u}) {
+      vgpu::DeviceConfig Config;
+      Config.HostThreads = 1;
+      vgpu::VirtualGPU GPU(Config);
+      ASSERT_TRUE(GPU.setExecBackend(Backend).hasValue());
+      apps::SaxpyApp App(GPU, Elements);
+      for (int I = 0; I < 2; ++I) {
+        const apps::AppRunResult R = App.run(apps::defaultBuild());
+        ASSERT_TRUE(R.Ok && R.Verified) << Backend << ": " << R.Error;
+      }
+      const std::uint64_t Before = Allocations.load();
+      const std::uint64_t BytesBefore = AllocatedBytes.load();
+      const apps::AppRunResult R = App.run(apps::defaultBuild());
+      Counts.emplace_back(Allocations.load() - Before,
+                          AllocatedBytes.load() - BytesBefore);
+      ASSERT_TRUE(R.Ok && R.Verified) << Backend << ": " << R.Error;
+    }
+    EXPECT_EQ(Counts[0].first, Counts[1].first) << Backend;
+    EXPECT_EQ(Counts[0].second, Counts[1].second) << Backend;
   }
 }
 

@@ -2,9 +2,10 @@
 //
 // The first launch of a kernel on an image binds it and keeps the bound
 // kernel and the kernel's static stats on the image; later launches reuse
-// them. A refused bind is not kept, and a backend that refuses a launch
-// setting (native under DetectRaces) refuses it on every such launch, also
-// after a clean launch kept a plan.
+// them. The stats come from the image's lowering when it carries them, and
+// are computed otherwise. A refused bind is not kept, and a backend that
+// refuses a launch setting (native under DetectRaces) refuses it on every
+// such launch, also after a clean launch kept a plan.
 //
 //===----------------------------------------------------------------------===//
 #include "vgpu/VirtualGPU.hpp"
@@ -17,6 +18,8 @@
 
 #include "ir/IRBuilder.hpp"
 #include "ir/Verifier.hpp"
+#include "vgpu/Bytecode.hpp"
+#include "vgpu/KernelStats.hpp"
 
 namespace codesign::vgpu {
 namespace {
@@ -130,6 +133,45 @@ TEST(LaunchPlan, RefusedBindIsNotKept) {
   ASSERT_TRUE(GPU.launch(*Image, "a", Args, 2, 4).Ok);
   ASSERT_TRUE(GPU.launch(*Image, "a", Args, 2, 4).Ok);
   EXPECT_EQ(Counter.Binds.load(), 2u);
+}
+
+TEST(LaunchPlan, TakesTheStatsTheLoweringCarries) {
+  Module M;
+  buildStoreTid(M, "a");
+  ASSERT_TRUE(verifyModule(M).empty());
+  const Function *K = M.findFunction("a");
+  constexpr std::uint32_t Threads = 64;
+  VirtualGPU GPU;
+  const DeviceConfig &C = GPU.config();
+  // Occupancy of the kernel's own stats: its few registers leave the
+  // per-SM team limit binding.
+  const KernelStaticStats Own = computeKernelStats(*K, GPU.registry());
+  const std::uint32_t OwnTeams =
+      std::min<std::uint32_t>(C.MaxConcurrentTeamsPerSM,
+                              C.RegisterFilePerSM / (Own.Registers * Threads));
+  // Stats deliberately unlike the kernel's: registers enough for three
+  // teams an SM.
+  KernelStaticStats Heavy = Own;
+  Heavy.Registers = C.RegisterFilePerSM / (3 * Threads);
+  const std::uint32_t HeavyTeams =
+      C.RegisterFilePerSM / (Heavy.Registers * Threads);
+  ASSERT_EQ(HeavyTeams, 3u);
+  ASSERT_NE(HeavyTeams, OwnTeams);
+  const KernelDescriptor Carried[] = {{K, Heavy}};
+  const auto Lowering = BytecodeEmitter::lower(M, Carried);
+  const DeviceAddr Out = GPU.allocate(4 * Threads * 8);
+  const std::uint64_t Args[] = {Out.Bits};
+  for (const char *Backend : {"tree", "bytecode"}) {
+    ASSERT_TRUE(GPU.setExecBackend(Backend).hasValue());
+    auto Bare = GPU.loadImage(M);
+    const LaunchResult Computed = GPU.launch(*Bare, "a", Args, 4, Threads);
+    ASSERT_TRUE(Computed.Ok) << Backend << ": " << Computed.Error;
+    EXPECT_EQ(Computed.Metrics.TeamsPerSM, OwnTeams) << Backend;
+    auto Loaded = GPU.loadImage(M, Lowering);
+    const LaunchResult Taken = GPU.launch(*Loaded, "a", Args, 4, Threads);
+    ASSERT_TRUE(Taken.Ok) << Backend << ": " << Taken.Error;
+    EXPECT_EQ(Taken.Metrics.TeamsPerSM, HeavyTeams) << Backend;
+  }
 }
 
 TEST(LaunchPlan, NativeRefusesDetectRacesAfterACachedPlan) {

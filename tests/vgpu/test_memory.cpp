@@ -206,6 +206,52 @@ TEST(GlobalMemory, DefaultDevicesCostOnlyWhatTheyTouch) {
       << "building a device must not commit its whole arena";
 }
 
+TEST(VirtualGPU, SplitCopiesAndFillsKeepEveryByte) {
+  constexpr std::uint64_t Chunk = VirtualGPU::CopyChunk;
+  // Four pieces, the last one partial, between two guard buffers.
+  constexpr std::uint64_t Size = 3 * Chunk + 16;
+  std::vector<std::uint8_t> In(Size);
+  for (std::uint64_t I = 0; I < Size; ++I)
+    In[I] = static_cast<std::uint8_t>(I * 131 + 7);
+  const std::vector<std::uint8_t> Guard(64, 0x5A);
+  for (unsigned Width : {1u, 4u}) {
+    DeviceConfig Config;
+    Config.HostThreads = Width;
+    VirtualGPU GPU(Config);
+    const DeviceAddr Before = GPU.allocate(Guard.size());
+    const DeviceAddr Buf = GPU.allocate(Size);
+    const DeviceAddr After = GPU.allocate(Guard.size());
+    ASSERT_EQ(Buf.offset(), Before.offset() + Guard.size());
+    ASSERT_EQ(After.offset(), Buf.offset() + Size);
+    GPU.write(Before, Guard);
+    GPU.write(After, Guard);
+
+    GPU.write(Buf, In);
+    std::vector<std::uint8_t> Out(Size);
+    GPU.read(Buf, Out);
+    EXPECT_EQ(Out, In) << "width " << Width;
+    // A read that starts and ends inside pieces.
+    std::vector<std::uint8_t> Mid(Chunk + 10);
+    GPU.read(Buf.advance(Chunk - 3), Mid);
+    EXPECT_TRUE(std::equal(Mid.begin(), Mid.end(), In.begin() + (Chunk - 3)))
+        << "width " << Width;
+
+    // Every byte but the first and the last.
+    GPU.fill(Buf.advance(1), Size - 2, 0xC3);
+    GPU.read(Buf, Out);
+    std::vector<std::uint8_t> Want(Size, 0xC3);
+    Want.front() = In.front();
+    Want.back() = In.back();
+    EXPECT_EQ(Out, Want) << "width " << Width;
+
+    std::vector<std::uint8_t> Left(Guard.size()), Right(Guard.size());
+    GPU.read(Before, Left);
+    GPU.read(After, Right);
+    EXPECT_EQ(Left, Guard) << "width " << Width;
+    EXPECT_EQ(Right, Guard) << "width " << Width;
+  }
+}
+
 TEST(BumpArena, WatermarkDiscipline) {
   BumpArena A(4096);
   std::uint64_t W0 = A.watermark();
