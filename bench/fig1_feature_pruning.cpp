@@ -64,7 +64,8 @@ int main() {
   };
   const CompileOptions Release = CompileOptions::newRTNoAssumptions();
   const Row Rows[] = {
-      {"Unoptimized (everything linked in)", Release.withOptimizer(false)},
+      {"Unoptimized (referenced runtime linked in)",
+       Release.withOptimizer(false)},
       {"Release (full openmp-opt)", Release},
       {"Release + oversubscription assumptions", CompileOptions::newRT()},
       {"Debug: assertions", Release.withDebug(rt::DebugAssertions)},

@@ -24,12 +24,18 @@
 // The result carries the launch metrics plus the static resource stats:
 // everything Figures 10-13 need.
 //
-// Reference cache. An app's reference values are computed once, on its
-// first run, and reused by every later run, build and backend. This relies
-// on one condition: an app's inputs are fixed after construction. Runs
-// zero and read back only the outputs, so nothing a reference reads ever
-// changes. Every run still reads back, hashes and compares every output
-// element, so a wrong output is caught on any run, not only the first.
+// Reference cache. An app's reference values are computed once and reused
+// by every run, build and backend. This relies on one condition: an app's
+// inputs are fixed after construction. Runs zero and read back only the
+// outputs, so nothing a reference reads ever changes. Every run still reads
+// back, hashes and compares every output element, so a wrong output is
+// caught on any run, not only the first. The proxy apps compute their
+// reference at the end of construction, so its buffer (as large as an
+// output) is allocated with the inputs it shares a lifetime with. Computed
+// on the first run instead, it would be allocated among that run's
+// compiled kernels, which live in the kernel cache: the set-up that next
+// builds the same apps can then find the hole the previous reference left
+// split by a cached kernel and extend the heap for its own.
 //
 //===----------------------------------------------------------------------===//
 #pragma once

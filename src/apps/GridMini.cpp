@@ -35,6 +35,7 @@ GridMini::GridMini(vgpu::VirtualGPU &GPU, GridMiniConfig Cfg)
     : Harness("GridMini", GPU, [this] { return reference(); }), Cfg(Cfg) {
   generate();
   upload();
+  Harness.reference(); // with the inputs (AppCommon.hpp, "Reference cache")
   // Body: (iv, uPtr, vPtr, outPtr): 36 field loads, 198 FLOPs, 18 stores.
   BodyId = GPU.registry().add(NativeOpInfo{
       "gridmini_su3xsu3",

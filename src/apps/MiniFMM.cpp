@@ -30,6 +30,7 @@ MiniFMM::MiniFMM(vgpu::VirtualGPU &GPU, MiniFMMConfig Cfg)
     : Harness("MiniFMM", GPU, [this] { return reference(); }), Cfg(Cfg) {
   generate();
   upload();
+  Harness.reference(); // with the inputs (AppCommon.hpp, "Reference cache")
 
   // Serial per-team traversal bookkeeping: mark this team's subtree.
   PrepBodyId = GPU.registry().add(NativeOpInfo{

@@ -42,6 +42,7 @@ RSBench::RSBench(vgpu::VirtualGPU &GPU, RSBenchConfig Cfg)
     : Harness("RSBench", GPU, [this] { return reference(); }), Cfg(Cfg) {
   generate();
   upload();
+  Harness.reference(); // with the inputs (AppCommon.hpp, "Reference cache")
   // Body: (iv, outPtr, polesPtr, matPtr). Pole data for one window is
   // staged into a local buffer (charged loads), then the heavy arithmetic
   // is charged as pure compute: the compute-bound profile.

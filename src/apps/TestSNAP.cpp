@@ -38,6 +38,7 @@ TestSNAP::TestSNAP(vgpu::VirtualGPU &GPU, TestSNAPConfig Cfg)
     : Harness("TestSNAP", GPU, [this] { return reference(); }), Cfg(Cfg) {
   generate();
   upload();
+  Harness.reference(); // with the inputs (AppCommon.hpp, "Reference cache")
   // Body: (iv, forcesPtr, positionsPtr, scratchPtr, threadNum). The
   // workspace round-trips through the team-shared scratch — exactly the
   // too-big-for-registers intermediate arrays of the real TestSNAP.

@@ -62,6 +62,7 @@ XSBench::XSBench(vgpu::VirtualGPU &GPU, XSBenchConfig Cfg)
     : Harness("XSBench", GPU, [this] { return reference(); }), Cfg(Cfg) {
   generate();
   upload();
+  Harness.reference(); // with the inputs (AppCommon.hpp, "Reference cache")
 
   // Config-by-reference body: (iv, outPtr, cfgPtr). The five field loads
   // per iteration are the Section VII by-reference overhead.

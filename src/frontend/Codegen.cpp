@@ -48,6 +48,8 @@ public:
       emitOldGeneric();
       break;
     }
+    if (Opts.RT != RuntimeKind::Native)
+      dropUncalledEntryPoints();
     CodegenResult R;
     R.Kernel = K;
     R.AppModule = std::move(M);
@@ -241,6 +243,17 @@ private:
       declare("__old_kmpc_data_sharing_push", P, {I64});
       declare("__old_kmpc_data_sharing_pop", V, {P, I64});
     }
+  }
+
+  /// Erase the runtime declarations nothing calls, keeping the rest in
+  /// their order: the link copies only what the module references.
+  void dropUncalledEntryPoints() {
+    std::vector<Function *> Uncalled;
+    for (const auto &F : M->functions())
+      if (F->isDeclaration() && F->asValue()->useEmpty())
+        Uncalled.push_back(F.get());
+    for (Function *F : Uncalled)
+      M->eraseFunction(F);
   }
 
   void createKernel() {

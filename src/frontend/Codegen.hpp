@@ -32,8 +32,9 @@ struct CodegenOptions {
   bool AssumeThreadsOversubscription = false;
 };
 
-/// Result of lowering: the application module (runtime functions are
-/// declarations until ir::linkModules merges the RTL in) and the kernel.
+/// Result of lowering: the application module and the kernel. The module
+/// declares the runtime entry points the kernel calls, and no others, until
+/// ir::linkModules merges the RTL in.
 struct CodegenResult {
   std::unique_ptr<ir::Module> AppModule;
   ir::Function *Kernel = nullptr;

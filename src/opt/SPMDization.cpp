@@ -194,7 +194,6 @@ void transform(Function &K, KernelShape &S, Module &M) {
 
   Function *Begin = M.findFunction(abi::SpmdParallelBeginName);
   Function *End = M.findFunction(abi::SpmdParallelEndName);
-  CODESIGN_ASSERT(Begin && End, "SPMD helpers missing from module");
 
   // 3. Rewrite fork calls; guard main-only side effects. Work over a
   // block list that grows when guarding splits a block.
@@ -237,6 +236,14 @@ void transform(Function &K, KernelShape &S, Module &M) {
   K.setExecMode(ExecMode::SPMD);
 }
 
+/// The first SPMD-mode entry point M lacks; the conversion calls them all.
+std::optional<std::string_view> missingEntryPoint(const Module &M) {
+  for (std::string_view Name : abi::SpmdizationEntryPoints)
+    if (!M.findFunction(Name))
+      return Name;
+  return std::nullopt;
+}
+
 } // namespace
 
 bool runSPMDization(Module &M, const OptOptions &Options) {
@@ -260,6 +267,13 @@ bool runSPMDization(Module &M, const OptOptions &Options) {
                                 "and data-sharing overhead");
       continue;
     }
+    if (auto Missing = missingEntryPoint(M)) {
+      Options.remark(RemarkKind::Missed, "spmdization", F->name(),
+                     "runtime entry point '" + std::string(*Missing) +
+                         "' is missing from the module; kernel keeps the "
+                         "state machine");
+      continue;
+    }
     transform(*F, *Shape, M);
     Options.remark(RemarkKind::Passed, "spmdization", F->name(),
                    "kernel converted to SPMD mode");
@@ -275,8 +289,7 @@ bool runSPMDization(Module &M, const OptOptions &Options) {
         AnyGeneric = true;
     Function *GenericLoop = M.findFunction(abi::DistributeForGenericLoopName);
     Function *StaticLoop = M.findFunction(abi::DistributeForStaticLoopName);
-    if (!AnyGeneric && GenericLoop && StaticLoop &&
-        !GenericLoop->asValue()->useEmpty())
+    if (!AnyGeneric && GenericLoop && !GenericLoop->asValue()->useEmpty())
       GenericLoop->asValue()->replaceAllUsesWith(StaticLoop->asValue());
   }
   return Changed;

@@ -13,8 +13,7 @@ namespace {
 /// conditional-write and assert-or-assume idioms.
 class DeviceRTLBuilder {
 public:
-  explicit DeviceRTLBuilder(const RTLOptions &Options)
-      : Options(Options), M(std::make_unique<Module>("device_rtl")), B(*M) {}
+  DeviceRTLBuilder() : M(std::make_unique<Module>("device_rtl")), B(*M) {}
 
   std::unique_ptr<Module> run() {
     createGlobals();
@@ -410,16 +409,13 @@ private:
 
     // Figure 8b: after the broadcast barrier the content is known; give the
     // optimizer unconditional facts (verified at runtime in debug builds).
-    if (Options.EmitBroadcastAssumes) {
-      Value *FlagNow = B.load(Type::i32(), SpmdFlag);
-      B.assume(B.icmpEQ(FlagNow, Mode));
-      Value *LvNow =
-          B.load(Type::i32(), teamField(TeamStateLayout::LevelsVar));
-      B.assume(B.icmpEQ(LvNow, B.i32(0)));
-      Value *SizeNow =
-          B.load(Type::i32(), teamField(TeamStateLayout::ParallelTeamSize));
-      B.assume(B.icmpEQ(SizeNow, DefaultSize));
-    }
+    Value *FlagNow = B.load(Type::i32(), SpmdFlag);
+    B.assume(B.icmpEQ(FlagNow, Mode));
+    Value *LvNow = B.load(Type::i32(), teamField(TeamStateLayout::LevelsVar));
+    B.assume(B.icmpEQ(LvNow, B.i32(0)));
+    Value *SizeNow =
+        B.load(Type::i32(), teamField(TeamStateLayout::ParallelTeamSize));
+    B.assume(B.icmpEQ(SizeNow, DefaultSize));
     B.retVoid();
   }
 
@@ -478,10 +474,8 @@ private:
       condWrite(teamField(TeamStateLayout::LevelsVar), B.i32(1), IsMain);
       condWrite(teamField(TeamStateLayout::ActiveLevelsVar), B.i32(1), IsMain);
       B.alignedBarrier(0);
-      if (Options.EmitBroadcastAssumes) {
-        Value *Lv = B.load(Type::i32(), teamField(TeamStateLayout::LevelsVar));
-        B.assume(B.icmpEQ(Lv, B.i32(1)));
-      }
+      Value *Lv = B.load(Type::i32(), teamField(TeamStateLayout::LevelsVar));
+      B.assume(B.icmpEQ(Lv, B.i32(1)));
       B.retVoid();
     }
     {
@@ -491,10 +485,8 @@ private:
       condWrite(teamField(TeamStateLayout::LevelsVar), B.i32(0), IsMain);
       condWrite(teamField(TeamStateLayout::ActiveLevelsVar), B.i32(0), IsMain);
       B.alignedBarrier(0);
-      if (Options.EmitBroadcastAssumes) {
-        Value *Lv = B.load(Type::i32(), teamField(TeamStateLayout::LevelsVar));
-        B.assume(B.icmpEQ(Lv, B.i32(0)));
-      }
+      Value *Lv = B.load(Type::i32(), teamField(TeamStateLayout::LevelsVar));
+      B.assume(B.icmpEQ(Lv, B.i32(0)));
       B.retVoid();
     }
   }
@@ -576,15 +568,13 @@ private:
     Value *Oversub = B.load(
         Type::i32(), M->findGlobal(AssumeTeamsOversubName));
     Value *Assumed = B.icmpNE(Oversub, B.i32(0));
-    if (Options.EmitOversubscriptionAsserts) {
-      // "break the loops after asserting that the condition actually holds
-      // at runtime" (Section III-F).
-      Value *Holds = B.or_(B.icmpEQ(Oversub, B.i32(0)),
-                           B.cmp(CmpPred::SLE, NumIters, Total));
-      assertOrAssume(F, Holds,
-                     "teams-oversubscription assumption violated: more "
-                     "iterations than threads in the league");
-    }
+    // "break the loops after asserting that the condition actually holds
+    // at runtime" (Section III-F).
+    Value *Holds = B.or_(B.icmpEQ(Oversub, B.i32(0)),
+                         B.cmp(CmpPred::SLE, NumIters, Total));
+    assertOrAssume(F, Holds,
+                   "teams-oversubscription assumption violated: more "
+                   "iterations than threads in the league");
     emitNoChunkLoop(F, F->arg(0), F->arg(1), NumIters, IV0, Total, Assumed);
   }
 
@@ -603,13 +593,11 @@ private:
     Value *Oversub = B.load(
         Type::i32(), M->findGlobal(AssumeThreadsOversubName));
     Value *Assumed = B.icmpNE(Oversub, B.i32(0));
-    if (Options.EmitOversubscriptionAsserts) {
-      Value *Holds = B.or_(B.icmpEQ(Oversub, B.i32(0)),
-                           B.cmp(CmpPred::SLE, NumIters, Size));
-      assertOrAssume(F, Holds,
-                     "threads-oversubscription assumption violated: more "
-                     "iterations than threads in the team");
-    }
+    Value *Holds = B.or_(B.icmpEQ(Oversub, B.i32(0)),
+                         B.cmp(CmpPred::SLE, NumIters, Size));
+    assertOrAssume(F, Holds,
+                   "threads-oversubscription assumption violated: more "
+                   "iterations than threads in the team");
     emitNoChunkLoop(F, F->arg(0), F->arg(1), NumIters, Tid, Size, Assumed);
   }
 
@@ -663,7 +651,6 @@ private:
     B.retVoid();
   }
 
-  const RTLOptions &Options;
   std::unique_ptr<Module> M;
   IRBuilder B;
 
@@ -682,8 +669,6 @@ private:
 
 } // namespace
 
-std::unique_ptr<Module> buildDeviceRTL(const RTLOptions &Options) {
-  return DeviceRTLBuilder(Options).run();
-}
+std::unique_ptr<Module> buildDeviceRTL() { return DeviceRTLBuilder().run(); }
 
 } // namespace codesign::rt

@@ -27,19 +27,9 @@
 
 namespace codesign::rt {
 
-/// Build-time options for the runtime library.
-struct RTLOptions {
-  /// Emit the post-broadcast-barrier assumptions of Figure 8b. On by
-  /// default; the ablation benches can disable the *pass* that consumes
-  /// them instead, but this switch allows runtime-side experiments too.
-  bool EmitBroadcastAssumes = true;
-  /// Emit debug assertions verifying the oversubscription assumptions at
-  /// runtime (paper: "after asserting that the condition actually holds").
-  bool EmitOversubscriptionAsserts = true;
-};
-
 /// Generate the new device runtime as a standalone module, ready to be
-/// linked into an application module with ir::linkModules.
-std::unique_ptr<ir::Module> buildDeviceRTL(const RTLOptions &Options = {});
+/// linked into an application module with ir::linkModules. Compiles build
+/// it once per process (frontend::runtimeModule) and link from that copy.
+std::unique_ptr<ir::Module> buildDeviceRTL();
 
 } // namespace codesign::rt

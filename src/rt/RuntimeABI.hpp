@@ -137,6 +137,13 @@ inline constexpr std::string_view SpmdParallelEndName =
 inline constexpr std::string_view BroadcastPtrName = "__kmpc_broadcast_ptr";
 inline constexpr std::string_view BroadcastSlotName = "__omp_bcast_slot";
 
+/// Entry points SPMDization (Section IV-A3) introduces into a generic-mode
+/// kernel that never called them. The runtime link copies them whether or
+/// not the kernel references them, and the pass declines a kernel whose
+/// module lacks one.
+inline constexpr std::string_view SpmdizationEntryPoints[] = {
+    SpmdParallelBeginName, SpmdParallelEndName, DistributeForStaticLoopName};
+
 //===----------------------------------------------------------------------===//
 // Legacy runtime (oldrt) symbols — deliberately a different, opaque ABI
 //===----------------------------------------------------------------------===//

@@ -7,13 +7,19 @@
 //
 //===----------------------------------------------------------------------===//
 #include "frontend/Driver.hpp"
+#include "frontend/TargetCompiler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "ir/Printer.hpp"
 #include "ir/Verifier.hpp"
 #include "rt/RuntimeABI.hpp"
 #include "vgpu/VirtualGPU.hpp"
@@ -435,6 +441,129 @@ TEST_F(EndToEnd, DebugTracingCountsRuntimeEntries) {
       EXPECT_EQ(InitCount, 0u);
     GPU->release(DX);
     GPU->release(DY);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Linking the runtime by closure
+//===----------------------------------------------------------------------===//
+
+TEST_F(EndToEnd, SpmdSaxpyLinksOnlyWhatItCalls) {
+  // An SPMD kernel never forks, so the state machine, the parallel entry
+  // and the ICV-writing entries stay out of its module.
+  auto CG = emitKernel(saxpySpec(), CodegenOptions{});
+  ASSERT_TRUE(CG.hasValue());
+  ASSERT_TRUE(linkRuntime(*CG->AppModule, RuntimeKind::NewRT).hasValue());
+  const ir::Module &M = *CG->AppModule;
+  const std::string_view Unlinked[] = {
+      rt::ParallelName,          rt::WorkFnWaitName,
+      rt::WorkFnArgsName,        rt::WorkFnDoneName,
+      rt::SetNumThreadsName,     "__kmpc_thread_state_push",
+      "__kmpc_thread_state_pop"};
+  for (std::string_view Name : Unlinked)
+    EXPECT_EQ(M.findFunction(Name), nullptr) << Name;
+  for (std::string_view Name : rt::SpmdizationEntryPoints)
+    EXPECT_NE(M.findFunction(Name), nullptr) << Name;
+  EXPECT_TRUE(ir::verifyModule(M).empty());
+}
+
+TEST_F(EndToEnd, GenericKernelLinksSpmdizationRootsAndConverts) {
+  // The generic lowering calls none of the entry points SPMDization
+  // introduces; the link copies them anyway, so the conversion happens.
+  CodegenOptions Opts;
+  Opts.ForceGenericMode = true;
+  auto CG = emitKernel(saxpySpec(), Opts);
+  ASSERT_TRUE(CG.hasValue());
+  for (std::string_view Name : rt::SpmdizationEntryPoints)
+    EXPECT_EQ(CG->AppModule->findFunction(Name), nullptr) << Name;
+  ASSERT_TRUE(linkRuntime(*CG->AppModule, RuntimeKind::NewRT).hasValue());
+  for (std::string_view Name : rt::SpmdizationEntryPoints) {
+    const ir::Function *F = CG->AppModule->findFunction(Name);
+    ASSERT_NE(F, nullptr) << Name;
+    EXPECT_FALSE(F->isDeclaration()) << Name;
+  }
+
+  auto CK = compileKernel(saxpySpec(),
+                          CompileOptions::newRTNoAssumptions()
+                              .withForceGenericMode()
+                              .withKernelCache(false),
+                          GPU->registry());
+  ASSERT_TRUE(CK.hasValue()) << CK.error().message();
+  EXPECT_EQ(CK->Kernel->execMode(), ir::ExecMode::SPMD);
+}
+
+TEST_F(EndToEnd, EveryNewRuntimeModuleHoldsTraceCounts) {
+  // The host reads the trace counters back by name, so they are linked
+  // even where no function references them (tracing off).
+  for (bool Generic : {false, true})
+    for (std::int32_t Debug :
+         {0, rt::DebugAssertions,
+          rt::DebugAssertions | rt::DebugFunctionTracing})
+      for (bool Optimize : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "generic " << Generic
+                                          << ", debug " << Debug
+                                          << ", optimized " << Optimize);
+        auto CK = compileKernel(saxpySpec(),
+                                CompileOptions::newRTNoAssumptions()
+                                    .withForceGenericMode(Generic)
+                                    .withDebug(Debug)
+                                    .withOptimizer(Optimize)
+                                    .withKernelCache(false),
+                                GPU->registry());
+        ASSERT_TRUE(CK.hasValue()) << CK.error().message();
+        const ir::GlobalVariable *Counts =
+            CK->M->findGlobal(rt::TraceCountsName);
+        ASSERT_NE(Counts, nullptr);
+        EXPECT_FALSE(Counts->isInternal());
+      }
+}
+
+TEST_F(EndToEnd, ConcurrentColdCompilesShareOneRuntime) {
+  // Four threads compile cold at once, each its own kernel, all linking
+  // from the one runtime module (built by whichever thread comes first).
+  // Each module prints exactly as the same spec compiled alone.
+  struct Job {
+    std::string Name;
+    CompileOptions Options;
+  };
+  const CompileOptions Cold =
+      CompileOptions::newRTNoAssumptions().withKernelCache(false);
+  const std::vector<Job> Jobs = {
+      {"cold_spmd", Cold},
+      {"cold_generic", Cold.withForceGenericMode()},
+      {"cold_traced",
+       Cold.withDebug(rt::DebugAssertions | rt::DebugFunctionTracing)},
+      {"cold_unoptimized", Cold.withOptimizer(false)},
+  };
+  const auto compile = [&](const Job &J) -> std::string {
+    KernelSpec Spec = saxpySpec();
+    Spec.Name = J.Name;
+    auto CK = compileKernel(Spec, J.Options, GPU->registry());
+    return CK ? ir::printModule(*CK->M) : "error: " + CK.error().message();
+  };
+
+  std::vector<std::string> Concurrent(Jobs.size());
+  std::vector<const ir::Module *> Runtimes(Jobs.size());
+  std::atomic<std::size_t> Arrived{0};
+  std::vector<std::thread> Threads;
+  for (std::size_t I = 0; I < Jobs.size(); ++I)
+    Threads.emplace_back([&, I] {
+      Arrived.fetch_add(1);
+      while (Arrived.load() < Jobs.size())
+        std::this_thread::yield();
+      Concurrent[I] = compile(Jobs[I]);
+      Runtimes[I] = runtimeModule(RuntimeKind::NewRT);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  ASSERT_NE(runtimeModule(RuntimeKind::NewRT), nullptr);
+  for (std::size_t I = 0; I < Jobs.size(); ++I) {
+    SCOPED_TRACE(Jobs[I].Name);
+    EXPECT_EQ(Runtimes[I], runtimeModule(RuntimeKind::NewRT));
+    EXPECT_EQ(Concurrent[I].find("error: "), std::string::npos)
+        << Concurrent[I];
+    EXPECT_EQ(Concurrent[I], compile(Jobs[I]));
   }
 }
 

@@ -8,9 +8,11 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/IRBuilder.hpp"
+#include "ir/Linker.hpp"
 #include "ir/Verifier.hpp"
 #include "rt/RuntimeABI.hpp"
 #include "vgpu/VirtualGPU.hpp"
@@ -146,6 +148,47 @@ TEST_F(SpmdizationTest, DisabledPassLeavesGenericMode) {
   std::uint64_t Args[] = {Buf.Bits, N};
   auto R = GPU->launch(*Image, Emitted->Kernel, Args, 2, 33);
   ASSERT_TRUE(R.Ok) << R.Error;
+}
+
+TEST_F(SpmdizationTest, MissingEntryPointDeclinesWithRemark) {
+  // Linked without SPMDization's roots, a generic kernel's module lacks
+  // the entry points the conversion calls (the kernel calls none of them).
+  // The pass declines by name and the kernel keeps the state machine.
+  CodegenOptions CG;
+  CG.ForceGenericMode = true;
+  auto Emitted = emitKernel(combinedSpec(), CG);
+  ASSERT_TRUE(Emitted.hasValue());
+  ASSERT_TRUE(ir::linkModules(*Emitted->AppModule,
+                              *runtimeModule(RuntimeKind::NewRT))
+                  .hasValue());
+  for (std::string_view Name : rt::SpmdizationEntryPoints)
+    ASSERT_EQ(Emitted->AppModule->findFunction(Name), nullptr) << Name;
+
+  RemarkCollector Remarks;
+  OptOptions Options;
+  Options.Obs.Remarks = &Remarks;
+  runPipeline(*Emitted->AppModule, Options);
+  EXPECT_EQ(Emitted->Kernel->execMode(), ir::ExecMode::Generic);
+  EXPECT_TRUE(ir::verifyModule(*Emitted->AppModule).empty());
+  bool Named = false;
+  for (const Remark &R : Remarks.filtered(RemarkKind::Missed, "spmdization"))
+    Named |= R.Message.find("runtime entry point "
+                            "'__kmpc_spmd_parallel_begin' is missing") !=
+             std::string::npos;
+  EXPECT_TRUE(Named);
+
+  // Still correct in generic mode: run it.
+  auto Image = GPU->loadImage(*Emitted->AppModule);
+  constexpr std::uint64_t N = 64;
+  vgpu::DeviceAddr Buf = GPU->allocate(N * 8);
+  std::uint64_t Args[] = {Buf.Bits, N};
+  auto R = GPU->launch(*Image, Emitted->Kernel, Args, 2, 33);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  std::vector<double> Out(N);
+  GPU->read(Buf, std::span(reinterpret_cast<std::uint8_t *>(Out.data()),
+                           N * 8));
+  for (std::uint64_t I = 0; I < N; ++I)
+    EXPECT_DOUBLE_EQ(Out[I], static_cast<double>(I) * 3.0);
 }
 
 TEST(Spmdization, EveryRefusalIsNamedInItsRemark) {
